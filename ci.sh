@@ -87,4 +87,14 @@ timeout 300 cargo run --release -q -p umon-bench --bin umon_bench -- --smoke
 echo "==> frontier gate: umon_bench --smoke --only frontier"
 timeout 300 cargo run --release -q -p umon-bench --bin umon_bench -- --smoke --only frontier
 
+# Pipeline benchmark gate (BENCHMARK.json, benchmark/README.md): the
+# stand-alone `benchmark/` package path-depends on the workspace crates but
+# is not a workspace member, so nothing above compiles it. Its tests run all
+# six workloads at smoke size with every output check, and `--quick` drives
+# them once more through the driver's entry point — a public-API change
+# that breaks the benchmark's build fails here, not after the merge.
+echo "==> pipeline benchmark: cargo test + run.sh --quick"
+timeout 900 cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
+timeout 600 bash benchmark/run.sh --quick
+
 echo "CI green."

@@ -169,44 +169,9 @@ fn bench_selection(c: &mut Criterion) {
     group.finish();
 }
 
-/// §8 future work: Agg-Evict pre-aggregation in front of the sketch. On a
-/// dense stream most packets merge in the buffer and never touch the
-/// sketch's hash rows.
-fn bench_aggevict(c: &mut Criterion) {
-    // A dense stream: few flows, many packets per window.
-    let packets = stream(100_000, 16, 5);
-    let mut group = c.benchmark_group("aggevict");
-    group.throughput(Throughput::Elements(packets.len() as u64));
-    group.bench_function("direct", |b| {
-        b.iter(|| {
-            let mut s = BasicWaveSketch::new(config(SelectorKind::Ideal));
-            for (f, w, v) in &packets {
-                s.update(black_box(f), *w, *v);
-            }
-            s.active_buckets()
-        })
-    });
-    group.bench_function("buffered_256_slots", |b| {
-        b.iter(|| {
-            let mut s = BasicWaveSketch::new(config(SelectorKind::Ideal));
-            let mut buf = wavesketch::AggEvictBuffer::new(256);
-            {
-                let mut sink = |k: &FlowKey, w: u64, v: i64| s.update(k, w, v);
-                for (f, w, v) in &packets {
-                    buf.offer(black_box(f), *w, *v, &mut sink);
-                }
-                buf.flush(&mut sink);
-            }
-            s.active_buckets()
-        })
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_update, bench_amortized_density, bench_transform_reconstruct, bench_selection,
-              bench_aggevict
+    targets = bench_update, bench_amortized_density, bench_transform_reconstruct, bench_selection
 }
 criterion_main!(benches);

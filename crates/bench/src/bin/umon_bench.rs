@@ -30,8 +30,7 @@ use umon::switch_agent::MirroredPacket;
 use umon::{Analyzer, HostAgent, HostAgentConfig, QueryScratch, RetentionPolicy};
 use umon_bench::frontier;
 use umon_netsim::{
-    run_parallel, CongestionControl, FlowId, FlowSpec, SchedulerKind, SimConfig, Simulator,
-    Topology,
+    run_parallel, CongestionControl, FlowId, FlowSpec, SimConfig, Simulator, Topology,
 };
 use umon_workloads::{WorkloadKind, WorkloadParams};
 use wavesketch::{BasicWaveSketch, FlowKey, FullWaveSketch, SketchConfig};
@@ -174,7 +173,6 @@ struct NetsimBench {
     seed: u64,
     baseline: Option<NetsimMeasure>,
     current: Option<NetsimMeasure>,
-    current_heap: Option<NetsimMeasure>,
     scaling: Option<NetsimScaling>,
     speedup_vs_baseline: Option<f64>,
 }
@@ -483,18 +481,12 @@ fn netsim_config(end_ns: u64) -> SimConfig {
     }
 }
 
-fn bench_netsim(end_ns: u64, use_heap: bool) -> NetsimMeasure {
+fn bench_netsim(end_ns: u64) -> NetsimMeasure {
     reset_peak_rss();
     let mut events = 0u64;
     let (wall_ns, _) = time_min(|| {
         let topo = Topology::fat_tree(4, 100.0, 1000);
-        let mut config = netsim_config(end_ns);
-        config.scheduler = if use_heap {
-            SchedulerKind::Heap
-        } else {
-            SchedulerKind::Calendar
-        };
-        let result = Simulator::new(topo, netsim_flows(1024), config).run();
+        let result = Simulator::new(topo, netsim_flows(1024), netsim_config(end_ns)).run();
         events = result.events_processed;
         result.events_processed
     });
@@ -938,37 +930,21 @@ fn record_netsim(root: &Path, as_baseline: Option<&str>) {
         REPS
     );
     let mut netsim_file: NetsimBench = load(&netsim_path);
-    netsim_file.schema = 1;
+    netsim_file.schema = 2;
     netsim_file.workload = "fat_tree_k4_1024flows_dcqcn_10ms".to_string();
     netsim_file.seed = NETSIM_SEED;
+    let measure = || {
+        let mut m = bench_netsim(10_000_000);
+        m.notes = cpu_notes();
+        println!("  {:.0} events/sec ({} events)", m.events_per_sec, m.events);
+        m
+    };
     match as_baseline {
-        // The pre-refactor scheduler was the binary heap; baselines pin it.
-        Some("baseline") => {
-            let mut heap = bench_netsim(10_000_000, true);
-            heap.notes = cpu_notes();
-            println!(
-                "  heap     {:.0} events/sec ({} events)",
-                heap.events_per_sec, heap.events
-            );
-            netsim_file.baseline = Some(heap);
-        }
-        Some("baseline_lto") => {} // profile effect on netsim is captured by current_heap
+        Some("baseline") => netsim_file.baseline = Some(measure()),
+        Some("baseline_lto") => {} // netsim records no profile baseline
         Some(_) => unreachable!("validated in record()"),
         None => {
-            let mut calendar = bench_netsim(10_000_000, false);
-            let mut heap = bench_netsim(10_000_000, true);
-            calendar.notes = cpu_notes();
-            heap.notes = cpu_notes();
-            println!(
-                "  calendar {:.0} events/sec ({} events)",
-                calendar.events_per_sec, calendar.events
-            );
-            println!(
-                "  heap     {:.0} events/sec ({} events)",
-                heap.events_per_sec, heap.events
-            );
-            netsim_file.current = Some(calendar);
-            netsim_file.current_heap = Some(heap);
+            netsim_file.current = Some(measure());
             println!(
                 "netsim scaling: hadoop cluster workloads, k=4/8/16 x 1/2/4 partitions \
                  x {SCALING_REPS} reps ..."
@@ -1458,7 +1434,7 @@ fn smoke() {
             fresh_batch.best_speedup_vs_scalar
         );
     }
-    let netsim = bench_netsim(2_000_000, false);
+    let netsim = bench_netsim(2_000_000);
     let fresh_ev = require_finite(
         "BENCH_netsim.json",
         "fresh",
@@ -1468,12 +1444,10 @@ fn smoke() {
     // Parallel gate: the sharded simulator must dispatch exactly the events
     // the sequential run does (cheap proxy for the bit-identical contract;
     // the full trace diff lives in the sim_equivalence suite).
-    let mut par_config = netsim_config(2_000_000);
-    par_config.scheduler = SchedulerKind::Calendar;
     let par = run_parallel(
         Topology::fat_tree(4, 100.0, 1000),
         netsim_flows(1024),
-        par_config,
+        netsim_config(2_000_000),
         2,
     )
     .expect("k=4 fat-tree partitions cleanly");

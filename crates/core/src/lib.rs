@@ -57,7 +57,6 @@
 //! assert_eq!(curve.at(103), 1500.0);
 //! ```
 
-pub mod aggevict;
 pub mod arena;
 pub mod basic;
 pub mod batch;
@@ -73,7 +72,6 @@ pub mod select;
 pub mod sharded;
 pub mod streaming;
 
-pub use aggevict::AggEvictBuffer;
 pub use arena::BucketArena;
 pub use basic::BasicWaveSketch;
 pub use batch::{active_kernel, BatchKernel};

@@ -214,41 +214,6 @@ proptest! {
         }
     }
 
-    /// Agg-Evict equivalence under arbitrary streams: buffering + eviction
-    /// never changes what the sketch learns.
-    #[test]
-    fn aggevict_is_transparent(
-        flows in proptest::collection::vec((0u64..10, 0u64..64, 1i64..1_000), 1..120),
-        slots in 1usize..32,
-    ) {
-        let config = || SketchConfig::builder()
-            .rows(2)
-            .width(16)
-            .levels(4)
-            .topk(64)
-            .max_windows(64)
-            .build();
-        let mut by_window = flows.clone();
-        by_window.sort_by_key(|&(_, w, _)| w);
-        let mut direct = BasicWaveSketch::new(config());
-        for &(f, w, v) in &by_window {
-            direct.update(&FlowKey::from_id(f), w, v);
-        }
-        let mut buffered = BasicWaveSketch::new(config());
-        let mut buffer = wavesketch::AggEvictBuffer::new(slots);
-        {
-            let mut sink = |k: &FlowKey, w: u64, v: i64| buffered.update(k, w, v);
-            for &(f, w, v) in &by_window {
-                buffer.offer(&FlowKey::from_id(f), w, v, &mut sink);
-            }
-            buffer.flush(&mut sink);
-        }
-        for &(f, _, _) in &by_window {
-            let key = FlowKey::from_id(f);
-            prop_assert_eq!(direct.query(&key), buffered.query(&key));
-        }
-    }
-
     /// The hardware selector with zero thresholds and huge capacity retains
     /// exactly the nonzero candidates the ideal selector would (same set).
     #[test]

@@ -47,7 +47,6 @@ pub use packet::{EcnCodepoint, FlowId, Packet, PacketKind};
 pub use parallel::run_parallel;
 pub use partition::{PartitionError, PartitionPlan};
 pub use queue::{EcnConfig, OutPort};
-pub use sched::{CalendarQueue, SchedulerKind};
 pub use sim::{CongestionControl, FlowSpec, PfcConfig, SimConfig, SimResult, Simulator};
 pub use telemetry::{
     BurstRecord, ClockModel, DropRecord, LinkRecord, MirrorCandidate, PauseRecord, QueueEpisode,

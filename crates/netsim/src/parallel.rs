@@ -1,6 +1,6 @@
 //! Conservative parallel discrete-event execution: the topology is sharded
 //! into logical processes ([`crate::partition`]), each running a private
-//! [`Simulator`] over its own nodes, queues, CC state and event wheel, and
+//! [`Simulator`] over its own nodes, queues, CC state and event queue, and
 //! the processes advance in barrier-synchronized windows.
 //!
 //! ## Synchronization protocol
@@ -18,7 +18,7 @@
 //!    for a remote partition are buffered, not sent immediately.
 //! 4. Outbound buffers are flushed into per-destination mailboxes; a second
 //!    barrier makes them visible; each partition drains its own mailbox into
-//!    its event wheel and the round repeats.
+//!    its event queue and the round repeats.
 //!
 //! Safety: an event dispatched in the window has `time ≥ F`, and anything it
 //! schedules across a cut link is delayed by that link's latency `≥ L`, so

@@ -1,70 +1,27 @@
-//! Event schedulers for the simulator: the original binary heap and an
-//! allocation-free calendar queue (timing wheel), selectable per run via
-//! [`SchedulerKind`].
+//! The simulator's event scheduler: a binary heap popping in `(time, prio)`
+//! ascending order.
 //!
-//! Both schedulers implement the same total order — `(time, prio)` ascending
-//! — so a simulation produces bit-identical traces under either. `prio` is a
-//! globally-stable priority assigned by the simulator: the high bits are a
-//! per-creator-node schedule counter and the low bits the creator node id,
-//! which makes the order independent of *when* an event was pushed relative
-//! to events created by other nodes. That independence is what lets the
-//! parallel engine replay the exact sequential order: each partition pushes
-//! its events whenever its thread gets to them, yet `(time, prio)` sorts
-//! them into the same sequence a single-threaded run produces.
+//! `prio` is a globally-stable priority assigned by the simulator: the high
+//! bits are a per-creator-node schedule counter and the low bits the creator
+//! node id, which makes the order independent of *when* an event was pushed
+//! relative to events created by other nodes. That independence is what lets
+//! the parallel engine replay the exact sequential order: each partition
+//! pushes its events whenever its thread gets to them, yet `(time, prio)`
+//! sorts them into the same sequence a single-threaded run produces.
+//! Priorities within a timestamp may therefore arrive in any order.
 //!
-//! The calendar queue is the default: after warm-up its steady state
-//! performs zero heap allocation (slots are `VecDeque`s that retain capacity
-//! across drains, and the overflow heap keeps its backing buffer), and both
-//! push and pop are O(1)-ish for the near-future events that dominate a
-//! packet simulation.
-//!
-//! # Wheel layout
-//!
-//! The wheel has [`WHEEL_SLOTS`] slots of 1 ns each, indexed by
-//! `time & (WHEEL_SLOTS - 1)`. An event within the horizon
-//! (`time - cursor < WHEEL_SLOTS`) is inserted into its slot in `prio`
-//! order; because the horizon never exceeds one wheel revolution, every
-//! event in a slot carries the *same* timestamp, so the slot is already
-//! sorted by the full `(time, prio)` key. Unlike the historical
-//! insertion-order FIFO, the ordered insert is required because priorities
-//! are no longer monotone in push order (a node with a low counter can push
-//! after a node with a high one). The common case — appending the largest
-//! priority — stays O(1). Events at or beyond the horizon go to a small
-//! overflow heap ordered by `(time, prio)`.
-//!
-//! On pop, the head of the next occupied slot and the overflow head are
-//! compared by `(time, prio)` and the smaller key wins, which is exactly the
-//! global order.
+//! The heap's backing buffer only grows, so once a run has reached its peak
+//! occupancy the push/pop cycle performs no heap allocation
+//! (`tests/alloc_gate.rs`). There is one scheduler on purpose: see
+//! DESIGN.md §10 for the measurement that retired the timing wheel.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
-/// Which event scheduler the simulator uses. The choice never changes the
-/// simulation result — only its speed and allocation profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// `BinaryHeap<(time, prio)>` — the original scheduler. O(log n)
-    /// push/pop; kept as the differential reference and for the perf gate's
-    /// heap-vs-calendar comparison.
-    Heap,
-    /// Calendar queue (timing wheel) with an overflow heap — O(1) push/pop
-    /// within the horizon and zero steady-state allocation.
-    #[default]
-    Calendar,
-}
-
-/// Number of 1 ns wheel slots. Must be a power of two. 65536 ns (~65 µs)
-/// comfortably covers serialization (~80 ns/packet at 100 Gbps),
-/// propagation (1 µs links) and CNP/alpha timers (~55 µs); only the sparse
-/// rate-increase timers (~1.5 ms) and far-future flow starts overflow.
-pub const WHEEL_SLOTS: usize = 1 << 16;
-const WHEEL_MASK: u64 = (WHEEL_SLOTS as u64) - 1;
-const HORIZON: u64 = WHEEL_SLOTS as u64;
+use std::collections::BinaryHeap;
 
 /// A queued item: `(time, prio)` carries the total order, `item` rides
 /// along.
 #[derive(Debug)]
-pub struct Entry<T> {
+struct Entry<T> {
     time: u64,
     prio: u64,
     item: T,
@@ -87,198 +44,42 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// Calendar queue: a timing wheel of per-nanosecond slots (sorted by
-/// priority) plus an overflow heap for events beyond the horizon.
+/// The simulator's event queue.
 #[derive(Debug)]
-pub struct CalendarQueue<T> {
-    /// `slots[time & WHEEL_MASK]`; within the horizon each slot holds events
-    /// of exactly one timestamp, kept sorted ascending by `prio`.
-    slots: Vec<VecDeque<(u64, u64, T)>>,
-    /// One bit per slot: set iff the slot is nonempty. Scanned a word
-    /// (64 slots) at a time to find the next occupied slot.
-    occupied: Vec<u64>,
-    /// Lower bound on every queued timestamp; the wheel maps times in
-    /// `[cursor, cursor + HORIZON)`.
-    cursor: u64,
-    /// Events currently on the wheel.
-    wheel_len: usize,
-    /// Events at `time - cursor >= HORIZON` when scheduled.
-    overflow: BinaryHeap<Reverse<Entry<T>>>,
-}
+pub struct EventQueue<T>(BinaryHeap<Reverse<Entry<T>>>);
 
-impl<T> CalendarQueue<T> {
-    /// An empty queue with its wheel preallocated (slot buffers grow on
-    /// first use and are then reused forever).
+impl<T> EventQueue<T> {
+    /// An empty queue.
     pub fn new() -> Self {
-        Self {
-            slots: (0..WHEEL_SLOTS).map(|_| VecDeque::new()).collect(),
-            occupied: vec![0; WHEEL_SLOTS / 64],
-            cursor: 0,
-            wheel_len: 0,
-            overflow: BinaryHeap::new(),
-        }
+        Self(BinaryHeap::new())
     }
 
-    /// Total queued events.
-    pub fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len()
-    }
-
-    /// True if no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Queues `item` at `time` with priority `prio`. `time` must be `>=`
-    /// the timestamp of the last popped event (no scheduling into the
-    /// past); priorities within a timestamp may arrive in any order.
+    /// Queues `item` at `time` with priority `prio`.
     pub fn push(&mut self, time: u64, prio: u64, item: T) {
-        debug_assert!(time >= self.cursor, "scheduling into the past");
-        if time - self.cursor >= HORIZON {
-            self.overflow.push(Reverse(Entry { time, prio, item }));
-        } else {
-            let idx = (time & WHEEL_MASK) as usize;
-            let slot = &mut self.slots[idx];
-            debug_assert!(slot.iter().all(|(t, _, _)| *t == time));
-            // Ordered insert by priority. The fast path — the new event has
-            // the largest priority seen in this slot — is an O(1) append
-            // and covers the monotone single-creator case.
-            match slot.back() {
-                Some(&(_, p, _)) if p > prio => {
-                    let at = slot.partition_point(|&(_, p, _)| p < prio);
-                    slot.insert(at, (time, prio, item));
-                }
-                _ => slot.push_back((time, prio, item)),
-            }
-            self.occupied[idx / 64] |= 1 << (idx % 64);
-            self.wheel_len += 1;
-        }
+        self.0.push(Reverse(Entry { time, prio, item }));
     }
 
     /// Removes and returns the earliest `(time, prio, item)` in `(time,
     /// prio)` order.
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
-        let wheel_key = self.next_wheel_key();
-        let overflow_key = self.overflow.peek().map(|Reverse(e)| (e.time, e.prio));
-        let take_overflow = match (wheel_key, overflow_key) {
-            (None, None) => return None,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (Some(kw), Some(ko)) => ko < kw,
-        };
-        if take_overflow {
-            let Reverse(e) = self.overflow.pop().expect("peeked nonempty");
-            self.cursor = e.time;
-            Some((e.time, e.prio, e.item))
-        } else {
-            let (tw, _) = wheel_key.expect("wheel branch");
-            self.cursor = tw;
-            let idx = (tw & WHEEL_MASK) as usize;
-            let (t, p, item) = self.slots[idx].pop_front().expect("occupied slot");
-            debug_assert_eq!(t, tw);
-            if self.slots[idx].is_empty() {
-                self.occupied[idx / 64] &= !(1 << (idx % 64));
-            }
-            self.wheel_len -= 1;
-            Some((tw, p, item))
-        }
-    }
-
-    /// Timestamp of the earliest queued event without removing it.
-    pub fn next_time(&self) -> Option<u64> {
-        let wheel = self.next_wheel_key().map(|(t, _)| t);
-        let over = self.overflow.peek().map(|Reverse(e)| e.time);
-        match (wheel, over) {
-            (None, None) => None,
-            (Some(t), None) | (None, Some(t)) => Some(t),
-            (Some(a), Some(b)) => Some(a.min(b)),
-        }
-    }
-
-    /// `(time, prio)` of the earliest wheel event, scanning the occupancy
-    /// bitmap from the cursor's slot. Every wheel event lies within one
-    /// revolution of the cursor, so the first set bit found (cyclically) is
-    /// the earliest slot, and its front holds the smallest priority.
-    fn next_wheel_key(&self) -> Option<(u64, u64)> {
-        if self.wheel_len == 0 {
-            return None;
-        }
-        let start = (self.cursor & WHEEL_MASK) as usize;
-        // First (partial) word: mask off bits below the cursor's slot.
-        let mut word_idx = start / 64;
-        let mut word = self.occupied[word_idx] & (!0u64 << (start % 64));
-        let mut scanned = 0usize;
-        loop {
-            if word != 0 {
-                let bit = word_idx * 64 + word.trailing_zeros() as usize;
-                let dist = (bit + WHEEL_SLOTS - start) % WHEEL_SLOTS;
-                let (_, p, _) = self.slots[bit].front().expect("occupied slot");
-                return Some((self.cursor + dist as u64, *p));
-            }
-            word_idx = (word_idx + 1) % (WHEEL_SLOTS / 64);
-            word = self.occupied[word_idx];
-            scanned += 64;
-            debug_assert!(scanned <= WHEEL_SLOTS + 64, "bitmap scan overran");
-        }
-    }
-}
-
-impl<T> Default for CalendarQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The simulator's event queue: one of the two schedulers, behind a common
-/// push/pop interface. Both pop in `(time, prio)` order.
-#[derive(Debug)]
-pub enum EventQueue<T> {
-    /// Binary-heap scheduler.
-    Heap(BinaryHeap<Reverse<Entry<T>>>),
-    /// Calendar-queue scheduler.
-    Calendar(CalendarQueue<T>),
-}
-
-impl<T> EventQueue<T> {
-    /// An empty queue using the scheduler `kind`.
-    pub fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::Heap => Self::Heap(BinaryHeap::new()),
-            SchedulerKind::Calendar => Self::Calendar(CalendarQueue::new()),
-        }
-    }
-
-    /// Queues `item` at `time` with priority `prio`.
-    pub fn push(&mut self, time: u64, prio: u64, item: T) {
-        match self {
-            Self::Heap(h) => h.push(Reverse(Entry { time, prio, item })),
-            Self::Calendar(c) => c.push(time, prio, item),
-        }
-    }
-
-    /// Removes and returns the earliest `(time, prio, item)`.
-    pub fn pop(&mut self) -> Option<(u64, u64, T)> {
-        match self {
-            Self::Heap(h) => h.pop().map(|Reverse(e)| (e.time, e.prio, e.item)),
-            Self::Calendar(c) => c.pop(),
-        }
+        self.0.pop().map(|Reverse(e)| (e.time, e.prio, e.item))
     }
 
     /// Timestamp of the earliest queued event without removing it. Used by
     /// the parallel engine to publish each partition's local lower bound.
     pub fn next_time(&self) -> Option<u64> {
-        match self {
-            Self::Heap(h) => h.peek().map(|Reverse(e)| e.time),
-            Self::Calendar(c) => c.next_time(),
-        }
+        self.0.peek().map(|Reverse(e)| e.time)
     }
 
     /// True if no events are queued.
     pub fn is_empty(&self) -> bool {
-        match self {
-            Self::Heap(h) => h.is_empty(),
-            Self::Calendar(c) => c.is_empty(),
-        }
+        self.0.is_empty()
+    }
+}
+
+impl<T> Default for EventQueue<T> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -288,135 +89,54 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    /// Drives both schedulers with an identical push/pop schedule and
-    /// asserts they emit identical `(time, prio, item)` sequences. Delays
-    /// span zero-delay, in-horizon and far-overflow cases; pops interleave
-    /// with pushes the way a simulation's event loop does, and priorities
-    /// are deliberately non-monotone in push order (shuffled within bursts)
-    /// to exercise the ordered slot insert.
+    /// Drives the queue with a simulation-shaped push/pop schedule and
+    /// checks every pop against a `Vec` kept sorted by `(time, prio)`.
+    /// Delays span zero-delay reschedules to far-future timers; pops
+    /// interleave with pushes, and priorities are deliberately
+    /// non-monotone in push order (shuffled within bursts), including
+    /// several per timestamp.
     #[test]
-    fn calendar_matches_heap_order() {
+    fn pops_in_time_prio_order_like_a_sorted_vec() {
         for seed in 0..8u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut heap = EventQueue::new(SchedulerKind::Heap);
-            let mut cal = EventQueue::new(SchedulerKind::Calendar);
-            let mut prio = 0u64;
-            let mut now = 0u64;
-            let mut popped = 0usize;
-            let mut pushed = 0usize;
-            while popped < 20_000 {
-                let burst = rng.gen_range(0..4);
+            let mut q = EventQueue::new();
+            let mut reference: Vec<(u64, u64, u64)> = Vec::new();
+            let (mut prio, mut now, mut popped) = (0u64, 0u64, 0usize);
+            let check_pop = |q: &mut EventQueue<u64>, reference: &mut Vec<_>| {
+                reference.sort_unstable();
+                assert_eq!(q.next_time(), reference.first().map(|e: &(u64, _, _)| e.0));
+                assert_eq!(q.is_empty(), reference.is_empty());
+                let got = q.pop();
+                let want = (!reference.is_empty()).then(|| reference.remove(0));
+                assert_eq!(got, want, "seed {seed}: diverged from the sorted reference");
+                got
+            };
+            while popped < 5_000 {
                 let mut batch = Vec::new();
-                for _ in 0..burst {
+                for _ in 0..rng.gen_range(0..4) {
                     let delay = match rng.gen_range(0..10) {
-                        0 => 0,                                    // zero-delay reschedule
-                        1..=6 => rng.gen_range(0..2_000),          // serialization/propagation
-                        7 | 8 => rng.gen_range(2_000..HORIZON),    // timers within horizon
-                        _ => rng.gen_range(HORIZON..20 * HORIZON), // overflow
+                        0 | 1 => 0,                            // zero-delay reschedule
+                        2..=6 => rng.gen_range(0..2_000),      // serialization/propagation
+                        7 | 8 => rng.gen_range(2_000..65_536), // CNP/alpha timers
+                        _ => rng.gen_range(65_536..1_500_000), // rate timers, flow starts
                     };
                     prio += 1;
                     batch.push((now + delay, prio));
                 }
                 // Push in shuffled order — priorities need not be monotone.
                 while !batch.is_empty() {
-                    let i = rng.gen_range(0..batch.len());
-                    let (t, p) = batch.swap_remove(i);
-                    heap.push(t, p, p);
-                    cal.push(t, p, p);
-                    pushed += 1;
+                    let (t, p) = batch.swap_remove(rng.gen_range(0..batch.len()));
+                    q.push(t, p, p ^ seed);
+                    reference.push((t, p, p ^ seed));
                 }
-                if pushed > popped {
-                    let h = heap.pop().expect("heap nonempty");
-                    let c = cal.pop().expect("calendar nonempty");
-                    assert_eq!(h, c, "seed {seed}: divergence at pop {popped}");
-                    assert_eq!(heap.next_time(), cal.next_time());
-                    assert!(h.0 >= now, "time went backwards");
-                    now = h.0;
+                if let Some((t, _, _)) = check_pop(&mut q, &mut reference) {
+                    assert!(t >= now, "time went backwards");
+                    now = t;
                     popped += 1;
                 }
             }
-            // Drain the rest — tails must match too.
-            loop {
-                let h = heap.pop();
-                let c = cal.pop();
-                assert_eq!(h, c, "seed {seed}: divergence in drain");
-                if h.is_none() {
-                    break;
-                }
-            }
+            // Drain the rest — the tail must match too, down to `None`.
+            while check_pop(&mut q, &mut reference).is_some() {}
         }
-    }
-
-    /// Timestamp ties between overflow and wheel resolve by priority in
-    /// both directions — the overflow event is no longer assumed older.
-    #[test]
-    fn timestamp_ties_resolve_by_priority() {
-        let mut q = CalendarQueue::new();
-        let t = 2 * HORIZON; // beyond horizon as seen from cursor 0
-        q.push(t, 5, "overflow");
-        // Advance the cursor to within a horizon of `t`.
-        q.push(t - 10, 1, "stepping stone");
-        assert_eq!(q.pop(), Some((t - 10, 1, "stepping stone")));
-        // Now `t` is in-horizon; these land on the wheel at the same time,
-        // straddling the overflow event's priority.
-        q.push(t, 3, "wheel-low");
-        q.push(t, 8, "wheel-high");
-        assert_eq!(q.next_time(), Some(t));
-        assert_eq!(q.pop(), Some((t, 3, "wheel-low")));
-        assert_eq!(q.pop(), Some((t, 5, "overflow")));
-        assert_eq!(q.pop(), Some((t, 8, "wheel-high")));
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
-    }
-
-    /// Equal timestamps within the horizon pop in priority order no matter
-    /// the push order.
-    #[test]
-    fn same_time_pops_in_priority_order() {
-        let mut q = CalendarQueue::new();
-        for i in (0..100u64).rev() {
-            q.push(42, i, i);
-        }
-        for i in 0..100u64 {
-            assert_eq!(q.pop(), Some((42, i, i)));
-        }
-        assert_eq!(q.pop(), None);
-    }
-
-    /// An empty wheel with a far-future overflow event: the cursor jumps
-    /// straight to the overflow head instead of stepping slot by slot.
-    #[test]
-    fn empty_wheel_jumps_to_overflow() {
-        let mut q = CalendarQueue::new();
-        q.push(10 * HORIZON + 3, 1, ());
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.next_time(), Some(10 * HORIZON + 3));
-        assert_eq!(q.pop(), Some((10 * HORIZON + 3, 1, ())));
-        // After the jump the wheel window follows the new cursor.
-        q.push(10 * HORIZON + 4, 2, ());
-        assert_eq!(q.pop(), Some((10 * HORIZON + 4, 2, ())));
-    }
-
-    /// Slot reuse across wheel revolutions: once drained, a slot accepts
-    /// the same residue class one revolution later.
-    #[test]
-    fn wheel_wraps_cleanly() {
-        let mut q = CalendarQueue::new();
-        let mut prio = 0u64;
-        let mut now = 0u64;
-        for round in 0..5u64 {
-            for k in 0..64u64 {
-                prio += 1;
-                q.push(round * HORIZON + k * 1000, prio, round * 1000 + k);
-            }
-            for k in 0..64u64 {
-                let (t, _, item) = q.pop().expect("queued");
-                assert_eq!(t, round * HORIZON + k * 1000);
-                assert_eq!(item, round * 1000 + k);
-                assert!(t >= now);
-                now = t;
-            }
-        }
-        assert!(q.is_empty());
     }
 }

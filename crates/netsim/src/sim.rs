@@ -36,7 +36,7 @@ use crate::failure::{FailureEvent, FailureSchedule};
 use crate::packet::{FlowId, Packet, PacketKind};
 use crate::partition::PartitionPlan;
 use crate::queue::{EcnConfig, EnqueueOutcome, OutPort};
-use crate::sched::{EventQueue, SchedulerKind};
+use crate::sched::EventQueue;
 use crate::telemetry::{
     ClockModel, EpisodeTracker, MirrorCandidate, QueueEpisode, QueueLengthDist, TapTags, Telemetry,
     TxRecord,
@@ -146,9 +146,6 @@ pub struct SimConfig {
     pub clock_error_ns: i64,
     /// Collect the time-weighted queue-length distribution.
     pub collect_queue_dist: bool,
-    /// Event scheduler implementation. Never affects results, only speed
-    /// (both schedulers pop in identical `(time, prio)` order).
-    pub scheduler: SchedulerKind,
     /// Scheduled fabric failures (link flaps, forced PFC pause storms).
     /// Empty by default; see [`crate::failure`] for the model.
     pub failures: FailureSchedule,
@@ -172,7 +169,6 @@ impl Default for SimConfig {
             seed: 1,
             clock_error_ns: 100,
             collect_queue_dist: true,
-            scheduler: SchedulerKind::default(),
             failures: FailureSchedule::none(),
         }
     }
@@ -445,7 +441,6 @@ impl Simulator {
         if let Err(msg) = config.failures.validate(&topo) {
             panic!("invalid failure schedule: {msg}");
         }
-        let events = EventQueue::new(config.scheduler);
         Self {
             config,
             clocks,
@@ -455,7 +450,7 @@ impl Simulator {
             cur_node: 0,
             cur_prio: 0,
             events_processed: 0,
-            events,
+            events: EventQueue::new(),
             pfc_asserting: ports.iter().map(|ps| vec![false; ps.len()]).collect(),
             link_down: ports.iter().map(|ps| vec![false; ps.len()]).collect(),
             ports,
@@ -500,18 +495,8 @@ impl Simulator {
     /// current synchronization window closes.
     fn schedule(&mut self, time: u64, event: Event) {
         let prio = self.next_prio(self.cur_node);
-        if let Some(part) = self.part.as_mut() {
-            let owner = match event {
-                Event::FlowStart { flow }
-                | Event::FlowSend { flow }
-                | Event::AlphaTimer { flow, .. }
-                | Event::RateTimer { flow, .. } => self.flows[flow].spec.src,
-                Event::Departure { node, .. }
-                | Event::Arrival { node, .. }
-                | Event::Pause { node, .. }
-                | Event::LinkState { node, .. } => node,
-            };
-            let dest = part.plan.owner(owner);
+        if let Some(part) = self.part.as_deref() {
+            let dest = part.plan.owner(self.event_owner(&event));
             if dest != part.id {
                 debug_assert!(
                     matches!(event, Event::Arrival { .. } | Event::Pause { .. }),
@@ -521,6 +506,7 @@ impl Simulator {
                     time >= self.now + part.plan.lookahead_ns,
                     "cross-partition event inside the lookahead window"
                 );
+                let part = self.part.as_mut().expect("partition mode");
                 part.outbound[dest].push((time, prio, event));
                 return;
             }
@@ -1472,46 +1458,6 @@ mod tests {
         assert_eq!(a.telemetry.tx_records, b.telemetry.tx_records);
         assert_eq!(a.telemetry.mirror_candidates, b.telemetry.mirror_candidates);
         assert_eq!(a.telemetry.episodes, b.telemetry.episodes);
-    }
-
-    /// The calendar queue and the binary heap implement the same
-    /// `(time, seq)` total order, so swapping schedulers must not change a
-    /// single bit of the simulation: identical flow statistics and identical
-    /// telemetry on the fixed-seed fat-tree k=4 workload.
-    #[test]
-    fn scheduler_choice_does_not_change_results() {
-        let flows = |n: u64| -> Vec<FlowSpec> {
-            (0..n)
-                .map(|i| FlowSpec {
-                    id: FlowId(i),
-                    src: (i % 8) as usize,
-                    dst: ((i + 8) % 16) as usize,
-                    size_bytes: 50_000 + i * 1000,
-                    start_ns: i * 10_000,
-                    cc: CongestionControl::Dcqcn,
-                })
-                .collect()
-        };
-        let run = |scheduler: SchedulerKind| {
-            let topo = Topology::fat_tree(4, 100.0, 1000);
-            let config = SimConfig {
-                scheduler,
-                ..quick_config()
-            };
-            Simulator::new(topo, flows(40), config).run()
-        };
-        let heap = run(SchedulerKind::Heap);
-        let calendar = run(SchedulerKind::Calendar);
-        assert_eq!(heap.flows, calendar.flows);
-        assert_eq!(heap.events_processed, calendar.events_processed);
-        assert_eq!(heap.end_ns, calendar.end_ns);
-        assert_eq!(heap.telemetry.tx_records, calendar.telemetry.tx_records);
-        assert_eq!(
-            heap.telemetry.mirror_candidates,
-            calendar.telemetry.mirror_candidates
-        );
-        assert_eq!(heap.telemetry.episodes, calendar.telemetry.episodes);
-        assert_eq!(heap.telemetry.drops, calendar.telemetry.drops);
     }
 
     #[test]

@@ -772,16 +772,7 @@ impl Analyzer {
         let heavy_refs = hidx.heavy.get(&packed).map_or(&[][..], Vec::as_slice);
         let has_heavy = series_from_epochs(
             |f| {
-                for pr in cold {
-                    for (k, brs) in &pr.report.heavy {
-                        if k.as_slice() == packed.as_slice() {
-                            for r in brs {
-                                f(Epoch::Raw(r));
-                            }
-                        }
-                    }
-                }
-                for (_, pr) in store.range(..hot_floor) {
+                for pr in older_periods(cold, store, hot_floor) {
                     for (k, brs) in &pr.report.heavy {
                         if k.as_slice() == packed.as_slice() {
                             for r in brs {
@@ -805,14 +796,7 @@ impl Analyzer {
             // light-only): keep the larger source there. Both upper-bound
             // the truth. Collected in the same tier order as the epochs.
             starts.clear();
-            for pr in cold {
-                for (k, brs) in &pr.report.heavy {
-                    if k.as_slice() == packed.as_slice() {
-                        starts.extend(brs.iter().map(|r| r.w0));
-                    }
-                }
-            }
-            for (_, pr) in store.range(..hot_floor) {
+            for pr in older_periods(cold, store, hot_floor) {
                 for (k, brs) in &pr.report.heavy {
                     if k.as_slice() == packed.as_slice() {
                         starts.extend(brs.iter().map(|r| r.w0));
@@ -894,16 +878,7 @@ impl Analyzer {
                 .map_or(&[][..], Vec::as_slice);
             if !series_from_epochs(
                 |f| {
-                    for pr in cold {
-                        for (r0, c0, brs) in &pr.report.light {
-                            if *r0 == row as u32 && *c0 == col {
-                                for r in brs {
-                                    f(Epoch::Raw(r));
-                                }
-                            }
-                        }
-                    }
-                    for (_, pr) in store.range(..hot_floor) {
+                    for pr in older_periods(cold, store, hot_floor) {
                         for (r0, c0, brs) in &pr.report.light {
                             if *r0 == row as u32 && *c0 == col {
                                 for r in brs {
@@ -930,19 +905,7 @@ impl Analyzer {
                 .map_or(&[][..], Vec::as_slice);
             let colliding = series_from_epochs(
                 |f| {
-                    for pr in cold {
-                        for (k, brs) in &pr.report.heavy {
-                            if k.as_slice() == packed.as_slice() {
-                                continue;
-                            }
-                            if cfg.light_col(&unpack_key(k), row) as u32 == col {
-                                for r in brs {
-                                    f(Epoch::Raw(r));
-                                }
-                            }
-                        }
-                    }
-                    for (_, pr) in store.range(..hot_floor) {
+                    for pr in older_periods(cold, store, hot_floor) {
                         for (k, brs) in &pr.report.heavy {
                             if k.as_slice() == packed.as_slice() {
                                 continue;
@@ -1035,7 +998,7 @@ impl Analyzer {
             considered += 1;
             let vlan = ep.port as u16 + 1;
             let lo = ep.start_ns.saturating_sub(tolerance_ns);
-            let hi = ep.end_ns + tolerance_ns;
+            let hi = ep.end_ns.saturating_add(tolerance_ns);
             if let Some(positions) = self.mirror_index.get(&(ep.switch, vlan)) {
                 // The per-port index is timestamp-sorted: binary-search the
                 // episode's span instead of filtering every mirror.
@@ -1105,16 +1068,7 @@ impl Analyzer {
         // compacted periods, then the hot refs.
         series_from_epochs(
             |f| {
-                for pr in cold {
-                    for (row, _, brs) in &pr.report.light {
-                        if *row == 0 {
-                            for r in brs {
-                                f(Epoch::Raw(r));
-                            }
-                        }
-                    }
-                }
-                for (_, pr) in store.range(..hot_floor) {
+                for pr in older_periods(cold, store, hot_floor) {
                     for (row, _, brs) in &pr.report.light {
                         if *row == 0 {
                             for r in brs {
@@ -1193,6 +1147,20 @@ impl Analyzer {
         }
         (windows, curves)
     }
+}
+
+/// The raw (non-indexed) periods of one host in period-ascending order:
+/// cold read-backs (all below the eviction floor), then compacted periods
+/// below `hot_floor`. Queries visit these before the hot refs, which keeps
+/// the float-addition order identical to an all-hot analyzer.
+fn older_periods<'a>(
+    cold: &'a [Rc<PeriodReport>],
+    store: &'a BTreeMap<u64, PeriodReport>,
+    hot_floor: u64,
+) -> impl Iterator<Item = &'a PeriodReport> {
+    cold.iter()
+        .map(|rc| &**rc)
+        .chain(store.range(..hot_floor).map(|(_, pr)| pr))
 }
 
 /// Drops all but the `keep` largest-magnitude detail coefficients from every
@@ -1411,6 +1379,26 @@ mod tests {
         assert_eq!(strict.detected, 0);
         let tolerant = analyzer.match_episodes(&[ep], 0, u32::MAX, 500);
         assert_eq!(tolerant.detected, 1);
+    }
+
+    /// `end_ns + tolerance_ns` must saturate: a wrapped upper bound makes
+    /// the mirror range inverted, and slicing it aborts a release build.
+    #[test]
+    fn unbounded_tolerance_matches_every_episode_on_a_mirrored_port() {
+        let cfg = agent_config();
+        let mut analyzer = Analyzer::new(cfg.sketch);
+        analyzer.add_mirrors(vec![mirror(20, 1, 5_000, 1)]);
+        let episode = |port, start_ns| QueueEpisode {
+            switch: 20,
+            port,
+            start_ns,
+            end_ns: start_ns + 1_000,
+            max_qlen: 50_000,
+        };
+        let episodes = [episode(0, 1_000_000), episode(0, 9_000_000), episode(3, 0)];
+        let stats = analyzer.match_episodes(&episodes, 0, u32::MAX, u64::MAX);
+        assert_eq!(stats.episodes, 3);
+        assert_eq!(stats.detected, 2, "port 3 has no mirrors");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The perf tentpole's contract is that after warm-up neither the sketch
 //! packet path (`FullWaveSketch::update`, including heavy-part evictions),
-//! nor the calendar queue's push/pop cycle, nor the analyzer's indexed
+//! nor the netsim event queue's push/pop cycle, nor the analyzer's indexed
 //! query path (`flow_curve_with` / `host_rate_curve_with` through a warm
 //! `QueryScratch`) touches the heap.  A counting
 //! `#[global_allocator]` wraps the system allocator; this file contains a
@@ -69,7 +69,7 @@ impl Rng {
 fn steady_state_hot_paths_do_not_allocate() {
     sketch_packet_path_is_allocation_free();
     batch_ingest_path_is_allocation_free();
-    calendar_queue_cycle_is_allocation_free();
+    event_queue_cycle_is_allocation_free();
     analyzer_query_path_is_allocation_free();
 }
 
@@ -265,19 +265,19 @@ fn analyzer_query_path_is_allocation_free() {
     );
 }
 
-fn calendar_queue_cycle_is_allocation_free() {
-    use umon_netsim::sched::{CalendarQueue, WHEEL_SLOTS};
+fn event_queue_cycle_is_allocation_free() {
+    use umon_netsim::sched::EventQueue;
 
-    let mut q: CalendarQueue<u64> = CalendarQueue::new();
+    let mut q: EventQueue<u64> = EventQueue::new();
     let mut seq = 0u64;
 
-    // One revolution of a fixed schedule.  The wheel's per-slot buffers and
-    // the overflow heap start at zero capacity and grow on first use, so the
-    // warm-up run must visit the exact slot residues (and reach the same
-    // peak occupancy) the measured run will: replaying the identical delay
-    // sequence from a base time that is congruent modulo WHEEL_SLOTS
-    // guarantees both.
-    let run = |q: &mut CalendarQueue<u64>, seq: &mut u64, base: u64| -> u64 {
+    // One cycle of a fixed schedule shaped like the simulator's event loop:
+    // grow to a simulation-sized backlog, hold it level, drain. The heap's
+    // backing buffer starts at zero capacity and only grows, so the warm-up
+    // must reach the peak occupancy the measured run will — replaying the
+    // identical push/pop pattern from an empty queue guarantees that
+    // (occupancy does not depend on `base`).
+    let run = |q: &mut EventQueue<u64>, seq: &mut u64, base: u64| -> u64 {
         let mut rng = Rng(0xABCD_1234);
         let mut now = base;
         let mut in_flight = 0usize;
@@ -286,13 +286,12 @@ fn calendar_queue_cycle_is_allocation_free() {
                 0 => 0,
                 1..=6 => rng.next() % 2_000,
                 7 | 8 => 2_000 + rng.next() % 60_000,
-                // Past the 65,536 ns horizon: lands in the overflow heap.
                 _ => 70_000 + rng.next() % 200_000,
             };
             *seq += 1;
             q.push(now + delay, *seq, step);
             in_flight += 1;
-            if in_flight > 4 {
+            if in_flight > 4_096 {
                 let (t, _, _) = q.pop().expect("event in flight");
                 now = t;
                 in_flight -= 1;
@@ -306,15 +305,12 @@ fn calendar_queue_cycle_is_allocation_free() {
 
     let end = run(&mut q, &mut seq, 0);
 
-    // Next multiple of WHEEL_SLOTS past the warm-up's end: same residue
-    // class as base 0, and the cursor never has to move backwards.
-    let base = (end / WHEEL_SLOTS as u64 + 1) * WHEEL_SLOTS as u64;
     let before = heap_ops();
-    run(&mut q, &mut seq, base);
+    run(&mut q, &mut seq, end);
     let measured = heap_ops() - before;
 
     assert_eq!(
         measured, 0,
-        "calendar queue steady-state cycle performed {measured} heap operations"
+        "event queue steady-state cycle performed {measured} heap operations"
     );
 }
