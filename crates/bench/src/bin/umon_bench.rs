@@ -1499,7 +1499,7 @@ fn smoke() {
 /// and the basic/full sketches under both selectors. A diagnostic aid for
 /// perf work, not part of the gate.
 fn profile() {
-    use wavesketch::{SelectorKind, WaveBucket};
+    use wavesketch::{BucketArena, SelectorKind};
 
     let stream = core_stream(CORE_UPDATES_FULL_RUN, CORE_FLOWS, CORE_SEED);
     let n = stream.len() as f64;
@@ -1525,11 +1525,11 @@ fn profile() {
     );
 
     let (bucket_ns, bucket_sum) = time_min(|| {
-        let mut b = WaveBucket::new(&config);
+        let mut b = BucketArena::from_config(&config, 1);
         for (_, window, value) in &stream {
-            b.update(*window, *value);
+            b.update(0, *window, *value);
         }
-        b.current_epoch_total().unsigned_abs().max(1)
+        b.current_epoch_total(0).unsigned_abs().max(1)
     });
     println!(
         "1-bucket push  {:6.1} ns/update   [checksum {bucket_sum:x}]",

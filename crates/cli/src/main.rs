@@ -141,7 +141,13 @@ fn load_trace(
 
 /// Runs host agents over a trace; returns (reports, observation span ns).
 fn measure(tx: &[TxRecord]) -> (Vec<PeriodReport>, u64) {
-    let span = tx.iter().map(|r| r.ts_ns).max().unwrap_or(0) + 1;
+    // Trace-derived: saturate, a last timestamp of u64::MAX must not wrap.
+    let span = tx
+        .iter()
+        .map(|r| r.ts_ns)
+        .max()
+        .unwrap_or(0)
+        .saturating_add(1);
     let hosts: std::collections::BTreeSet<usize> = tx.iter().map(|r| r.host).collect();
     let mut reports = Vec::new();
     for &host in &hosts {
@@ -200,7 +206,7 @@ fn cmd_detect(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let gap_us: u64 = args.num_or("gap-us", 50)?;
     let shift = sampling.max(1).ilog2();
     let analyzer = detect(&ce, shift);
-    let events = analyzer.cluster_events(gap_us * 1000);
+    let events = analyzer.cluster_events(gap_us.saturating_mul(1000));
     println!(
         "{} CE packets → {} events at 1/{} sampling (gap {} us)\n",
         ce.len(),
@@ -274,7 +280,7 @@ fn cmd_report(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     if tx.is_empty() {
         return Err(Box::new(ArgError("trace has no tx records".into())));
     }
-    let span = tx.iter().map(|r| r.ts_ns).max().unwrap_or(0) + 1;
+    let (reports, span) = measure(&tx);
     let hosts: std::collections::BTreeSet<usize> = tx.iter().map(|r| r.host).collect();
     let bytes: u64 = tx.iter().map(|r| r.bytes as u64).sum();
     println!("trace summary");
@@ -288,7 +294,6 @@ fn cmd_report(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let flows: std::collections::BTreeSet<u64> = tx.iter().map(|r| r.flow.0).collect();
     println!("  flows:          {}", flows.len());
 
-    let (reports, _) = measure(&tx);
     let report_bytes: usize = reports.iter().map(PeriodReport::wire_bytes).sum();
     println!(
         "  μFlow upload:   {} per host",
@@ -311,4 +316,71 @@ fn cmd_report(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use umon_netsim::FlowId;
+
+    /// Writes a trace holding `tx` and `ce` to a fresh temp file.
+    fn trace_file(name: &str, tx: &[TxRecord], ce: &[MirrorCandidate]) -> String {
+        let path = std::env::temp_dir().join(format!("umon-cli-{}-{name}.csv", std::process::id()));
+        let mut file = std::fs::File::create(&path).unwrap();
+        trace::write_tx_records(&mut file, tx).unwrap();
+        trace::write_mirror_candidates(&mut file, ce).unwrap();
+        path.to_string_lossy().into_owned()
+    }
+
+    fn tx(ts_ns: u64) -> TxRecord {
+        TxRecord {
+            host: 0,
+            flow: FlowId(7),
+            ts_ns,
+            bytes: 1000,
+        }
+    }
+
+    /// Regression: `max(ts_ns) + 1` wrapped (release) or panicked (debug)
+    /// on a trace whose last timestamp is `u64::MAX`.
+    #[test]
+    fn measure_span_saturates_at_the_top_of_the_clock_range() {
+        let (reports, span) = measure(&[tx(5), tx(u64::MAX)]);
+        assert_eq!(span, u64::MAX);
+        assert!(!reports.is_empty());
+        assert_eq!(measure(&[tx(5)]).1, 6);
+    }
+
+    /// `report` takes its span from `measure`, so the same trace must print
+    /// a summary instead of dying on the way.
+    #[test]
+    fn report_survives_a_trace_ending_at_u64_max() {
+        let path = trace_file("report", &[tx(5), tx(u64::MAX)], &[]);
+        let result = run(vec!["report".into(), "--trace".into(), path.clone()]);
+        std::fs::remove_file(&path).ok();
+        result.unwrap();
+    }
+
+    /// Regression: `gap_us * 1000` was unchecked; an absurd `--gap-us` now
+    /// means "one event per port", not a wrapped (tiny) gap or a panic.
+    #[test]
+    fn detect_saturates_an_oversized_gap() {
+        let ce = |ts_ns| MirrorCandidate {
+            switch: 20,
+            port: 1,
+            ts_ns,
+            flow: FlowId(7),
+            psn: 0,
+            bytes: 1000,
+        };
+        let path = trace_file("detect", &[], &[ce(1_000), ce(9_000_000_000)]);
+        let argv = ["detect", "--trace", &path, "--sampling", "1", "--gap-us"]
+            .iter()
+            .map(|s| s.to_string())
+            .chain([u64::MAX.to_string()])
+            .collect();
+        let result = run(argv);
+        std::fs::remove_file(&path).ok();
+        result.unwrap();
+    }
 }

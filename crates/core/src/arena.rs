@@ -509,8 +509,13 @@ impl XformView<'_> {
     }
 }
 
-/// A flat arena of `n` WaveSketch counter buckets, drop-in equivalent (and
-/// bit-identical in output) to `n` independent [`crate::WaveBucket`]s.
+/// A flat arena of `n` WaveSketch counter buckets (Figure 6: initial window
+/// `w0`, current offset `i`, current counter `c`, approximation set `A` and
+/// detail set `D` each), running the counting → transformation → compression
+/// pipeline of Algorithm 1 with automatic epoch rollover for flows outliving
+/// one measurement period (§7.1). Bit-identical in output to `n` independent
+/// per-bucket [`crate::streaming::StreamingTransform`]s; stand-alone users
+/// (oracles, calibration, tests) build a one-bucket arena.
 ///
 /// Bucket `b`'s state lives at offset `b` of [`Self::headers`]-style flat
 /// arrays; no per-bucket allocation exists, so updates, evictions
@@ -815,6 +820,7 @@ impl BucketArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reconstruct::reconstruct;
     use crate::select::{CoeffSelector, HwThresholdSelector, IdealTopK};
 
     /// Deterministic candidate stream: splitmix-style generator, no external
@@ -929,7 +935,7 @@ mod tests {
                         break; // stay inside one epoch (max_windows = 64)
                     }
                 }
-                // Mirror WaveBucket's folding against the raw transform
+                // Mirror `BucketArena::update`'s folding against the raw transform
                 // (offsets are relative to the first window seen, w0).
                 match w0 {
                     None => {
@@ -983,13 +989,108 @@ mod tests {
 
     #[test]
     fn drain_into_appends_and_keeps_capacity() {
-        let mut arena = BucketArena::new(2, 4, 4, SelectorKind::Ideal, 1);
-        for w in 0..9u64 {
-            arena.update(0, w, 1); // two completed epochs + one open
+        // A long flow: two completed epochs + one open, reconstructing to
+        // the injected counts end to end (k = 64 keeps every coefficient).
+        let mut arena = BucketArena::new(2, 4, 64, SelectorKind::Ideal, 1);
+        for w in 0..12u64 {
+            arena.update(0, w, (w as i64 + 1) * 10);
         }
         let mut scratch = Vec::new();
         arena.drain_bucket_into(0, &mut scratch);
         assert_eq!(scratch.len(), 3);
         assert!(arena.is_bucket_empty(0));
+        let all: Vec<f64> = scratch
+            .iter()
+            .flat_map(|r| reconstruct(&r.coeffs()).into_iter().take(4))
+            .collect();
+        for (w, &got) in all.iter().enumerate() {
+            assert!((got - (w as f64 + 1.0) * 10.0).abs() < 1e-9, "window {w}");
+        }
+    }
+
+    #[test]
+    fn first_packet_opens_the_epoch_and_same_window_accumulates() {
+        let mut arena = BucketArena::new(3, 64, 16, SelectorKind::Ideal, 1);
+        assert!(arena.is_bucket_empty(0));
+        assert!(arena.drain_bucket(0).is_empty());
+        arena.update(0, 1000, 500);
+        assert_eq!(arena.epoch_start(0), Some(1000));
+        assert!(!arena.is_bucket_empty(0));
+        arena.update(0, 1000, 50);
+        let first = arena.drain_bucket(0);
+        assert_eq!(first.len(), 1);
+        assert_eq!(first[0].w0, 1000);
+        assert_eq!(reconstruct(&first[0].coeffs())[0], 550.0);
+        // Drained: the next packet starts a fresh epoch at its own window.
+        assert!(arena.is_bucket_empty(0));
+        arena.update(0, 5000, 7);
+        let second = arena.drain_bucket(0);
+        assert_eq!(second[0].w0, 5000);
+        assert_eq!(reconstruct(&second[0].coeffs())[0], 7.0);
+    }
+
+    #[test]
+    fn capacity_overflow_rolls_into_a_new_epoch() {
+        let mut arena = BucketArena::new(3, 8, 16, SelectorKind::Ideal, 1);
+        arena.update(0, 0, 1);
+        arena.update(0, 7, 2);
+        arena.update(0, 8, 3); // exceeds max_windows=8 → rollover
+        arena.update(0, 9, 4);
+        let reports = arena.drain_bucket(0);
+        assert_eq!(reports.len(), 2);
+        assert_eq!((reports[0].w0, reports[1].w0), (0, 8));
+        let rec0 = reconstruct(&reports[0].coeffs());
+        assert_eq!((rec0[0], rec0[7]), (1.0, 2.0));
+        let rec1 = reconstruct(&reports[1].coeffs());
+        assert_eq!((rec1[0], rec1[1]), (3.0, 4.0));
+    }
+
+    #[test]
+    fn stragglers_fold_into_the_open_window_and_saturate() {
+        let mut arena = BucketArena::new(3, 64, 16, SelectorKind::Ideal, 2);
+        arena.update(0, 10, 100);
+        arena.update(0, 12, 10);
+        arena.update(0, 11, 5); // late packet: counted in window 12's counter
+        assert_eq!(arena.current_epoch_total(0), 115);
+        let rec = reconstruct(&arena.drain_bucket(0)[0].coeffs());
+        assert_eq!((rec[0], rec[2]), (100.0, 15.0));
+
+        // Regression: the same-window fold used a plain `+=`, so a counter
+        // near i64::MAX wrapped into a huge negative epoch total in release
+        // builds. It must saturate, and the saturated window seals cleanly.
+        arena.update(1, 10, i64::MAX - 10);
+        arena.update(1, 10, 100);
+        assert_eq!(arena.current_epoch_total(1), i64::MAX);
+        let reports = arena.drain_bucket(1);
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].approx[0], i64::MAX);
+    }
+
+    #[test]
+    fn snapshot_is_non_destructive() {
+        let mut arena = BucketArena::new(3, 64, 16, SelectorKind::Ideal, 1);
+        arena.update(0, 10, 100);
+        arena.update(0, 13, 40);
+        let snap = arena.snapshot_bucket(0);
+        assert_eq!(snap.len(), 1);
+        let rec = reconstruct(&snap[0].coeffs());
+        assert_eq!((rec[0], rec[3]), (100.0, 40.0));
+        // Bucket still live.
+        arena.update(0, 14, 1);
+        let rec = reconstruct(&arena.drain_bucket(0)[0].coeffs());
+        assert_eq!((rec[0], rec[3], rec[4]), (100.0, 40.0, 1.0));
+    }
+
+    #[test]
+    fn hw_selector_bucket_also_roundtrips() {
+        let kind = SelectorKind::HwThreshold { even: 0, odd: 0 };
+        let mut arena = BucketArena::new(4, 64, 32, kind, 1);
+        for w in 0..16 {
+            arena.update(0, w, 100 + w as i64);
+        }
+        let rec = reconstruct(&arena.drain_bucket(0)[0].coeffs());
+        for (w, &r) in rec.iter().enumerate().take(16) {
+            assert!((r - (100.0 + w as f64)).abs() < 1e-9);
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! The basic WaveSketch (§4.2, Figure 6): a Count-Min-style array of
-//! `d × w` [`WaveBucket`]s. Updates hash the flow key into one bucket per
+//! `d × w` counter buckets in one [`BucketArena`]. Updates hash the flow key into one bucket per
 //! row; queries reconstruct each of the `d` candidate buckets and return the
 //! one with the smallest total (the Count-Min minimum generalized to curves).
 
 use crate::arena::BucketArena;
-use crate::batch::{BatchScratch, CHUNK};
+use crate::batch::{active_kernel, BatchKernel, BatchScratch, CHUNK};
 use crate::config::{Placement, SketchConfig};
 use crate::flow::FlowKey;
 use crate::reconstruct::ReconstructScratch;
@@ -194,8 +194,11 @@ pub struct BasicWaveSketch {
     config: SketchConfig,
     /// Row-major bucket arena: bucket `row * width + col`.
     arena: BucketArena,
-    /// Lazily-built staging buffers for [`Self::update_batch`]; allocated on
-    /// the first batch and reused forever after (the alloc gate covers this).
+    /// How [`Self::update_batch`] ingests: [`active_kernel`], read once here.
+    kernel: BatchKernel,
+    /// Lazily-built staging buffers for the staged [`Self::update_batch`];
+    /// allocated on the first batch and reused forever after (the alloc gate
+    /// covers this). Never built on the per-record path.
     batch: Option<Box<BatchScratch>>,
 }
 
@@ -206,8 +209,16 @@ impl BasicWaveSketch {
         Self {
             config,
             arena,
+            kernel: active_kernel(),
             batch: None,
         }
+    }
+
+    /// Test hook: pins how [`Self::update_batch`] ingests, so the staged
+    /// pipeline and the per-record fallback can be compared on one CPU.
+    #[cfg(test)]
+    pub(crate) fn force_kernel(&mut self, kernel: BatchKernel) {
+        self.kernel = kernel;
     }
 
     /// The sketch configuration.
@@ -233,10 +244,11 @@ impl BasicWaveSketch {
         }
     }
 
-    /// Records a burst of `(flow, window, value)` updates through the batch
-    /// pipeline ([`crate::batch`]): keys are packed and hashed many-at-a-time
-    /// with the widest SIMD kernel the CPU supports, then each row's window
-    /// folds are applied with the upcoming buckets prefetched.
+    /// Records a burst of `(flow, window, value)` updates. On CPUs with
+    /// AVX-512 this is the batch pipeline ([`crate::batch`]): keys are packed
+    /// and hashed 8 at a time, then each row's window folds are applied with
+    /// the upcoming buckets prefetched. Everywhere else it is a loop over
+    /// [`Self::update`].
     ///
     /// The resulting sketch state is **bit-identical** to calling
     /// [`Self::update`] for each record in order: light buckets are mutually
@@ -244,6 +256,12 @@ impl BasicWaveSketch {
     /// bucket's record order (two records can share a bucket only within one
     /// row, and within a row they are applied in record order).
     pub fn update_batch(&mut self, records: &[(FlowKey, u64, i64)]) {
+        if self.kernel == BatchKernel::Scalar {
+            for (flow, window, value) in records {
+                self.update(flow, *window, *value);
+            }
+            return;
+        }
         let mut scratch = self
             .batch
             .take()
@@ -334,7 +352,6 @@ impl BasicWaveSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bucket::WaveBucket;
     use crate::select::SelectorKind;
 
     fn config(w: usize, k: usize) -> SketchConfig {
@@ -361,6 +378,28 @@ mod tests {
             assert!((curve.at(w) - v as f64).abs() < 1e-9, "window {w}");
         }
         assert_eq!(curve.at(2), 0.0);
+    }
+
+    /// Light-only twin of `full.rs`'s selection test: the staged pipeline
+    /// (where the CPU has it) and the forced per-record fallback both drain
+    /// exactly what `update` drains, and only the staged one builds scratch.
+    #[test]
+    fn update_batch_selection_matches_update_exactly() {
+        let (cfg, stream) = crate::batch::churn_stream();
+        let mut plain = BasicWaveSketch::new(cfg.clone());
+        for (f, w, v) in &stream {
+            plain.update(f, *w, *v);
+        }
+        let want = plain.drain();
+        for kernel in [BatchKernel::Scalar, active_kernel()] {
+            let mut s = BasicWaveSketch::new(cfg.clone());
+            s.force_kernel(kernel);
+            for burst in stream.chunks(600) {
+                s.update_batch(burst);
+            }
+            assert_eq!(s.batch.is_some(), kernel == BatchKernel::Avx512);
+            assert_eq!(s.drain(), want, "{kernel:?}");
+        }
     }
 
     #[test]
@@ -417,11 +456,11 @@ mod tests {
 
     #[test]
     fn window_series_merges_multiple_epochs() {
-        let mut bucket = WaveBucket::with_params(2, 4, 16, SelectorKind::Ideal);
+        let mut bucket = BucketArena::new(2, 4, 16, SelectorKind::Ideal, 1);
         for w in 0..8 {
-            bucket.update(w, 10 * (w as i64 + 1));
+            bucket.update(0, w, 10 * (w as i64 + 1));
         }
-        let series = WindowSeries::from_reports(&bucket.drain()).unwrap();
+        let series = WindowSeries::from_reports(&bucket.drain_bucket(0)).unwrap();
         assert_eq!(series.start_window, 0);
         for w in 0..8u64 {
             assert!((series.at(w) - 10.0 * (w as f64 + 1.0)).abs() < 1e-9);
@@ -497,11 +536,11 @@ mod tests {
 
     #[test]
     fn assign_from_reports_reuses_buffers_and_matches_from_reports() {
-        let mut bucket = WaveBucket::with_params(3, 8, 16, SelectorKind::Ideal);
+        let mut bucket = BucketArena::new(3, 8, 16, SelectorKind::Ideal, 1);
         for w in 0..20 {
-            bucket.update(w, 7 * (w as i64 % 5) + 1);
+            bucket.update(0, w, 7 * (w as i64 % 5) + 1);
         }
-        let reports = bucket.drain();
+        let reports = bucket.drain_bucket(0);
         let fresh = WindowSeries::from_reports(&reports).unwrap();
 
         let mut series = WindowSeries::new();

@@ -14,7 +14,7 @@
 
 use crate::arena::BucketArena;
 use crate::basic::{BasicWaveSketch, WindowSeries};
-use crate::batch::{prefetch_read, BatchScratch, CHUNK};
+use crate::batch::{active_kernel, prefetch_read, BatchKernel, BatchScratch, CHUNK};
 use crate::config::SketchConfig;
 use crate::flow::FlowKey;
 use crate::report::{BucketReport, SketchReport};
@@ -50,8 +50,11 @@ pub struct FullWaveSketch {
     /// Heavy candidates evicted since the last drain (their history lives in
     /// the light part).
     evictions: u64,
-    /// Lazily-built staging buffers for [`Self::update_batch`] (with the
-    /// heavy-tag chain), reused across batches.
+    /// How [`Self::update_batch`] ingests: [`active_kernel`], read once here.
+    kernel: BatchKernel,
+    /// Lazily-built staging buffers for the staged [`Self::update_batch`]
+    /// (with the heavy-tag chain), reused across batches. Never built on the
+    /// per-record path.
     batch: Option<Box<BatchScratch>>,
 }
 
@@ -66,8 +69,16 @@ impl FullWaveSketch {
             heavy,
             light,
             evictions: 0,
+            kernel: active_kernel(),
             batch: None,
         }
+    }
+
+    /// Test hook: pins how [`Self::update_batch`] ingests, so the staged
+    /// pipeline and the per-record fallback can be compared on one CPU.
+    #[cfg(test)]
+    pub(crate) fn force_kernel(&mut self, kernel: BatchKernel) {
+        self.kernel = kernel;
     }
 
     /// The sketch configuration.
@@ -131,11 +142,12 @@ impl FullWaveSketch {
         }
     }
 
-    /// Records a burst of `(flow, window, value)` updates through the batch
-    /// pipeline: one SIMD hashing pass covers the lane, all `d` light rows
-    /// *and* the heavy slot of every record, then the light rows are applied
-    /// row-phased with prefetch and the heavy vote machine is replayed in
-    /// original record order.
+    /// Records a burst of `(flow, window, value)` updates. On CPUs with
+    /// AVX-512 this is the batch pipeline: one SIMD hashing pass covers the
+    /// lane, all `d` light rows *and* the heavy slot of every record, then
+    /// the light rows are applied row-phased with prefetch and the heavy vote
+    /// machine is replayed in original record order. Everywhere else it is a
+    /// loop over [`Self::update`].
     ///
     /// Bit-identical to per-record [`Self::update`] calls: the light and
     /// heavy parts share no state, light buckets preserve per-bucket record
@@ -144,6 +156,12 @@ impl FullWaveSketch {
     /// in order.
     pub fn update_batch(&mut self, records: &[(FlowKey, u64, i64)]) {
         const PF: usize = 16;
+        if self.kernel == BatchKernel::Scalar {
+            for (flow, window, value) in records {
+                self.update(flow, *window, *value);
+            }
+            return;
+        }
         let mut scratch = self
             .batch
             .take()
@@ -346,6 +364,42 @@ mod tests {
             .heavy_rows(16)
             .selector(SelectorKind::Ideal)
             .build()
+    }
+
+    /// `update_batch` picks one of two paths per CPU; both must leave the
+    /// sketch exactly where per-record `update` does, and only the staged
+    /// one may allocate scratch.
+    #[test]
+    fn update_batch_selection_matches_update_exactly() {
+        let (cfg, stream) = crate::batch::churn_stream();
+        let mut plain = FullWaveSketch::new(cfg.clone());
+        for (f, w, v) in &stream {
+            plain.update(f, *w, *v);
+        }
+        assert!(plain.evictions() > 0, "stream must churn the heavy part");
+        let want_evictions = plain.evictions();
+        let want = plain.drain();
+
+        let run = |kernel: Option<BatchKernel>| {
+            let mut s = FullWaveSketch::new(cfg.clone());
+            if let Some(k) = kernel {
+                s.force_kernel(k);
+            }
+            for burst in stream.chunks(600) {
+                s.update_batch(burst);
+            }
+            (s.evictions(), s.batch.is_some(), s.drain())
+        };
+
+        // The per-record fallback, forced: what every CPU without AVX-512
+        // runs. No scratch is ever built.
+        assert_eq!(
+            run(Some(BatchKernel::Scalar)),
+            (want_evictions, false, want.clone())
+        );
+        // The path this CPU selects on its own.
+        let staged = active_kernel() == BatchKernel::Avx512;
+        assert_eq!(run(None), (want_evictions, staged, want));
     }
 
     #[test]

@@ -17,14 +17,18 @@
 //! * [`select`] — coefficient selection: the ideal weighted top-k of
 //!   Appendix A and the hardware (PISA) approximation of §4.3 with
 //!   parity-split shift weights and a calibrated threshold.
-//! * [`bucket`] — a complete counter bucket (`w0, i, c, A, D`) tying counting,
-//!   transformation and compression together.
-//! * [`arena`] — flat, preallocated multi-bucket storage backing the sketch
-//!   types: allocation-free updates, in-place evictions, bit-identical
-//!   drains.
+//! * [`arena`] — the counter buckets (`w0, i, c, A, D`) tying counting,
+//!   transformation and compression together, as flat preallocated
+//!   multi-bucket storage: allocation-free updates, in-place evictions,
+//!   bit-identical drains. A stand-alone bucket is a one-bucket arena.
 //! * [`reconstruct`] — the analyzer-side reconstruction of Algorithm 2.
 //! * [`basic`] — the basic WaveSketch: a Count-Min-style `d × w` bucket array.
 //! * [`full`] — the full WaveSketch: majority-vote heavy part + light part.
+//! * [`batch`] — burst ingest behind `update_batch`: one staged AVX-512
+//!   pipeline (pack → hash 8 keys wide → derive → prefetched fold) where the
+//!   CPU has it, the per-record `update` loop everywhere else.
+//! * [`sharded`] — lane-sharded full sketch, bit-identical to the sequential
+//!   one.
 //! * [`hw`] — hardware implementation model: approximate selection knobs,
 //!   threshold calibration from traces, and the PISA pipeline resource model
 //!   used to reproduce Table 1.
@@ -60,7 +64,6 @@
 pub mod arena;
 pub mod basic;
 pub mod batch;
-pub mod bucket;
 pub mod config;
 pub mod flow;
 pub mod full;
@@ -75,7 +78,6 @@ pub mod streaming;
 pub use arena::BucketArena;
 pub use basic::BasicWaveSketch;
 pub use batch::{active_kernel, BatchKernel};
-pub use bucket::WaveBucket;
 pub use config::{Placement, SketchConfig, SketchConfigBuilder};
 pub use flow::FlowKey;
 pub use full::FullWaveSketch;

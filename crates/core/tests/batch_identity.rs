@@ -1,7 +1,7 @@
 //! Batch-vs-scalar bit-identity properties (DESIGN.md §15).
 //!
 //! `update_batch` may reorder *independent* work only, so for any stream,
-//! any burst size and any kernel the staged path selects, the sketch must
+//! any burst size and whichever path it selects on this CPU, the sketch must
 //! end up indistinguishable from per-record `update` calls: drain reports
 //! compared exactly, reconstructed curves compared by `f64::to_bits` (not
 //! an epsilon), heavy elections and eviction counts equal.

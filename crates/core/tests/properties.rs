@@ -5,7 +5,7 @@ use wavesketch::haar;
 use wavesketch::reconstruct::reconstruct;
 use wavesketch::select::{Candidate, CoeffSelector, HwThresholdSelector, IdealTopK};
 use wavesketch::streaming::StreamingTransform;
-use wavesketch::{BasicWaveSketch, FlowKey, SketchConfig, WaveBucket};
+use wavesketch::{BasicWaveSketch, BucketArena, FlowKey, SketchConfig};
 
 /// A sparse window series: strictly increasing offsets with positive counts.
 fn sparse_series(max_offset: u32) -> impl Strategy<Value = Vec<(u32, i64)>> {
@@ -144,13 +144,13 @@ proptest! {
                               k in 1usize..32) {
         let mut sorted = updates.clone();
         sorted.sort_by_key(|&(w, _)| w);
-        let mut bucket = WaveBucket::with_params(5, 256, k, wavesketch::SelectorKind::Ideal);
+        let mut bucket = BucketArena::new(5, 256, k, wavesketch::SelectorKind::Ideal, 1);
         let mut total = 0i64;
         for &(w, v) in &sorted {
-            bucket.update(w, v);
+            bucket.update(0, w, v);
             total += v;
         }
-        let reports = bucket.drain();
+        let reports = bucket.drain_bucket(0);
         let rep_total: i64 = reports.iter().map(|r| r.total()).sum();
         prop_assert_eq!(rep_total, total);
     }

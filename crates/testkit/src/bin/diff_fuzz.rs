@@ -5,9 +5,9 @@
 //! command for every failure and exits nonzero if any invariant broke.
 //!
 //! `UMON_DIFF_BATCH=<burst>` routes the Basic/Full/HW variants through
-//! `update_batch` in bursts of that size so the oracle pins the staged
-//! ingest path; combine with `UMON_BATCH_KERNEL=scalar` to pin the
-//! kernel fallback (ci.sh runs both configurations every time).
+//! `update_batch` in bursts of that size so the oracle pins whichever path
+//! `update_batch` selects on this CPU — the staged AVX-512 pipeline, or the
+//! per-record loop the default run already sweeps. The banner names it.
 
 use std::time::Instant;
 
@@ -38,10 +38,10 @@ fn main() {
 
     match batch_burst_from_env() {
         Some(burst) => println!(
-            "diff_fuzz: batch ingest path, burst {burst}, kernel {}",
+            "diff_fuzz: update_batch ingest path, burst {burst}, kernel {}",
             wavesketch::active_kernel().name()
         ),
-        None => println!("diff_fuzz: scalar (per-record) ingest path"),
+        None => println!("diff_fuzz: per-record ingest path"),
     }
 
     let t0 = Instant::now();

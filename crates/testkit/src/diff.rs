@@ -4,8 +4,8 @@
 //!
 //! Invariants checked per run (see DESIGN.md §8 for the rationale):
 //!
-//! 1. **Streaming ≡ oracle**: a dedicated per-flow [`WaveBucket`] drains
-//!    exactly the oracle's epochs — `w0`, padded length, block sums, every
+//! 1. **Streaming ≡ oracle**: a dedicated per-flow one-bucket
+//!    [`BucketArena`] drains exactly the oracle's epochs — `w0`, padded length, block sums, every
 //!    retained coefficient exact, reconstruction error equal to the unique
 //!    optimal k-term error (ideal selector).
 //! 2. **Exact-k reconstruction**: with `k ≥` the coefficient count the
@@ -42,8 +42,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use wavesketch::reconstruct::reconstruct;
 use wavesketch::sharded::ShardedWaveSketch;
 use wavesketch::{
-    BasicWaveSketch, BucketReport, FlowKey, FullWaveSketch, SelectorKind, SketchConfig,
-    SketchReport, WaveBucket,
+    BasicWaveSketch, BucketArena, BucketReport, FlowKey, FullWaveSketch, SelectorKind,
+    SketchConfig, SketchReport,
 };
 
 use crate::oracle::{CheckParams, Oracle};
@@ -69,15 +69,16 @@ pub struct DiffConfig {
     /// When `Some(n)`, the Basic/Full/HW variants ingest through
     /// `update_batch` in bursts of `n` records instead of per-record
     /// `update`, so every oracle and cross-variant invariant in this file
-    /// pins the staged SIMD path too. `None` keeps the scalar loop.
+    /// pins whichever path `update_batch` selects on this CPU (the staged
+    /// AVX-512 pipeline, or the per-record loop). `None` keeps the
+    /// per-record loop.
     pub batch_burst: Option<usize>,
 }
 
 /// Reads the `UMON_DIFF_BATCH` burst-size toggle ci.sh uses to force the
-/// batch ingest path through the fuzzer (0 or unset → scalar loop). The
-/// kernel the staged path then picks is controlled independently by
-/// `UMON_BATCH_KERNEL` in `wavesketch::batch`, so CI sweeps both the SIMD
-/// kernel and its scalar fallback through the same invariants.
+/// batch ingest path through the fuzzer (0 or unset → per-record loop).
+/// Which path `update_batch` then takes is `wavesketch::active_kernel()`'s
+/// choice; `diff_fuzz` prints it.
 pub fn batch_burst_from_env() -> Option<usize> {
     std::env::var("UMON_DIFF_BATCH")
         .ok()
@@ -261,28 +262,29 @@ pub fn diff_run(seed: u64, cfg: &DiffConfig) -> Result<DiffStats, DiffError> {
     // 1 + 2: Streaming variant — one dedicated bucket per flow, plus an
     // exact-k twin whose reconstruction must equal the dense truth.
     let exact_k = cfg.sketch.max_windows;
-    let mut per_flow: BTreeMap<FlowKey, WaveBucket> = BTreeMap::new();
-    let mut exact: BTreeMap<FlowKey, WaveBucket> = BTreeMap::new();
+    let mut per_flow: BTreeMap<FlowKey, BucketArena> = BTreeMap::new();
+    let mut exact: BTreeMap<FlowKey, BucketArena> = BTreeMap::new();
     for (f, w, v) in &stream {
         per_flow
             .entry(*f)
-            .or_insert_with(|| WaveBucket::new(&cfg.sketch))
-            .update(*w, *v);
+            .or_insert_with(|| BucketArena::from_config(&cfg.sketch, 1))
+            .update(0, *w, *v);
         exact
             .entry(*f)
             .or_insert_with(|| {
-                WaveBucket::with_params(
+                BucketArena::new(
                     cfg.sketch.levels,
                     cfg.sketch.max_windows,
                     exact_k,
                     SelectorKind::Ideal,
+                    1,
                 )
             })
-            .update(*w, *v);
+            .update(0, *w, *v);
     }
     let mut flow_reports: BTreeMap<FlowKey, Vec<BucketReport>> = BTreeMap::new();
     for (flow, bucket) in &mut per_flow {
-        let reports = bucket.drain();
+        let reports = bucket.drain_bucket(0);
         oracle
             .check_flow_reports(flow, &reports, &params)
             .map_err(|e| fail(format!("streaming variant: {e}")))?;
@@ -291,7 +293,7 @@ pub fn diff_run(seed: u64, cfg: &DiffConfig) -> Result<DiffStats, DiffError> {
     }
     for (flow, bucket) in &mut exact {
         let truths = oracle.flow_epochs(flow);
-        let reports = bucket.drain();
+        let reports = bucket.drain_bucket(0);
         for (truth, report) in truths.iter().zip(&reports) {
             let rec = reconstruct(&report.coeffs());
             for (i, &r) in rec.iter().enumerate() {
@@ -483,12 +485,12 @@ pub fn diff_run(seed: u64, cfg: &DiffConfig) -> Result<DiffStats, DiffError> {
     let mut full_p = FullWaveSketch::new(cfg.sketch.clone());
     drive_basic(&mut basic_p, &shuffled, cfg);
     drive_full(&mut full_p, &shuffled, cfg);
-    let mut per_flow_p: BTreeMap<FlowKey, WaveBucket> = BTreeMap::new();
+    let mut per_flow_p: BTreeMap<FlowKey, BucketArena> = BTreeMap::new();
     for (f, w, v) in &shuffled {
         per_flow_p
             .entry(*f)
-            .or_insert_with(|| WaveBucket::new(&cfg.sketch))
-            .update(*w, *v);
+            .or_insert_with(|| BucketArena::from_config(&cfg.sketch, 1))
+            .update(0, *w, *v);
     }
     if basic_p.drain() != basic_drain {
         return Err(fail(
@@ -501,7 +503,7 @@ pub fn diff_run(seed: u64, cfg: &DiffConfig) -> Result<DiffStats, DiffError> {
         ));
     }
     for (flow, bucket) in &mut per_flow_p {
-        if bucket.drain() != flow_reports[flow] {
+        if bucket.drain_bucket(0) != flow_reports[flow] {
             return Err(fail(format!(
                 "per-flow drain of {flow:?} changed under within-window permutation"
             )));

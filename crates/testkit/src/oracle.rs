@@ -228,8 +228,8 @@ pub fn check_epoch_report(
     Ok(())
 }
 
-/// A faithful replay of [`wavesketch::WaveBucket`]'s counting rules onto a
-/// dense array: same epoch start, same straggler folding (a late packet is
+/// A faithful replay of [`wavesketch::BucketArena::update`]'s counting rules
+/// onto a dense array: same epoch start, same straggler folding (a late packet is
 /// counted in the currently open window), same capacity rollover.
 #[derive(Debug, Clone)]
 struct BucketSim {
@@ -429,7 +429,7 @@ fn check_report_list(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wavesketch::{SelectorKind, WaveBucket};
+    use wavesketch::{BucketArena, SelectorKind};
 
     fn params(levels: u32, topk: usize) -> CheckParams {
         CheckParams {
@@ -440,7 +440,7 @@ mod tests {
     }
 
     #[test]
-    fn bucket_sim_matches_wave_bucket_epochs() {
+    fn bucket_sim_matches_arena_bucket_epochs() {
         // Stragglers, same-window folds and capacity rollover in one stream.
         let pattern = [
             (100u64, 10i64),
@@ -452,14 +452,14 @@ mod tests {
             (301, 4),
         ];
         let mut sim = BucketSim::new(128);
-        let mut bucket = WaveBucket::with_params(4, 128, 256, SelectorKind::Ideal);
+        let mut bucket = BucketArena::new(4, 128, 256, SelectorKind::Ideal, 1);
         for (w, v) in pattern {
             sim.update(w, v);
-            bucket.update(w, v);
+            bucket.update(0, w, v);
         }
         sim.seal();
         let truths = sim.sealed;
-        let reports = bucket.drain();
+        let reports = bucket.drain_bucket(0);
         assert_eq!(truths.len(), 2);
         check_report_list(&truths, &reports, &params(4, 256)).unwrap();
         assert_eq!(truths[0].counts[0], 15);
@@ -473,15 +473,15 @@ mod tests {
             counts: vec![5, 9, 1, 0, 0, 44, 3, 3, 7, 0, 0, 0, 2],
         };
         for k in 1..8 {
-            let mut bucket = WaveBucket::with_params(3, 16, k, SelectorKind::Ideal);
+            let mut bucket = BucketArena::new(3, 16, k, SelectorKind::Ideal, 1);
             for (w, &v) in truth.counts.iter().enumerate() {
                 if v != 0 {
-                    bucket.update(w as u64, v);
+                    bucket.update(0, w as u64, v);
                 }
             }
             // Zero-valued windows between packets are implicit; the dense
             // truth and the bucket agree on them.
-            let reports = bucket.drain();
+            let reports = bucket.drain_bucket(0);
             assert_eq!(reports.len(), 1);
             let err = truth.report_sq_error(&reports[0]);
             let optimal = truth.optimal_sq_error(3, k);
@@ -498,13 +498,13 @@ mod tests {
             w0: 10,
             counts: vec![4, 0, 9, 1],
         };
-        let mut bucket = WaveBucket::with_params(2, 8, 8, SelectorKind::Ideal);
+        let mut bucket = BucketArena::new(2, 8, 8, SelectorKind::Ideal, 1);
         for (o, &v) in truth.counts.iter().enumerate() {
             if v != 0 {
-                bucket.update(10 + o as u64, v);
+                bucket.update(0, 10 + o as u64, v);
             }
         }
-        let good = bucket.drain().remove(0);
+        let good = bucket.drain_bucket(0).remove(0);
         let p = params(2, 8);
         check_epoch_report(&truth, &good, &p).unwrap();
 

@@ -1132,7 +1132,9 @@ impl Analyzer {
         host_of_flow: impl Fn(u64) -> Option<usize>,
     ) -> (Vec<u64>, Vec<(u64, Vec<f64>)>) {
         let from = event.start_ns.saturating_sub(margin_ns) >> window_shift;
-        let to = ((event.end_ns + margin_ns) >> window_shift) + 1;
+        // Trace-derived timestamps: saturate rather than wrap (release) or
+        // panic (debug) when the event sits at the top of the clock range.
+        let to = (event.end_ns.saturating_add(margin_ns) >> window_shift).saturating_add(1);
         let windows: Vec<u64> = (from..to).collect();
         let mut curves = Vec::new();
         for &flow in &event.flows {
@@ -1481,6 +1483,29 @@ mod tests {
         assert_eq!(partial.len(), 1);
     }
 
+    /// Regression: `end_ns + margin_ns` was unchecked, so an event at the top
+    /// of the clock range wrapped to an empty window list in release builds
+    /// and panicked in debug ones. The margin saturates instead.
+    #[test]
+    fn replay_event_near_the_end_of_the_clock_range_keeps_its_windows() {
+        let analyzer = Analyzer::new(agent_config().sketch);
+        let end_ns = u64::MAX - 5;
+        let event = DetectedEvent {
+            switch: 20,
+            vlan: 1,
+            start_ns: end_ns - (3 << 13),
+            end_ns,
+            flows: BTreeSet::from([5u64]),
+            packets: 2,
+        };
+        let (windows, curves) = analyzer.replay_event(&event, 1 << 13, 13, |_| None);
+        assert!(curves.is_empty());
+        let first = (event.start_ns >> 13) - 1;
+        let last = u64::MAX >> 13;
+        assert_eq!(windows, (first..=last).collect::<Vec<u64>>());
+        assert!(windows.contains(&(event.start_ns >> 13)) && windows.contains(&(end_ns >> 13)));
+    }
+
     /// Several mirrors inside one ground-truth episode count it as detected
     /// exactly once, with distinct flows (not packets) as the capture count.
     #[test]
@@ -1604,9 +1629,9 @@ mod tests {
 
         // Period 1 light evidence only (period 0's upload "was lost")…
         let mut light_bucket =
-            wavesketch::WaveBucket::with_params(2, 8, 64, wavesketch::SelectorKind::Ideal);
-        light_bucket.update(100, 640);
-        let light_reports = light_bucket.drain();
+            wavesketch::BucketArena::new(2, 8, 64, wavesketch::SelectorKind::Ideal, 1);
+        light_bucket.update(0, 100, 640);
+        let light_reports = light_bucket.drain_bucket(0);
         let row0_col = cfg.sketch.light_col(&key, 0) as u32;
         let row1_col = cfg.sketch.light_col(&key, 1) as u32;
         let light = PeriodReport {
