@@ -13,6 +13,13 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+# Tier-1 tests the root package only. The crates' own unit and property
+# tests — among them the inverse-Haar kernel against its dense oracle
+# (`crates/core/tests/properties.rs`, DESIGN.md §11) and the analyzer's
+# hostile-shape quarantine — run here, in the profile that ships.
+echo "==> workspace tests: cargo test --workspace --release"
+cargo test --workspace --release --offline -q
+
 # Fixed-seed differential fuzz smoke: every WaveSketch variant against the
 # exact oracle (see DESIGN.md §8). Deterministic, so a failure here is a real
 # regression; the timeout is a budget guard, not an expected path.

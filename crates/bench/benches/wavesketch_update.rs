@@ -5,8 +5,9 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use wavesketch::select::{CoeffSelector, IdealTopK};
-use wavesketch::streaming::StreamingTransform;
+use wavesketch::reconstruct::{reconstruct_into, ReconstructScratch};
+use wavesketch::select::{Candidate, CoeffSelector, IdealTopK};
+use wavesketch::streaming::{EpochCoefficients, StreamingTransform};
 use wavesketch::{BasicWaveSketch, FlowKey, FullWaveSketch, Selector, SelectorKind, SketchConfig};
 
 fn config(selector: SelectorKind) -> SketchConfig {
@@ -126,16 +127,46 @@ fn bench_transform_reconstruct(c: &mut Criterion) {
             t.finish()
         })
     });
-    let coeffs = {
-        let mut t = StreamingTransform::new(8, 4096, IdealTopK::new(64));
-        for &(w, v) in &series {
-            t.push(w, v);
-        }
-        t.finish()
-    };
-    c.bench_function("reconstruct_4096", |b| {
-        b.iter(|| wavesketch::reconstruct::reconstruct(black_box(&coeffs)))
-    });
+    // The analyzer's inverse transform over an (n windows, k retained details)
+    // grid at L = 8, the details on k distinct tree nodes drawn uniformly,
+    // through a warm scratch as the query index calls it — DESIGN.md §11's
+    // table.
+    let mut group = c.benchmark_group("reconstruct");
+    for (n, k) in [
+        (32usize, 3usize),
+        (256, 1),
+        (256, 16),
+        (256, 64),
+        (1024, 3),
+        (1024, 64),
+        (4096, 8),
+        (4096, 64),
+    ] {
+        let top = 8u32.min(n.trailing_zeros());
+        let mut nodes: Vec<(u32, u32)> = (0..top)
+            .flat_map(|level| (0..(n >> (level + 1)) as u32).map(move |idx| (level, idx)))
+            .collect();
+        let coeffs = EpochCoefficients {
+            levels: 8,
+            padded_len: n,
+            approx: (0..n >> top).map(|_| rng.gen_range(0..1_000_000)).collect(),
+            details: (0..k)
+                .map(|_| {
+                    let (level, idx) = nodes.swap_remove(rng.gen_range(0..nodes.len()));
+                    Candidate {
+                        level,
+                        idx,
+                        val: rng.gen_range(-100_000i64..100_000),
+                    }
+                })
+                .collect(),
+        };
+        let mut scratch = ReconstructScratch::new();
+        group.bench_function(BenchmarkId::new(n, k), |b| {
+            b.iter(|| black_box(reconstruct_into(black_box(&coeffs), &mut scratch)).len())
+        });
+    }
+    group.finish();
 }
 
 fn bench_selection(c: &mut Criterion) {

@@ -730,7 +730,7 @@ fn bench_analyzer(sweeps: usize) -> AnalyzerMeasure {
 /// The retention tiers' perf envelope: the same query sweep against a
 /// fully-hot analyzer vs one whose periods are all compacted but the newest
 /// (`hot_periods = 1`), plus the per-period resident footprint of the
-/// compacted tier. The compacted sweep pays sparse inverse-Haar
+/// compacted tier. The compacted sweep pays inverse-Haar
 /// reconstruction per query — the explicit memory-for-throughput trade of
 /// DESIGN.md §12 — so it runs fewer sweeps.
 fn bench_retention(sweeps: usize, hot_queries_per_sec: f64) -> RetentionMeasure {
@@ -760,7 +760,7 @@ fn bench_retention(sweeps: usize, hot_queries_per_sec: f64) -> RetentionMeasure 
         compacted_slowdown: hot_queries_per_sec / compacted_queries_per_sec,
         bytes_per_retained_period: res.resident_report_bytes as f64 / res.resident_periods as f64,
         resident_periods: res.resident_periods as u64,
-        notes: "hot = unbounded sweep; compacted = hot_periods=1 sparse inverse-Haar fallback"
+        notes: "hot = unbounded sweep; compacted = hot_periods=1 on-demand inverse-Haar fallback"
             .into(),
     }
 }

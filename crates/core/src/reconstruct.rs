@@ -10,27 +10,32 @@
 //! Two implementations coexist:
 //!
 //! * [`reconstruct_dense`] — the textbook form: materialize every stage,
-//!   look every expansion's detail up in a hash map. O(padded_len · levels)
-//!   work and a fresh `Vec` per stage. Kept as the reference oracle.
-//! * [`reconstruct_into`] — the sparse kernel the query engine uses. Only
-//!   subtrees that contain a *retained* detail are descended; a detail-free
-//!   subtree rooted at height `h` with value `v` contributes the constant run
-//!   `v / 2^h` and is filled in one `slice::fill` (or skipped outright when
-//!   `v` is zero, since the output buffer starts zeroed). With `k` retained
-//!   details the work drops to O((k + blocks) · levels) and, given a warm
-//!   [`ReconstructScratch`], performs no heap allocation at all.
+//!   look every expansion's detail up in a hash map. A `HashMap` and a fresh
+//!   `Vec` per stage. Kept as the reference oracle.
+//! * [`reconstruct_into`] — the block-dense kernel the analyzer uses. The
+//!   retained details are scattered into a dense per-level plane held by the
+//!   [`ReconstructScratch`]; then each block of `2^top` windows is handled on
+//!   its own. A block that received no detail is the constant run
+//!   `approx / 2^top`, one `slice::fill`. A block that received one runs the
+//!   same `top` butterfly stages as the oracle, reading its details as
+//!   contiguous slices of the plane, so each stage is a branch-free loop the
+//!   compiler vectorizes. Work is O(k + padded_len) whatever `k` is, and a
+//!   warm scratch performs no heap allocation at all.
 //!
 //! The two are **bit-identical**, not merely close, which is what lets the
-//! golden query fixtures pin curves as raw `f64` bit patterns:
+//! golden query fixtures pin curves as raw `f64` bit patterns. A block with
+//! details performs literally the oracle's operations on the oracle's
+//! operands (an absent detail is `+0.0` in the plane, `0 as f64` in the
+//! oracle). A detail-free block relies on two facts:
 //!
 //! * halving an f64 is exact (an exponent decrement — the values here are
 //!   i64-derived block sums divided at most `levels` ≤ 32 times, nowhere near
-//!   the subnormal range), so `h` successive `/ 2.0` equal the single run
-//!   value `v / 2^h` computed the same way;
+//!   the subnormal range), so `top` successive `/ 2.0` equal the run value
+//!   computed the same way;
 //! * a zero detail expands `a` into `(a + 0) / 2 = (a − 0) / 2 = a / 2` with
 //!   no rounding introduced by the addition (`a + 0.0 == a` exactly unless
 //!   `a` is `-0.0`, and `-0.0` never arises: inputs are `i64 as f64` and
-//!   `x − x` rounds to `+0.0`), so skipping the expansion loses nothing.
+//!   `x − x` rounds to `+0.0`), so skipping the expansions loses nothing.
 
 use crate::streaming::EpochCoefficients;
 use std::collections::HashMap;
@@ -38,7 +43,7 @@ use std::collections::HashMap;
 /// Reference implementation: materializes every stage of the inverse
 /// transform with a hash-map detail lookup. See the module docs; use
 /// [`reconstruct`] (or [`reconstruct_into`] with a scratch) instead unless
-/// you are differential-testing the sparse kernel against it.
+/// you are differential-testing the kernel against it.
 pub fn reconstruct_dense(coeffs: &EpochCoefficients) -> Vec<f64> {
     if coeffs.padded_len == 0 {
         return Vec::new();
@@ -72,25 +77,22 @@ pub fn reconstruct_dense(coeffs: &EpochCoefficients) -> Vec<f64> {
     cur
 }
 
-/// Reusable buffers for the sparse kernel. One scratch serves any number of
+/// Reusable buffers for the kernel. One scratch serves any number of
 /// sequential reconstructions; after it has seen each epoch shape once, no
 /// further heap allocation happens.
 #[derive(Debug, Default)]
 pub struct ReconstructScratch {
-    /// Filtered `(level, idx, seq, val)` details, sorted by `(level, idx,
-    /// seq)` and deduplicated last-wins (matching the hash-map overwrite
-    /// semantics of the dense form).
-    details: Vec<(u32, u32, u32, i64)>,
-    /// `level_start[l]..level_start[l + 1]` indexes level `l`'s run in
-    /// [`Self::details`].
-    level_start: Vec<usize>,
-    /// `active[h]` — sorted node indices at height `h` whose subtree contains
-    /// at least one retained detail. Ancestor-closed by construction.
-    active: Vec<Vec<u32>>,
-    /// Interesting `(idx, value)` nodes at the height currently being
-    /// expanded, sorted by `idx`; exactly the nodes in `active[h]`.
-    cur: Vec<(u32, f64)>,
-    next: Vec<(u32, f64)>,
+    /// Dense detail plane: level `l`'s `padded_len >> (l + 1)` details sit
+    /// at slots `(padded_len >> (l + 1)) + idx`, so the details one block
+    /// consumes in one stage are one contiguous slice. All `+0.0` between
+    /// calls (each call zeroes the slots it scattered into), never shrunk.
+    plane: Vec<f64>,
+    /// The plane slots the current call scattered into.
+    touched: Vec<usize>,
+    /// `has_detail[q]` — block `q` received at least one retained detail.
+    has_detail: Vec<bool>,
+    /// Half a block: the ping-pong partner of a block's slice of `out`.
+    tile: Vec<f64>,
     /// The reconstruction itself; borrowed out by [`reconstruct_into`].
     out: Vec<f64>,
 }
@@ -107,7 +109,7 @@ impl ReconstructScratch {
     }
 }
 
-/// Sparse reconstruction of one epoch into `scratch`, returning the
+/// Reconstruction of one epoch into `scratch`, returning the
 /// `padded_len`-long series. Bit-identical to [`reconstruct_dense`]; see the
 /// module docs for why, and the proptest suite for the machine-checked claim.
 pub fn reconstruct_into<'a>(
@@ -156,10 +158,11 @@ pub(crate) fn clamp_non_negative(v: &mut [f64]) {
     }
 }
 
-/// The sparse kernel over raw report fields. Taking the detail triples as an
-/// iterator lets both [`EpochCoefficients`] (selector `Candidate`s) and
-/// `BucketReport` (wire `DetailRecord`s) reconstruct without first converting
-/// one into the other — the query path calls this with zero allocations.
+/// The kernel over raw report fields; "sparse" is the input — the retained
+/// details as `(level, idx, val)` triples. Taking them as an iterator lets
+/// both [`EpochCoefficients`] (selector `Candidate`s) and `BucketReport`
+/// (wire `DetailRecord`s) reconstruct without first converting one into the
+/// other — the query path calls this with zero allocations.
 pub fn reconstruct_sparse_into<'a>(
     levels: u32,
     padded_len: usize,
@@ -167,133 +170,69 @@ pub fn reconstruct_sparse_into<'a>(
     details: impl Iterator<Item = (u32, u32, i64)>,
     scratch: &'a mut ReconstructScratch,
 ) -> &'a [f64] {
-    scratch.out.clear();
+    let ReconstructScratch {
+        plane,
+        touched,
+        has_detail,
+        tile,
+        out,
+    } = scratch;
+    // No pre-zeroing: every block below overwrites its whole slice.
+    out.resize(padded_len, 0.0);
     if padded_len == 0 {
-        return &scratch.out;
+        return out;
     }
-    scratch.out.resize(padded_len, 0.0);
     let top = levels.min(padded_len.trailing_zeros());
-    let blocks = padded_len >> top;
+    let block = 1usize << top;
+    if plane.len() < padded_len {
+        plane.resize(padded_len, 0.0);
+    }
+    tile.resize(block.div_ceil(2), 0.0);
+    has_detail.clear();
+    has_detail.resize(padded_len >> top, false);
 
-    // Retained details the dense form would actually look up: level < top and
-    // idx within the level's node count. Sorted by (level, idx, arrival) and
-    // deduplicated keeping the *last* arrival — exactly the hash-map
-    // overwrite the dense form performs on a duplicate key.
-    scratch.details.clear();
-    for (seq, (level, idx, val)) in details.enumerate() {
+    // Scatter the details the dense form would actually look up: level < top
+    // and idx within the level's node count. Arrival order, so a duplicate
+    // key is last-wins — exactly the hash-map overwrite of the dense form.
+    for (level, idx, val) in details {
         if level < top && (idx as usize) < padded_len >> (level + 1) {
-            scratch.details.push((level, idx, seq as u32, val));
+            let slot = (padded_len >> (level + 1)) + idx as usize;
+            plane[slot] = val as f64;
+            touched.push(slot);
+            has_detail[idx as usize >> (top - 1 - level)] = true;
         }
     }
-    scratch
-        .details
-        .sort_unstable_by_key(|&(level, idx, seq, _)| (level, idx, seq));
-    scratch.details.dedup_by(|later, earlier| {
-        if later.0 == earlier.0 && later.1 == earlier.1 {
-            earlier.3 = later.3;
-            true
-        } else {
-            false
-        }
-    });
 
-    // Per-level runs.
-    scratch.level_start.clear();
-    scratch.level_start.resize(top as usize + 2, 0);
-    for &(level, ..) in &scratch.details {
-        scratch.level_start[level as usize + 1] += 1;
-    }
-    for l in 0..top as usize + 1 {
-        scratch.level_start[l + 1] += scratch.level_start[l];
-    }
-
-    // Active node sets per height: a detail at level `l` forces the expansion
-    // of node (height l + 1, idx), so that node and all its ancestors are
-    // interesting. O(k · levels) pushes, then sort + dedup per height.
-    if scratch.active.len() < top as usize + 1 {
-        scratch.active.resize_with(top as usize + 1, Vec::new);
-    }
-    for set in &mut scratch.active {
-        set.clear();
-    }
-    for &(level, idx, ..) in &scratch.details {
-        for h in level + 1..=top {
-            scratch.active[h as usize].push(idx >> (h - level - 1));
-        }
-    }
-    for set in &mut scratch.active {
-        set.sort_unstable();
-        set.dedup();
-    }
-
-    // Seed the descent at height `top`: interesting blocks go on the work
-    // list, detail-free blocks are constant runs of `approx[q] / 2^top`.
-    scratch.cur.clear();
-    let mut ai = 0usize;
-    for q in 0..blocks {
+    for (q, out_block) in out.chunks_exact_mut(block).enumerate() {
         let v = approx.get(q).copied().unwrap_or(0) as f64;
-        let act = &scratch.active[top as usize];
-        if ai < act.len() && act[ai] == q as u32 {
-            scratch.cur.push((q as u32, v));
-            ai += 1;
+        if !has_detail[q] {
+            out_block.fill((0..top).fold(v, |x, _| x / 2.0));
+            continue;
+        }
+        // Stage by stage the block's 1, 2, 4, … values bounce between the
+        // tile and the block's slice of `out`; the side that starts is the
+        // one that makes the last stage land in `out`.
+        let (mut src, mut dst) = if top.is_multiple_of(2) {
+            (out_block, &mut tile[..])
         } else {
-            fill_run(&mut scratch.out, q as u32, top, v);
-        }
-    }
-    debug_assert_eq!(ai, scratch.active[top as usize].len());
-
-    // Descend. At height h the work list equals active[h]; each node splits
-    // against its (level h − 1) detail, children either stay on the work list
-    // (still interesting) or terminate as a constant run.
-    for h in (1..=top).rev() {
-        let l = (h - 1) as usize;
-        let (mut di, dhi) = (scratch.level_start[l], scratch.level_start[l + 1]);
-        let child_active: &[u32] = if h >= 2 { &scratch.active[l] } else { &[] };
-        let mut ci = 0usize;
-        scratch.next.clear();
-        for k in 0..scratch.cur.len() {
-            let (q, v) = scratch.cur[k];
-            let d = if di < dhi && scratch.details[di].1 == q {
-                let val = scratch.details[di].3;
-                di += 1;
-                val as f64
-            } else {
-                0.0
-            };
-            let children = [(2 * q, (v + d) / 2.0), (2 * q + 1, (v - d) / 2.0)];
-            for (cq, cv) in children {
-                if ci < child_active.len() && child_active[ci] == cq {
-                    scratch.next.push((cq, cv));
-                    ci += 1;
-                } else if h == 1 {
-                    scratch.out[cq as usize] = cv;
-                } else {
-                    fill_run(&mut scratch.out, cq, h - 1, cv);
-                }
+            (&mut tile[..], out_block)
+        };
+        src[0] = v;
+        for l in (0..top).rev() {
+            let n = block >> (l + 1);
+            let lo = (padded_len >> (l + 1)) + q * n;
+            let det = &plane[lo..lo + n];
+            for ((pair, &a), &d) in dst[..2 * n].chunks_exact_mut(2).zip(&src[..n]).zip(det) {
+                pair[0] = (a + d) / 2.0;
+                pair[1] = (a - d) / 2.0;
             }
+            std::mem::swap(&mut src, &mut dst);
         }
-        debug_assert_eq!(di, dhi, "level {l} details not fully consumed");
-        debug_assert_eq!(ci, child_active.len());
-        std::mem::swap(&mut scratch.cur, &mut scratch.next);
     }
-    &scratch.out
-}
-
-/// Fills the span of the detail-free subtree rooted at `(height h, idx q)`
-/// with its constant leaf value: `v` halved `h` more times. Skipped when `v`
-/// is zero — the buffer is pre-zeroed and the zeros are all `+0.0` (see the
-/// module docs), so the fill would be a no-op bit for bit.
-#[inline]
-fn fill_run(out: &mut [f64], q: u32, h: u32, v: f64) {
-    if v == 0.0 {
-        return;
+    for slot in touched.drain(..) {
+        plane[slot] = 0.0;
     }
-    let mut x = v;
-    for _ in 0..h {
-        x /= 2.0;
-    }
-    let lo = (q as usize) << h;
-    out[lo..lo + (1usize << h)].fill(x);
+    out
 }
 
 /// Reconstructs the per-window series of one epoch.
@@ -334,16 +273,20 @@ mod tests {
         reconstruct(&t.finish())
     }
 
-    fn assert_bit_identical(coeffs: &EpochCoefficients, ctx: &str) {
+    /// Kernel (through `scratch`, fresh or reused) vs oracle, bit for bit.
+    fn assert_bit_identical(
+        coeffs: &EpochCoefficients,
+        scratch: &mut ReconstructScratch,
+        ctx: &str,
+    ) {
         let dense = reconstruct_dense(coeffs);
-        let mut scratch = ReconstructScratch::new();
-        let sparse = reconstruct_into(coeffs, &mut scratch);
-        assert_eq!(dense.len(), sparse.len(), "{ctx}: length");
-        for (i, (d, s)) in dense.iter().zip(sparse.iter()).enumerate() {
+        let kernel = reconstruct_into(coeffs, scratch);
+        assert_eq!(dense.len(), kernel.len(), "{ctx}: length");
+        for (i, (d, k)) in dense.iter().zip(kernel.iter()).enumerate() {
             assert_eq!(
                 d.to_bits(),
-                s.to_bits(),
-                "{ctx}: window {i}: dense {d} vs sparse {s}"
+                k.to_bits(),
+                "{ctx}: window {i}: dense {d} vs kernel {k}"
             );
         }
     }
@@ -436,9 +379,12 @@ mod tests {
     }
 
     #[test]
-    fn sparse_matches_dense_bitwise_on_handpicked_epochs() {
+    fn kernel_matches_dense_bitwise_on_handpicked_epochs() {
         // Early-stop (trailing_zeros < levels), negative details, duplicate
-        // keys (last wins), out-of-range details (ignored), short approx.
+        // keys (last wins, also with other details between the copies),
+        // out-of-range details (ignored), short approx, and a multi-block
+        // epoch whose details land in some blocks only.
+        let detail = |level, idx, val| Candidate { level, idx, val };
         let cases = [
             EpochCoefficients {
                 levels: 6,
@@ -505,9 +451,36 @@ mod tests {
                     val: -1,
                 }],
             },
+            EpochCoefficients {
+                levels: 8,
+                padded_len: 2560, // 10 blocks of 256; blocks 0, 3 and 9 get details
+                approx: vec![900, 0, -40, 77, 0, 0, 1 << 40, 5, 6, -7],
+                details: vec![
+                    detail(0, 5, 11),          // block 0, window pair 5
+                    detail(7, 3, -300),        // block 3, its top-level split
+                    detail(3, 16 * 3 + 15, 8), // block 3, last level-3 node
+                    detail(0, 1279, -1),       // block 9, last window pair
+                    detail(6, 19, 123),        // block 9
+                    detail(8, 0, 999),         // level == top: ignored
+                    detail(7, 10, 999),        // idx one past the level: ignored
+                ],
+            },
+            EpochCoefficients {
+                levels: 4,
+                padded_len: 32,
+                approx: vec![64, 48],
+                details: vec![
+                    detail(2, 1, 9), // first copy ...
+                    detail(0, 3, -5),
+                    detail(3, 0, 21),
+                    detail(2, 1, -17), // ... second copy, other details between
+                    detail(1, 2, 4),
+                    detail(2, 1, 2), // ... third copy wins
+                ],
+            },
         ];
         for (n, coeffs) in cases.iter().enumerate() {
-            assert_bit_identical(coeffs, &format!("case {n}"));
+            assert_bit_identical(coeffs, &mut ReconstructScratch::new(), &format!("case {n}"));
         }
     }
 
@@ -529,13 +502,54 @@ mod tests {
                     })
                     .collect(),
             };
-            let dense = reconstruct_dense(&coeffs);
-            let sparse = reconstruct_into(&coeffs, &mut scratch);
-            assert_eq!(
-                dense.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                sparse.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "shape ({padded_len}, {levels})"
+            assert_bit_identical(
+                &coeffs,
+                &mut scratch,
+                &format!("shape ({padded_len}, {levels})"),
             );
         }
+
+        // Stale plane: a detail-heavy epoch, then a detail-free one and a
+        // one-detail one of other shapes. Anything the first left behind in
+        // the scratch would show up in the later two.
+        let busy = EpochCoefficients {
+            levels: 6,
+            padded_len: 128,
+            approx: vec![1000, -1000],
+            // Every odd node of levels 0..=4 and both level-5 roots.
+            details: (0..6u32)
+                .flat_map(|l| (0..64u32 >> l).map(move |i| (l, i)))
+                .filter(|&(l, i)| i % 2 == 1 || l == 5)
+                .map(|(level, idx)| Candidate {
+                    level,
+                    idx,
+                    val: 3 * idx as i64 - 70,
+                })
+                .collect(),
+        };
+        assert_eq!(busy.details.len(), 64);
+        assert_bit_identical(&busy, &mut scratch, "busy epoch");
+        let quiet = EpochCoefficients {
+            levels: 5,
+            padded_len: 96,
+            approx: vec![7, 0, -9],
+            details: vec![],
+        };
+        assert_bit_identical(&quiet, &mut scratch, "detail-free epoch after a busy one");
+        let lone = EpochCoefficients {
+            levels: 8,
+            padded_len: 256,
+            approx: vec![12345],
+            details: vec![Candidate {
+                level: 0,
+                idx: 127,
+                val: 1,
+            }],
+        };
+        assert_bit_identical(
+            &lone,
+            &mut scratch,
+            "one-detail epoch reads the whole plane",
+        );
     }
 }

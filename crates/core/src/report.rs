@@ -83,8 +83,8 @@ impl BucketReport {
         self.reconstruct_with(&mut scratch).to_vec()
     }
 
-    /// As [`Self::reconstruct`], but into a reusable scratch — the sparse
-    /// kernel runs straight off the wire fields, so a warm scratch makes this
+    /// As [`Self::reconstruct`], but into a reusable scratch — the kernel
+    /// runs straight off the wire fields, so a warm scratch makes this
     /// allocation-free.
     pub fn reconstruct_with<'a>(
         &self,
@@ -184,6 +184,15 @@ fn checked_len(v: u64) -> Option<usize> {
     (v <= MAX_DECODE_LEN).then_some(v as usize)
 }
 
+/// Reads a list's length prefix at `*pos`. `None` unless at least that many
+/// bytes follow: every element encodes to at least one byte, so a longer
+/// list cannot be there, and the `Vec::with_capacity` the caller makes from
+/// the result is bounded by the size of the input, not by what it claims.
+fn get_list_len(buf: &[u8], pos: &mut usize) -> Option<usize> {
+    let n = checked_len(get_varint(buf, pos)?)?;
+    (n <= buf.len() - *pos).then_some(n)
+}
+
 impl BucketReport {
     /// Appends the compact binary encoding of this epoch to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
@@ -208,12 +217,12 @@ impl BucketReport {
         let w0 = get_varint(buf, pos)?;
         let levels = u32::try_from(get_varint(buf, pos)?).ok()?;
         let padded_len = checked_len(get_varint(buf, pos)?)?;
-        let n_approx = checked_len(get_varint(buf, pos)?)?;
+        let n_approx = get_list_len(buf, pos)?;
         let mut approx = Vec::with_capacity(n_approx);
         for _ in 0..n_approx {
             approx.push(get_varint_i64(buf, pos)?);
         }
-        let n_details = checked_len(get_varint(buf, pos)?)?;
+        let n_details = get_list_len(buf, pos)?;
         let mut details = Vec::with_capacity(n_details);
         for _ in 0..n_details {
             let level = u32::try_from(get_varint(buf, pos)?).ok()?;
@@ -264,54 +273,59 @@ impl SketchReport {
             + self.light.iter().map(|(_, _, r)| r.len()).sum::<usize>()
     }
 
-    /// A cheap structural checksum (FNV-1a over every tag and coefficient).
+    /// A cheap structural checksum: a multiply-and-fold mix over every
+    /// length, tag and coefficient, one whole `u64` per step.
     ///
     /// Collection envelopes carry this value so the analyzer can detect
     /// truncated or corrupted payloads without deserializing twice: any
     /// dropped entry, reordered record or flipped coefficient changes the
-    /// digest. Not cryptographic — it guards against lossy transports, not
-    /// adversaries.
+    /// digest. Every list is mixed behind its length, so two different
+    /// reports never feed the mix the same word sequence, and each step is a
+    /// bijection of the running state, so a change confined to one word
+    /// always shows. Not cryptographic — it guards against lossy transports,
+    /// not adversaries — and not a format: it lives only as long as an
+    /// envelope in flight (the archive checksums its own record bytes).
     pub fn integrity(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        // One multiply per word, not per byte: every seal and every verify
+        // walks the whole report through this. The fold carries the top
+        // bits back down: a multiply only moves differences up, so without
+        // it two flips of bit 63 would cancel.
         fn mix(h: u64, v: u64) -> u64 {
-            let mut h = h;
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
+            let h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+            h ^ (h >> 32)
+        }
+        fn mix_buckets(mut h: u64, reports: &[BucketReport]) -> u64 {
+            h = mix(h, reports.len() as u64);
+            for r in reports {
+                h = mix(h, r.w0);
+                h = mix(h, r.levels as u64);
+                h = mix(h, r.padded_len as u64);
+                h = mix(h, r.approx.len() as u64);
+                for &a in &r.approx {
+                    h = mix(h, a as u64);
+                }
+                h = mix(h, r.details.len() as u64);
+                for d in &r.details {
+                    h = mix(h, ((d.level as u64) << 32) | d.idx as u64);
+                    h = mix(h, d.val as u64);
+                }
             }
             h
         }
-        fn mix_bucket(mut h: u64, r: &BucketReport) -> u64 {
-            h = mix(h, r.w0);
-            h = mix(h, r.levels as u64);
-            h = mix(h, r.padded_len as u64);
-            for &a in &r.approx {
-                h = mix(h, a as u64);
-            }
-            for d in &r.details {
-                h = mix(h, ((d.level as u64) << 32) | d.idx as u64);
-                h = mix(h, d.val as u64);
-            }
-            h
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = mix(0xcbf2_9ce4_8422_2325, self.heavy.len() as u64);
         for (key, reports) in &self.heavy {
+            h = mix(h, key.len() as u64);
             for &b in key {
                 h = mix(h, b as u64);
             }
-            h = mix(h, reports.len() as u64);
-            for r in reports {
-                h = mix_bucket(h, r);
-            }
+            h = mix_buckets(h, reports);
         }
+        h = mix(h, self.light.len() as u64);
         for &(row, col, ref reports) in &self.light {
             h = mix(h, ((row as u64) << 32) | col as u64);
-            h = mix(h, reports.len() as u64);
-            for r in reports {
-                h = mix_bucket(h, r);
-            }
+            h = mix_buckets(h, reports);
         }
-        mix(h, self.epoch_count() as u64)
+        h
     }
 
     /// Appends the compact binary encoding of the whole report to `out`.
@@ -346,25 +360,25 @@ impl SketchReport {
     /// Decodes one report at `*pos`, advancing it past the record. `None` on
     /// truncated or corrupt input (never panics).
     pub fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        let n_heavy = checked_len(get_varint(buf, pos)?)?;
+        let n_heavy = get_list_len(buf, pos)?;
         let mut heavy = Vec::with_capacity(n_heavy);
         for _ in 0..n_heavy {
-            let key_len = checked_len(get_varint(buf, pos)?)?;
+            let key_len = get_list_len(buf, pos)?;
             let key = buf.get(*pos..*pos + key_len)?.to_vec();
             *pos += key_len;
-            let n_reports = checked_len(get_varint(buf, pos)?)?;
+            let n_reports = get_list_len(buf, pos)?;
             let mut reports = Vec::with_capacity(n_reports);
             for _ in 0..n_reports {
                 reports.push(BucketReport::decode_from(buf, pos)?);
             }
             heavy.push((key, reports));
         }
-        let n_light = checked_len(get_varint(buf, pos)?)?;
+        let n_light = get_list_len(buf, pos)?;
         let mut light = Vec::with_capacity(n_light);
         for _ in 0..n_light {
             let row = u32::try_from(get_varint(buf, pos)?).ok()?;
             let col = u32::try_from(get_varint(buf, pos)?).ok()?;
-            let n_reports = checked_len(get_varint(buf, pos)?)?;
+            let n_reports = get_list_len(buf, pos)?;
             let mut reports = Vec::with_capacity(n_reports);
             for _ in 0..n_reports {
                 reports.push(BucketReport::decode_from(buf, pos)?);
@@ -474,9 +488,16 @@ mod tests {
         flipped.heavy[0].1[0].approx[0] ^= 1;
         assert_ne!(base, flipped.integrity(), "flipped coefficient undetected");
 
-        let mut retagged = sr;
+        let mut retagged = sr.clone();
         retagged.light[0].1 = 6;
         assert_ne!(base, retagged.integrity(), "retagged column undetected");
+
+        // Two flips of the top bit in neighbouring words: a multiply alone
+        // leaves each in bit 63, where the second would undo the first.
+        let mut twice = sr;
+        twice.heavy[0].1[0].details[0].val ^= i64::MIN;
+        twice.heavy[0].1[0].details[1].val ^= i64::MIN;
+        assert_ne!(base, twice.integrity(), "paired top-bit flips cancelled");
     }
 
     #[test]
@@ -553,6 +574,12 @@ mod tests {
         // rather than attempt the allocation.
         let huge = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x1F];
         assert_eq!(SketchReport::decode(&huge), None);
+
+        // So must one under the hard cap that the buffer cannot hold: an
+        // epoch declaring 2^24 approximation entries with five bytes left
+        // (tests/alloc_gate.rs checks that nothing is allocated for it).
+        let lying = [0, 8, 0, 0x80, 0x80, 0x80, 0x08, 1, 2, 3, 4, 5];
+        assert_eq!(BucketReport::decode_from(&lying, &mut 0), None);
     }
 
     #[test]

@@ -5,7 +5,9 @@ use wavesketch::haar;
 use wavesketch::reconstruct::reconstruct;
 use wavesketch::select::{Candidate, CoeffSelector, HwThresholdSelector, IdealTopK};
 use wavesketch::streaming::StreamingTransform;
-use wavesketch::{BasicWaveSketch, BucketArena, FlowKey, SketchConfig};
+use wavesketch::{
+    BasicWaveSketch, BucketArena, BucketReport, DetailRecord, FlowKey, SketchConfig, SketchReport,
+};
 
 /// A sparse window series: strictly increasing offsets with positive counts.
 fn sparse_series(max_offset: u32) -> impl Strategy<Value = Vec<(u32, i64)>> {
@@ -303,17 +305,20 @@ proptest! {
 /// would never emit: single-window and early-stop epochs
 /// (`padded_len.trailing_zeros() < levels`), truncated or over-long
 /// approximation arrays, duplicate detail keys and details whose level or
-/// index is out of range for the epoch. The sparse kernel must shrug at all
-/// of them exactly the way the dense reference does.
+/// index is out of range for the epoch, and lengths that are a whole number
+/// of blocks but not a power of two (the kernel's detail plane is laid out
+/// from `padded_len`). The kernel must shrug at all of them exactly the way
+/// the dense reference does.
 fn arb_epoch() -> impl Strategy<Value = wavesketch::streaming::EpochCoefficients> {
     (
         0u32..8,
         0usize..8,
+        1usize..6,
         proptest::collection::vec(-1_000_000i64..1_000_000, 0..16),
         proptest::collection::vec((0u32..10, 0u32..300, -1_000_000i64..1_000_000), 0..24),
     )
-        .prop_map(|(levels, len_log2, mut approx, details)| {
-            let padded_len = 1usize << len_log2;
+        .prop_map(|(levels, len_log2, odd_blocks, mut approx, details)| {
+            let padded_len = odd_blocks << len_log2;
             let blocks = padded_len >> levels.min(padded_len.trailing_zeros());
             approx.truncate(blocks + 3); // short, exact and over-long lengths
             wavesketch::streaming::EpochCoefficients {
@@ -329,20 +334,20 @@ fn arb_epoch() -> impl Strategy<Value = wavesketch::streaming::EpochCoefficients
 }
 
 proptest! {
-    /// The sparse reconstruction kernel is **bit-identical** to the dense
+    /// The block-dense reconstruction kernel is **bit-identical** to the dense
     /// reference — `f64::to_bits` equality per window, not an epsilon — for
     /// arbitrary coefficient sets, including empty, single-window and
     /// early-stop epochs and out-of-range or duplicate details.
     #[test]
-    fn sparse_reconstruction_is_bit_identical_to_dense(coeffs in arb_epoch()) {
+    fn kernel_reconstruction_is_bit_identical_to_dense(coeffs in arb_epoch()) {
         use wavesketch::reconstruct::{reconstruct_dense, reconstruct_into, ReconstructScratch};
         let dense = reconstruct_dense(&coeffs);
         let mut scratch = ReconstructScratch::new();
-        let sparse = reconstruct_into(&coeffs, &mut scratch);
-        prop_assert_eq!(dense.len(), sparse.len());
-        for (i, (d, s)) in dense.iter().zip(sparse.iter()).enumerate() {
-            prop_assert_eq!(d.to_bits(), s.to_bits(),
-                            "window {}: dense {} vs sparse {}", i, d, s);
+        let kernel = reconstruct_into(&coeffs, &mut scratch);
+        prop_assert_eq!(dense.len(), kernel.len());
+        for (i, (d, k)) in dense.iter().zip(kernel.iter()).enumerate() {
+            prop_assert_eq!(d.to_bits(), k.to_bits(),
+                            "window {}: dense {} vs kernel {}", i, d, k);
         }
     }
 
@@ -351,7 +356,7 @@ proptest! {
     /// through one shared scratch (so buffer reuse across shapes is also
     /// under test). Covers empty epochs (no pushes survive) naturally.
     #[test]
-    fn sparse_matches_dense_on_transform_output(
+    fn kernel_matches_dense_on_transform_output(
         series in sparse_series(512),
         levels in 1u32..9,
         k in 1usize..12,
@@ -367,10 +372,156 @@ proptest! {
             }
             let coeffs = t.finish();
             let dense = reconstruct_dense(&coeffs);
-            let sparse = reconstruct_into(&coeffs, &mut scratch);
+            let kernel = reconstruct_into(&coeffs, &mut scratch);
             let dense_bits: Vec<u64> = dense.iter().map(|v| v.to_bits()).collect();
-            let sparse_bits: Vec<u64> = sparse.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(dense_bits, sparse_bits, "cap {}", cap);
+            let kernel_bits: Vec<u64> = kernel.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(dense_bits, kernel_bits, "cap {}", cap);
+        }
+    }
+}
+
+/// One arbitrary bucket epoch for the digest property — field values over
+/// their whole ranges, since the digest never interprets them.
+fn arb_bucket_report() -> impl Strategy<Value = BucketReport> {
+    (
+        0u64..u64::MAX,
+        0u32..u32::MAX,
+        0usize..usize::MAX,
+        proptest::collection::vec(i64::MIN..i64::MAX, 0..4),
+        proptest::collection::vec((0u32..u32::MAX, 0u32..u32::MAX, i64::MIN..i64::MAX), 0..4),
+    )
+        .prop_map(|(w0, levels, padded_len, approx, details)| BucketReport {
+            w0,
+            levels,
+            padded_len,
+            approx,
+            details: details
+                .into_iter()
+                .map(|(level, idx, val)| DetailRecord { level, idx, val })
+                .collect(),
+        })
+}
+
+fn arb_sketch_report() -> impl Strategy<Value = SketchReport> {
+    let epochs = || proptest::collection::vec(arb_bucket_report(), 0..3);
+    (
+        proptest::collection::vec((proptest::collection::vec(0u8..255, 0..14), epochs()), 0..3),
+        proptest::collection::vec((0u32..u32::MAX, 0u32..u32::MAX, epochs()), 0..3),
+    )
+        .prop_map(|(heavy, light)| SketchReport { heavy, light })
+}
+
+/// The epoch list of heavy (`light == false`) or light entry `e`.
+fn epochs_mut(sr: &mut SketchReport, light: bool, e: usize) -> &mut Vec<BucketReport> {
+    if light {
+        &mut sr.light[e].2
+    } else {
+        &mut sr.heavy[e].1
+    }
+}
+
+/// Every report one small damage away from `sr`: each single-bit flip of each
+/// field, each single dropped entry / epoch / approximation / detail, and each
+/// swap of two adjacent, different details.
+fn damaged_copies(sr: &SketchReport) -> Vec<(String, SketchReport)> {
+    let mut out = Vec::new();
+    let mut damage = |what: String, edit: &dyn Fn(&mut SketchReport)| {
+        let mut copy = sr.clone();
+        edit(&mut copy);
+        out.push((what, copy));
+    };
+    for (e, (key, _)) in sr.heavy.iter().enumerate() {
+        damage(format!("drop heavy {e}"), &|m| {
+            m.heavy.remove(e);
+        });
+        for bit in 0..8 * key.len() {
+            damage(format!("heavy {e} key bit {bit}"), &|m| {
+                m.heavy[e].0[bit / 8] ^= 1 << (bit % 8)
+            });
+        }
+    }
+    for e in 0..sr.light.len() {
+        damage(format!("drop light {e}"), &|m| {
+            m.light.remove(e);
+        });
+        for bit in 0..32 {
+            damage(format!("light {e} row bit {bit}"), &|m| {
+                m.light[e].0 ^= 1 << bit
+            });
+            damage(format!("light {e} col bit {bit}"), &|m| {
+                m.light[e].1 ^= 1 << bit
+            });
+        }
+    }
+    let heavy = sr.heavy.iter().map(|(_, brs)| (false, brs));
+    let light = sr.light.iter().map(|(_, _, brs)| (true, brs));
+    for (e, (light, epochs)) in heavy.enumerate().chain(light.enumerate()) {
+        for (i, r) in epochs.iter().enumerate() {
+            let at = format!("{} {e} epoch {i}", if light { "light" } else { "heavy" });
+            damage(format!("drop {at}"), &|m| {
+                epochs_mut(m, light, e).remove(i);
+            });
+            for bit in 0..64 {
+                damage(format!("{at} w0 bit {bit}"), &|m| {
+                    epochs_mut(m, light, e)[i].w0 ^= 1 << bit
+                });
+                damage(format!("{at} padded_len bit {bit}"), &|m| {
+                    epochs_mut(m, light, e)[i].padded_len ^= 1 << bit
+                });
+            }
+            for bit in 0..32 {
+                damage(format!("{at} levels bit {bit}"), &|m| {
+                    epochs_mut(m, light, e)[i].levels ^= 1 << bit
+                });
+            }
+            for a in 0..r.approx.len() {
+                damage(format!("drop {at} approx {a}"), &|m| {
+                    epochs_mut(m, light, e)[i].approx.remove(a);
+                });
+                for bit in 0..64 {
+                    damage(format!("{at} approx {a} bit {bit}"), &|m| {
+                        epochs_mut(m, light, e)[i].approx[a] ^= 1 << bit
+                    });
+                }
+            }
+            for d in 0..r.details.len() {
+                damage(format!("drop {at} detail {d}"), &|m| {
+                    epochs_mut(m, light, e)[i].details.remove(d);
+                });
+                if d + 1 < r.details.len() && r.details[d] != r.details[d + 1] {
+                    damage(format!("swap {at} details {d}, {}", d + 1), &|m| {
+                        epochs_mut(m, light, e)[i].details.swap(d, d + 1)
+                    });
+                }
+                for bit in 0..32 {
+                    damage(format!("{at} detail {d} level bit {bit}"), &|m| {
+                        epochs_mut(m, light, e)[i].details[d].level ^= 1 << bit
+                    });
+                    damage(format!("{at} detail {d} idx bit {bit}"), &|m| {
+                        epochs_mut(m, light, e)[i].details[d].idx ^= 1 << bit
+                    });
+                }
+                for bit in 0..64 {
+                    damage(format!("{at} detail {d} val bit {bit}"), &|m| {
+                        epochs_mut(m, light, e)[i].details[d].val ^= 1 << bit
+                    });
+                }
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    /// The envelope digest (`SketchReport::integrity`) sees every small
+    /// damage a lossy transport can do: any single flipped bit of any field,
+    /// any single dropped entry, epoch, approximation or detail, any two
+    /// adjacent details swapped.
+    #[test]
+    fn integrity_changes_under_every_small_damage(sr in arb_sketch_report()) {
+        let sealed = sr.integrity();
+        for (what, damaged) in damaged_copies(&sr) {
+            prop_assert!(damaged.integrity() != sealed, "undetected: {}", what);
         }
     }
 }

@@ -8,7 +8,7 @@
 //! 1. **Compaction is invisible** — an analyzer that compacts periods past
 //!    the hot horizon (and one that additionally compacts early under a
 //!    cached-bytes budget) produces curves bit-identical to a fully
-//!    unbounded analyzer: the compacted tier's sparse inverse-Haar fallback
+//!    unbounded analyzer: the compacted tier's on-demand inverse-Haar fallback
 //!    accumulates in the same order as the cached hot path.
 //! 2. **Eviction is exact forgetting** — a bounded-resident analyzer equals
 //!    an unbounded reference fed exactly the periods it retained: evicting

@@ -40,8 +40,10 @@ pub struct IngestStats {
     /// Reports dropped because their `(host, period)` slot was already
     /// filled — redelivered or double-counted uploads.
     pub duplicates: u64,
-    /// Reports quarantined because their config fingerprint does not match
-    /// the analyzer's sketch configuration.
+    /// Reports quarantined because they do not fit the analyzer's sketch
+    /// configuration: a different config fingerprint, or — under a matching
+    /// one — a shape no drain of that configuration produces (see
+    /// [`Analyzer::add_reports`]).
     pub mismatched: u64,
 }
 
@@ -236,6 +238,28 @@ pub struct Analyzer {
 /// Mismatched reports retained for inspection before old ones are evicted.
 const QUARANTINE_CAP: usize = 64;
 
+/// True if `r` can be stored, indexed and reconstructed under `cfg`: sealed
+/// under the same configuration, and of the shape every drain of it has.
+/// The fingerprint is only the sender's word; the shape is what the index
+/// and the inverse transform index and allocate by — unchecked, a 3-byte
+/// heavy key or a `w0` next to `u64::MAX` aborts the (`panic = "abort"`)
+/// process and a `padded_len` of 2^24 sizes a 134 MB curve. An epoch of a
+/// drain is `next_power_of_two` of at most `max_windows` windows (itself a
+/// power of two), whatever the selector and however many lanes were merged;
+/// `padded_len == 0` (a degenerate heavy record) is legal.
+fn fits_config(r: &PeriodReport, cfg: &SketchConfig) -> bool {
+    let epochs_fit = |brs: &[BucketReport]| {
+        brs.iter().all(|b| {
+            b.padded_len <= cfg.max_windows && b.w0.checked_add(b.padded_len as u64).is_some()
+        })
+    };
+    r.config_fingerprint == cfg.fingerprint()
+        && (r.report.heavy.iter()).all(|(key, brs)| key.len() == 13 && epochs_fit(brs))
+        && (r.report.light.iter()).all(|(row, col, brs)| {
+            (*row as usize) < cfg.rows && (*col as usize) < cfg.width && epochs_fit(brs)
+        })
+}
+
 /// Out-of-order tolerance for mirror batch sequence numbers, per switch.
 /// Batches more than this many sequence numbers behind the newest seen are
 /// treated as duplicates (the dedup window has moved past them).
@@ -249,8 +273,8 @@ pub struct RecoveryStats {
     /// Archived records skipped: already resident, or below the eviction
     /// floor the replay itself advanced (their periods aged out again).
     pub skipped: u64,
-    /// Archived records whose config fingerprint no longer matches
-    /// (quarantined, as on live ingest).
+    /// Archived records that no longer fit the sketch configuration
+    /// (fingerprint or shape; quarantined, as on live ingest).
     pub mismatched: u64,
     /// Hosts whose segment had a damaged (truncated or corrupt) tail; the
     /// intact prefix was still recovered.
@@ -343,10 +367,9 @@ impl Analyzer {
         // Index every intact record's location for the cold tier before the
         // replay: records the replay re-evicts (or skips as stale) stay
         // queryable from disk.
-        let expected = self.sketch_config.fingerprint();
         if let Some(cold) = self.cold.as_mut() {
             for (r, loc) in scan.reports.iter().zip(&scan.locs) {
-                if r.config_fingerprint == expected {
+                if fits_config(r, &self.sketch_config) {
                     cold.record(r.host, r.period, *loc);
                 }
             }
@@ -367,14 +390,17 @@ impl Analyzer {
     ///
     /// Reports built under a different sketch configuration are quarantined
     /// (counted in [`IngestStats::mismatched`], the most recent kept for
-    /// inspection) instead of poisoning the batch; redelivered periods are
-    /// dropped as duplicates. Never panics — the collection plane delivers
-    /// whatever the network did to it.
+    /// inspection) instead of poisoning the batch, and so are reports that
+    /// carry the right fingerprint but not the shape it promises — a heavy
+    /// key that is not 13 bytes, a light tag outside the `rows × width`
+    /// array, an epoch longer than `max_windows` or running past the end of
+    /// the window space; redelivered periods are dropped as duplicates.
+    /// Never panics — the collection plane, an archive and `umon replay`
+    /// deliver whatever the network, the disk or the user did to it.
     pub fn add_reports(&mut self, reports: Vec<PeriodReport>) -> IngestStats {
-        let expected = self.sketch_config.fingerprint();
         let mut batch = IngestStats::default();
         for r in reports {
-            if r.config_fingerprint != expected {
+            if !fits_config(&r, &self.sketch_config) {
                 batch.mismatched += 1;
                 if self.quarantine.len() >= QUARANTINE_CAP {
                     self.quarantine.pop_front();
@@ -584,8 +610,8 @@ impl Analyzer {
         }
     }
 
-    /// The most recently quarantined (fingerprint-mismatched) reports,
-    /// oldest first.
+    /// The most recently quarantined (fingerprint- or shape-mismatched)
+    /// reports, oldest first.
     pub fn quarantined(&self) -> &VecDeque<PeriodReport> {
         &self.quarantine
     }
@@ -850,8 +876,8 @@ impl Analyzer {
     /// Light-part reconstruction with heavy-flow subtraction, min-total over
     /// rows (the Count-Min query lifted to curves). On `true` the winning
     /// row's series is in `light_best`. Each row visits the cold tier
-    /// (archive read-back), then the compacted tier (raw store scan, sparse
-    /// reconstruction), then the hot refs; all three use bit-identical
+    /// (archive read-back), then the compacted tier (raw store scan,
+    /// on-demand reconstruction), then the hot refs; all three use bit-identical
     /// accumulation, so neither compaction nor eviction-to-archive ever
     /// moves a row's total or the min-row choice.
     #[allow(clippy::too_many_arguments)] // split borrows of one scratch
@@ -1579,6 +1605,88 @@ mod tests {
         // The healthy report still reconstructs.
         let curve = analyzer.flow_curve(0, 5).expect("good report survives");
         assert!((curve.at(10) - 1000.0).abs() < 1e-6);
+    }
+
+    /// A healthy report for period 0 and a copy for period 1 that `damage`
+    /// reshapes under its valid fingerprint; the copy must be quarantined
+    /// before the store, the index or the inverse transform see it, and the
+    /// healthy one must stay queryable. Unchecked, each of these shapes ends
+    /// in an abort (release is `panic = "abort"`) or a curve sized by the
+    /// report's own word.
+    fn assert_hostile_shape_is_quarantined(damage: impl Fn(&mut SketchReport)) {
+        let cfg = agent_config();
+        let mut agent = HostAgent::new(0, cfg.clone());
+        for w in [10u64, 11, 14] {
+            agent.observe(5, w << 13, 1000);
+        }
+        let healthy = agent.finish().remove(0);
+        assert!(!healthy.report.light.is_empty());
+        let mut hostile = healthy.clone();
+        hostile.period += 1;
+        damage(&mut hostile.report);
+
+        let mut analyzer = Analyzer::new(cfg.sketch.clone());
+        let stats = analyzer.add_reports(vec![hostile, healthy]);
+        assert_eq!((stats.accepted, stats.mismatched), (1, 1));
+        assert_eq!(analyzer.quarantined().back().map(|r| r.period), Some(1));
+        assert!(analyzer.residency().cached_bytes < 1 << 20);
+        assert_eq!(analyzer.host_coverage(0).periods, BTreeSet::from([0]));
+        let curve = analyzer.flow_curve(0, 5).expect("healthy report survives");
+        assert!((curve.at(14) - 1000.0).abs() < 1e-6);
+        assert!(analyzer.host_rate_curve(0).is_some());
+    }
+
+    #[test]
+    fn short_heavy_key_under_a_valid_fingerprint_is_quarantined() {
+        assert_hostile_shape_is_quarantined(|r| r.heavy.push((vec![1, 2, 3], vec![])));
+    }
+
+    #[test]
+    fn oversized_epoch_under_a_valid_fingerprint_is_quarantined() {
+        assert_hostile_shape_is_quarantined(|r| r.light[0].2[0].padded_len = 1 << 24);
+    }
+
+    #[test]
+    fn epoch_past_the_window_space_under_a_valid_fingerprint_is_quarantined() {
+        assert_hostile_shape_is_quarantined(|r| r.light[0].2[0].w0 = u64::MAX - 3);
+    }
+
+    #[test]
+    fn light_tag_outside_the_array_under_a_valid_fingerprint_is_quarantined() {
+        assert_hostile_shape_is_quarantined(|r| r.light[0].0 = 2); // rows = 2
+        assert_hostile_shape_is_quarantined(|r| r.light[0].1 = 32); // width = 32
+    }
+
+    /// The shape check must not reject what drains legitimately produce at
+    /// its edges: an epoch of exactly `max_windows`, an empty one, an epoch
+    /// ending on the last window.
+    #[test]
+    fn edge_shapes_a_drain_can_produce_are_accepted() {
+        let cfg = agent_config();
+        let mut agent = HostAgent::new(0, cfg.clone());
+        agent.observe(5, 10 << 13, 1000);
+        let mut r = agent.finish().remove(0);
+        let epoch = r.report.light[0].2[0].clone();
+        r.report.light[0].2 = vec![
+            BucketReport {
+                padded_len: cfg.sketch.max_windows,
+                ..epoch.clone()
+            },
+            BucketReport {
+                w0: 1 << 40,
+                padded_len: 0,
+                approx: vec![],
+                details: vec![],
+                ..epoch.clone()
+            },
+            BucketReport {
+                w0: u64::MAX - epoch.padded_len as u64,
+                ..epoch
+            },
+        ];
+        let mut analyzer = Analyzer::new(cfg.sketch.clone());
+        let stats = analyzer.add_reports(vec![r]);
+        assert_eq!((stats.accepted, stats.mismatched), (1, 0));
     }
 
     /// Satellite regression: duplicated and reordered period reports must

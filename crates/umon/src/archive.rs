@@ -50,8 +50,8 @@ const MAGIC: &[u8; 8] = b"UMONSEG1";
 /// attempt a multi-gigabyte read.
 const MAX_RECORD_LEN: u32 = 1 << 28;
 
-/// FNV-1a over a byte slice — the same family the collection plane uses for
-/// envelope integrity.
+/// FNV-1a over a record's bytes. Part of the on-disk format: changing it
+/// orphans every archive already written.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -544,9 +544,9 @@ pub struct CollectorStats {
     /// Envelopes failing integrity verification, quarantined and *not*
     /// ACKed so a retransmission can still recover the intact report.
     pub corrupt: u64,
-    /// Intact envelopes whose report the analyzer quarantined for a config
-    /// fingerprint mismatch (ACKed — retransmitting cannot fix a config
-    /// mismatch).
+    /// Intact envelopes whose report the analyzer quarantined because it
+    /// does not fit the sketch configuration — fingerprint or shape (ACKed:
+    /// retransmitting cannot fix either).
     pub mismatched: u64,
 }
 
@@ -1172,6 +1172,46 @@ mod tests {
         assert_eq!(uplink.in_flight(), 0, "ACKed: resending cannot fix this");
         assert_eq!(analyzer.quarantined().len(), n as usize);
         assert!(analyzer.flow_curve(0, 7).is_none());
+    }
+
+    /// A report whose shape contradicts its (valid) fingerprint arrives
+    /// intact — the seal covers whatever the sender sealed — and must end in
+    /// the quarantine like a foreign config, not in an abort inside the
+    /// index or a curve sized from the report's own `padded_len`.
+    #[test]
+    fn hostile_shapes_under_a_valid_fingerprint_are_acked_but_quarantined() {
+        let cfg = agent_config();
+        let damages: [fn(&mut wavesketch::SketchReport); 3] = [
+            |r| r.heavy.push((vec![1, 2, 3], vec![])),
+            |r| r.light[0].2[0].padded_len = 1 << 24,
+            |r| r.light[0].2[0].w0 = u64::MAX - 3,
+        ];
+        let mut reports = make_reports(0, &cfg);
+        reports.truncate(damages.len() + 1);
+        for (r, damage) in reports.iter_mut().zip(damages) {
+            damage(&mut r.report);
+        }
+        let mut transport = PerfectTransport::new();
+        let mut uplink = HostUplink::new(0, RetransmitPolicy::default());
+        let mut collector = Collector::new();
+        let mut analyzer = Analyzer::new(cfg.sketch.clone());
+        uplink.submit(reports);
+        run_rounds(
+            &mut uplink,
+            &mut transport,
+            &mut collector,
+            &mut analyzer,
+            10,
+        );
+
+        assert_eq!(collector.stats().mismatched, 3);
+        assert_eq!(collector.stats().accepted, 1, "the undamaged report");
+        assert_eq!(collector.stats().corrupt, 0, "seals were intact");
+        assert_eq!(uplink.in_flight(), 0, "ACKed: resending cannot fix this");
+        assert_eq!(analyzer.ingest_stats().mismatched, 3);
+        assert_eq!(analyzer.quarantined().len(), 3);
+        assert!(analyzer.residency().cached_bytes < 1 << 20);
+        assert!(analyzer.host_rate_curve(0).is_some());
     }
 
     #[test]

@@ -351,7 +351,7 @@ pub struct QueryScratch {
     pub(crate) starts: Vec<u64>,
     /// The light estimate at each opening window, captured pre-overlay.
     pub(crate) light_at: Vec<f64>,
-    /// Sparse-reconstruction scratch for epochs whose cached curve was
+    /// Reconstruction scratch for epochs whose cached curve was
     /// compacted away; idle (and allocation-free) on the hot path.
     pub(crate) recon: ReconstructScratch,
     /// Cold-tier reports fetched for the current query (evicted periods
@@ -371,7 +371,7 @@ impl QueryScratch {
 
 /// One epoch contribution to a series, from either storage tier: a cached
 /// reconstruction (hot) or a raw wire report whose curve is reconstructed
-/// sparsely on demand (compacted). `WindowSeries::accumulate_curve` and
+/// on demand (compacted). `WindowSeries::accumulate_curve` and
 /// `accumulate_report` are bit-identical for the same epoch, so a series
 /// built from any mix of tiers equals the all-hot (and the pre-index
 /// rescan) result exactly.

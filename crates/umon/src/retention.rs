@@ -12,7 +12,7 @@
 //! * **compacted** — periods aging past the hot horizon stay resident (the
 //!   raw [`PeriodReport`] is kept) but are deindexed: their cached curves
 //!   and per-column collision refs are dropped, and queries fall back to a
-//!   linear period scan with sparse inverse-Haar reconstruction. The two
+//!   linear period scan with on-demand inverse-Haar reconstruction. The two
 //!   paths are bit-identical (`WindowSeries::accumulate_report` vs
 //!   `accumulate_curve`), so compaction never changes a curve — it trades
 //!   query throughput for memory.

@@ -4,10 +4,11 @@
 //! packet path (`FullWaveSketch::update`, including heavy-part evictions),
 //! nor the netsim event queue's push/pop cycle, nor the analyzer's indexed
 //! query path (`flow_curve_with` / `host_rate_curve_with` through a warm
-//! `QueryScratch`) touches the heap.  A counting
-//! `#[global_allocator]` wraps the system allocator; this file contains a
-//! single `#[test]` so no sibling test thread can contribute spurious
-//! counts (each integration-test file is its own binary).
+//! `QueryScratch`) touches the heap — and, off the hot path, that a report
+//! decoder allocates nothing for a length prefix its input cannot back.  A
+//! counting `#[global_allocator]` wraps the system allocator; this file
+//! contains a single `#[test]` so no sibling test thread can contribute
+//! spurious counts (each integration-test file is its own binary).
 //!
 //! Out of scope by design: epoch rollover (a completed epoch materialises
 //! `BucketReport`s) and `drain()` — those are control-plane operations, not
@@ -71,6 +72,22 @@ fn steady_state_hot_paths_do_not_allocate() {
     batch_ingest_path_is_allocation_free();
     event_queue_cycle_is_allocation_free();
     analyzer_query_path_is_allocation_free();
+    lying_length_prefix_allocates_nothing();
+}
+
+/// Not a hot path, but the same counter answers it: a report decoder handed
+/// a length prefix the buffer cannot back (2^24 approximation entries, five
+/// bytes left) must refuse before allocating for it.
+fn lying_length_prefix_allocates_nothing() {
+    let lying = [0u8, 8, 0, 0x80, 0x80, 0x80, 0x08, 1, 2, 3, 4, 5];
+    let before = heap_ops();
+    let decoded = wavesketch::BucketReport::decode_from(&lying, &mut 0);
+    let measured = heap_ops() - before;
+    assert_eq!(decoded, None);
+    assert_eq!(
+        measured, 0,
+        "decoding a lying length prefix performed {measured} heap operations"
+    );
 }
 
 fn batch_ingest_path_is_allocation_free() {
