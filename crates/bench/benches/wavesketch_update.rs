@@ -8,7 +8,9 @@ use rand_chacha::ChaCha8Rng;
 use wavesketch::reconstruct::{reconstruct_into, ReconstructScratch};
 use wavesketch::select::{Candidate, CoeffSelector, IdealTopK};
 use wavesketch::streaming::{EpochCoefficients, StreamingTransform};
-use wavesketch::{BasicWaveSketch, FlowKey, FullWaveSketch, Selector, SelectorKind, SketchConfig};
+use wavesketch::{
+    BasicWaveSketch, BucketArena, FlowKey, FullWaveSketch, Selector, SelectorKind, SketchConfig,
+};
 
 fn config(selector: SelectorKind) -> SketchConfig {
     SketchConfig::builder()
@@ -197,6 +199,26 @@ fn bench_selection(c: &mut Criterion) {
             s.len()
         })
     });
+    // The selector that ships: a one-bucket arena. Its store is only
+    // reachable through `update`, so these points feed window counts whose
+    // L = 8 transform finishes ~10 k coefficients (10 040 windows: 5 020 at
+    // level 0, 2 510 at level 1, …) and include the transform's few ns per
+    // window. `_ties` draws counts from three values, so most coefficients
+    // share a weighted magnitude with many others — the tie-break's regime.
+    for (name, distinct) in [("arena_topk_64", 100_000i64), ("arena_topk_64_ties", 3)] {
+        let counts: Vec<i64> = (0..10_040)
+            .map(|_| rng.gen_range(0..distinct) * (100_000 / distinct))
+            .collect();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut arena = BucketArena::new(8, 16_384, 64, SelectorKind::Ideal, 1);
+                for (w, &c) in counts.iter().enumerate() {
+                    arena.update(0, w as u64, c);
+                }
+                arena.drain_bucket(0).len()
+            })
+        });
+    }
     group.finish();
 }
 

@@ -9,7 +9,9 @@
 //!   `current` section (and the speedup vs. `baseline` is recomputed); with
 //!   it, the measurement is stored under the named section (`baseline` /
 //!   `baseline_lto`) instead, which is how the pre-refactor numbers were
-//!   pinned before the hot paths changed.
+//!   pinned before the hot paths changed. `--only core --as-baseline
+//!   paced_reference` measures just the window-advancing point into
+//!   `paced.reference` — run it on the parent of a change to that path.
 //! * `--smoke` — run shortened workloads, verify every committed metric
 //!   exists and is finite, and print a one-line delta per file. The
 //!   regression check is *soft*: a slowdown prints a warning but only
@@ -45,6 +47,18 @@ const CORE_SEED: u64 = 0xBE9C;
 const WIDE_WIDTH: usize = 16_384;
 const WIDE_HEAVY_ROWS: usize = 4_096;
 const WIDE_FLOWS: u64 = 100_000;
+/// Window-advancing point (the pipeline benchmark's `host_paced` shape):
+/// every flow sends one equal-sized packet per fixed gap at a seeded phase,
+/// so nearly every packet closes a window and the light part runs its
+/// transform + selection path instead of the same-window accumulate. The
+/// gap is 19.5 windows of 8.192 µs — not a whole number, so a bucket's
+/// series drifts against the window grid instead of repeating exactly —
+/// and 200 rounds (3 907 windows) stay inside one 4096-window epoch.
+const PACED_FLOWS: u64 = 2_000;
+const PACED_GAP_NS: u64 = 160_000;
+const PACED_ROUNDS: u64 = 200;
+const PACED_PKT_BYTES: i64 = 1_000;
+const PACED_BURST: usize = 32;
 const NETSIM_SEED: u64 = 1;
 const REPS: usize = 5;
 /// Scaling-surface knobs: arrival window + simulated horizon per fat-tree
@@ -116,6 +130,29 @@ struct BatchWideBench {
     best_speedup_vs_scalar: f64,
 }
 
+/// One measurement of the window-advancing point.
+#[derive(Debug, Serialize, Deserialize, Clone)]
+struct PacedMeasure {
+    ns_per_update: f64,
+    notes: String,
+}
+
+/// The `paced` section of `BENCH_core.json`: the paper-default sketch fed
+/// the `host_paced` shape through `FullWaveSketch::update_batch`.
+/// `reference` is the last measurement taken with
+/// `--as-baseline paced_reference` (the parent of a change to this path),
+/// `current` the last plain `--record`.
+#[derive(Debug, Serialize, Deserialize, Clone, Default)]
+struct PacedBench {
+    flows: u64,
+    gap_ns: u64,
+    updates: u64,
+    batch_size: u64,
+    reference: Option<PacedMeasure>,
+    current: Option<PacedMeasure>,
+    speedup_vs_reference: Option<f64>,
+}
+
 #[derive(Debug, Serialize, Deserialize, Default)]
 struct CoreBench {
     schema: u32,
@@ -126,6 +163,7 @@ struct CoreBench {
     baseline_lto: Option<CoreMeasure>,
     current: Option<CoreMeasure>,
     batch: Option<BatchBench>,
+    paced: Option<PacedBench>,
     speedup_vs_baseline: Option<f64>,
 }
 
@@ -452,6 +490,49 @@ fn bench_batch_wide(updates: u64) -> BatchWideBench {
         sweep,
         best_ns_per_update: best.ns_per_update,
         best_speedup_vs_scalar: best.speedup_vs_scalar,
+    }
+}
+
+/// The paced stream: [`PACED_FLOWS`] flows, each sending one
+/// [`PACED_PKT_BYTES`] packet every [`PACED_GAP_NS`] at a seeded phase,
+/// [`PACED_ROUNDS`] times, in time order, on the default 8.192 µs window grid.
+fn paced_stream() -> Vec<(FlowKey, u64, i64)> {
+    let mut rng = ChaCha8Rng::seed_from_u64(CORE_SEED);
+    let mut phased: Vec<(u64, u64)> = (0..PACED_FLOWS)
+        .map(|flow| (rng.gen_range(0..PACED_GAP_NS), flow))
+        .collect();
+    phased.sort_unstable();
+    (0..PACED_ROUNDS)
+        .flat_map(|r| {
+            phased.iter().map(move |&(phase_ns, flow)| {
+                (
+                    FlowKey::from_id(flow),
+                    wavesketch::window_of_ns(r * PACED_GAP_NS + phase_ns),
+                    PACED_PKT_BYTES,
+                )
+            })
+        })
+        .collect()
+}
+
+/// ns/update of the paced stream through `update_batch` in
+/// [`PACED_BURST`]-record bursts on a fresh paper-default sketch,
+/// min-of-`REPS`. The same size for `--record` and `--smoke` (well under a
+/// second): a shorter run would sit in the epoch's store-filling start and
+/// measure a different regime.
+fn bench_paced() -> PacedMeasure {
+    let stream = paced_stream();
+    let (ns, sum) = time_min(|| {
+        let mut sketch = FullWaveSketch::new(core_config());
+        for burst in stream.chunks(PACED_BURST) {
+            sketch.update_batch(burst);
+        }
+        sketch.heavy_flows().len() as u64
+    });
+    assert!(sum > 0, "paced workload touched nothing");
+    PacedMeasure {
+        ns_per_update: ns as f64 / stream.len() as f64,
+        notes: cpu_notes(),
     }
 }
 
@@ -862,8 +943,38 @@ fn selected(only: Option<&str>, section: &str) -> bool {
     }
 }
 
+/// Measures the paced point and stores it as the section's `reference`
+/// (`--as-baseline paced_reference`) or `current`.
+fn record_paced(core_file: &mut CoreBench, as_reference: bool) {
+    let measure = bench_paced();
+    println!(
+        "  paced ({} flows, one pkt per {} ns, burst {}): {:.1} ns/update",
+        PACED_FLOWS, PACED_GAP_NS, PACED_BURST, measure.ns_per_update
+    );
+    let paced = core_file.paced.get_or_insert_default();
+    paced.flows = PACED_FLOWS;
+    paced.gap_ns = PACED_GAP_NS;
+    paced.updates = PACED_FLOWS * PACED_ROUNDS;
+    paced.batch_size = PACED_BURST as u64;
+    if as_reference {
+        paced.reference = Some(measure);
+    } else {
+        paced.current = Some(measure);
+    }
+    if let (Some(r), Some(c)) = (&paced.reference, &paced.current) {
+        paced.speedup_vs_reference = Some(r.ns_per_update / c.ns_per_update);
+    }
+}
+
 fn record_core(root: &Path, as_baseline: Option<&str>) {
     let core_path = root.join("BENCH_core.json");
+    if as_baseline == Some("paced_reference") {
+        let mut core_file: CoreBench = load(&core_path);
+        record_paced(&mut core_file, true);
+        store(&core_path, &core_file);
+        println!("wrote {}", core_path.display());
+        return;
+    }
     println!(
         "core: {} updates x {} reps ...",
         CORE_UPDATES_FULL_RUN, REPS
@@ -915,6 +1026,7 @@ fn record_core(root: &Path, as_baseline: Option<&str>) {
     }
     if let Some(b) = batch {
         core_file.batch = Some(b);
+        record_paced(&mut core_file, false);
     }
     if let (Some(b), Some(c)) = (&core_file.baseline, &core_file.current) {
         core_file.speedup_vs_baseline = Some(b.ns_per_update_full / c.ns_per_update_full);
@@ -1137,8 +1249,12 @@ fn smoke_frontier() {
 fn record(as_baseline: Option<&str>, only: Option<&str>) {
     if let Some(name) = as_baseline {
         assert!(
-            matches!(name, "baseline" | "baseline_lto"),
+            matches!(name, "baseline" | "baseline_lto" | "paced_reference"),
             "unknown baseline section {name}"
+        );
+        assert!(
+            name != "paced_reference" || only == Some("core"),
+            "--as-baseline paced_reference needs --only core"
         );
     }
     if let Some(section) = only {
@@ -1251,6 +1367,16 @@ fn smoke() {
     println!(
         "BENCH_core:   committed wide batch {committed_wide:.1} ns/update \
          ({committed_wide_speedup:.2}x vs scalar)"
+    );
+    let committed_paced = require_finite(
+        "BENCH_core.json",
+        "paced.current",
+        "ns_per_update",
+        core_file
+            .paced
+            .as_ref()
+            .and_then(|p| p.current.as_ref())
+            .map(|m| m.ns_per_update),
     );
     let committed_ev = require_finite(
         "BENCH_netsim.json",
@@ -1434,6 +1560,16 @@ fn smoke() {
             fresh_batch.best_speedup_vs_scalar
         );
     }
+    let fresh_paced = require_finite(
+        "BENCH_core.json",
+        "fresh paced",
+        "ns_per_update",
+        Some(bench_paced().ns_per_update),
+    );
+    println!(
+        "BENCH_core:   fresh paced {fresh_paced:.1} ns/update vs committed {committed_paced:.1} ({:+.1}%)",
+        (fresh_paced / committed_paced - 1.0) * 100.0
+    );
     let netsim = bench_netsim(2_000_000);
     let fresh_ev = require_finite(
         "BENCH_netsim.json",
@@ -1605,7 +1741,7 @@ fn main() {
         Some("profile") => profile(),
         _ => {
             eprintln!(
-                "usage: umon-bench --smoke [--only frontier] | --record [--as-baseline baseline|baseline_lto] [--only core|netsim|analyzer|frontier] | --profile"
+                "usage: umon-bench --smoke [--only frontier] | --record [--as-baseline baseline|baseline_lto|paced_reference] [--only core|netsim|analyzer|frontier] | --profile"
             );
             std::process::exit(2);
         }

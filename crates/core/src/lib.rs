@@ -20,7 +20,8 @@
 //! * [`arena`] — the counter buckets (`w0, i, c, A, D`) tying counting,
 //!   transformation and compression together, as flat preallocated
 //!   multi-bucket storage: allocation-free updates, in-place evictions,
-//!   bit-identical drains. A stand-alone bucket is a one-bucket arena.
+//!   drains equal to the per-bucket reference's (retained details as a
+//!   set). A stand-alone bucket is a one-bucket arena.
 //! * [`reconstruct`] — the analyzer-side reconstruction of Algorithm 2.
 //! * [`basic`] — the basic WaveSketch: a Count-Min-style `d × w` bucket array.
 //! * [`full`] — the full WaveSketch: majority-vote heavy part + light part.

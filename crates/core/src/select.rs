@@ -10,6 +10,21 @@
 //!   coefficients are split by level parity into two queues so that relative
 //!   weights within a queue are exact powers of two (applied as right
 //!   shifts), and the top-k is approximated by a pre-calibrated threshold.
+//!
+//! # The order, and what "the same selection" means
+//!
+//! [`rank_cmp`] is the one definition of "stronger": the exact weighted
+//! magnitude first, then — between coefficients of equal weighted
+//! magnitude — the lower `(level, idx)`. Within one epoch `(level, idx)` is
+//! unique, so the order is total there and the `K` strongest coefficients
+//! are a unique *set*, whatever data structure finds them. That set is the
+//! whole contract between [`IdealTopK`] (std's `BinaryHeap`, push then pop
+//! — the reference the streaming transform, the hardware calibration and
+//! the tests use) and the flat store in [`crate::arena`] that ships
+//! (compare with the weakest first, as Algorithm 1 writes it). The two are
+//! deliberately different algorithms over the same order, so comparing
+//! their retained sets tests both. The order of [`CoeffSelector::retained`]
+//! is each structure's internal one and unspecified.
 
 use crate::haar::weighted_cmp;
 use std::cmp::Ordering;
@@ -59,8 +74,21 @@ pub trait CoeffSelector {
     fn reset(&mut self);
 }
 
-/// Heap entry ordered by *ascending* weighted magnitude so the
-/// `BinaryHeap` (a max-heap) pops the weakest retained coefficient first.
+/// The compression stage's total order: `Greater` means `a` is the stronger
+/// coefficient, the one a full store keeps. Ranks by exact weighted
+/// magnitude ([`weighted_cmp`]); coefficients of equal weighted magnitude
+/// rank by position, the lower `(level, idx)` higher. Which of two
+/// equal-energy coefficients survives does not change the reconstruction
+/// error (Appendix A); fixing it makes the retained set a function of the
+/// offered set alone, not of the structure holding it.
+#[inline]
+pub fn rank_cmp(a: &Candidate, b: &Candidate) -> Ordering {
+    weighted_cmp(a.val, a.level, b.val, b.level)
+        .then_with(|| (b.level, b.idx).cmp(&(a.level, a.idx)))
+}
+
+/// Heap entry ordered by *descending* rank so the `BinaryHeap` (a max-heap)
+/// pops the weakest retained coefficient first.
 #[derive(Debug, Clone, Copy)]
 struct MinWeighted(Candidate);
 
@@ -77,12 +105,14 @@ impl PartialOrd for MinWeighted {
 }
 impl Ord for MinWeighted {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse of the weighted comparison → max-heap pops the minimum.
-        weighted_cmp(other.0.val, other.0.level, self.0.val, self.0.level)
+        // Reverse of the rank order → max-heap pops the minimum.
+        rank_cmp(&other.0, &self.0)
     }
 }
 
-/// Exact weighted top-k selection (Appendix A) with an O(log K) min-heap.
+/// Exact weighted top-k selection (Appendix A) with an O(log K) min-heap:
+/// every non-zero coefficient is pushed and, past `k`, the weakest popped
+/// again. The reference implementation of the [`rank_cmp`] top-k set.
 #[derive(Debug, Clone)]
 pub struct IdealTopK {
     k: usize,
@@ -348,6 +378,65 @@ mod tests {
         assert_eq!(s.weakest().unwrap().val, 10);
         s.offer(cand(0, 2, 15));
         assert_eq!(s.weakest().unwrap().val, 15);
+    }
+
+    /// Values drawn around the extremes and the small tie-rich range, levels
+    /// on both sides of 32 (`weighted_cmp`'s fast / slow path boundary).
+    fn extreme_candidate() -> impl proptest::prelude::Strategy<Value = Candidate> {
+        use proptest::prelude::Strategy;
+        (0u32..6, -4i64..5, 0usize..8, 0u32..4).prop_map(|(pick, small, band, idx)| Candidate {
+            level: [0, 1, 2, 31, 32, 33, 63, 200][band],
+            idx,
+            val: match pick {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                2 => i64::MIN + 1,
+                3 => small << 40,
+                _ => small,
+            },
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn rank_cmp_is_antisymmetric_and_transitive(
+            a in extreme_candidate(),
+            b in extreme_candidate(),
+            c in extreme_candidate(),
+        ) {
+            proptest::prop_assert_eq!(rank_cmp(&a, &b), rank_cmp(&b, &a).reverse());
+            proptest::prop_assert_eq!(rank_cmp(&a, &a), Ordering::Equal);
+            // Transitivity, ties included: equal links chain, and an equal
+            // link passes the other link's verdict through.
+            let (ab, bc, ac) = (rank_cmp(&a, &b), rank_cmp(&b, &c), rank_cmp(&a, &c));
+            if ab == bc || bc == Ordering::Equal {
+                proptest::prop_assert_eq!(ac, ab);
+            }
+            if ab == Ordering::Equal {
+                proptest::prop_assert_eq!(ac, bc);
+            }
+            // Equal only for one position holding ±the same magnitude class.
+            if rank_cmp(&a, &b) == Ordering::Equal {
+                proptest::prop_assert_eq!((a.level, a.idx), (b.level, b.idx));
+            }
+        }
+    }
+
+    #[test]
+    fn rank_cmp_breaks_weighted_ties_by_position() {
+        // |20|·2^{-3/2} = |10|·2^{-1/2}: equal energy across levels.
+        assert_eq!(
+            rank_cmp(&cand(0, 5, 10), &cand(2, 0, -20)),
+            Ordering::Greater
+        );
+        assert_eq!(rank_cmp(&cand(0, 5, 10), &cand(0, 4, -10)), Ordering::Less);
+        assert_eq!(rank_cmp(&cand(0, 5, 10), &cand(0, 5, -10)), Ordering::Equal);
+        assert_eq!(
+            rank_cmp(&cand(7, 9, 11), &cand(7, 0, 10)),
+            Ordering::Greater
+        );
     }
 
     #[test]

@@ -69,6 +69,7 @@ fn main() {
                     totals.recovered += stats.recovered;
                     totals.cold_reads += stats.cold_reads;
                     totals.backfilled += stats.backfilled;
+                    totals.torn_tails.extend(stats.torn_tails);
                     totals.curves_compared += stats.curves_compared;
                 }
                 Err(e) => {
@@ -134,6 +135,19 @@ fn main() {
         soak_periods,
         soak_checks
     );
+    // The tears are the differential's own injections; what recovery found
+    // comes back in its stats, and this binary — not the library — says so.
+    if let Some(last) = totals.torn_tails.last() {
+        println!(
+            "  torn tails: {} injected and reported, {} records lost to them (last: {last})",
+            totals.torn_tails.len(),
+            totals
+                .torn_tails
+                .iter()
+                .map(|t| t.lost_records)
+                .sum::<u64>()
+        );
+    }
     if failures > 0 {
         std::process::exit(1);
     }

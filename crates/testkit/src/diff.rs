@@ -90,14 +90,16 @@ impl DiffConfig {
     /// A small configuration sized for debug-build test suites: multi-epoch
     /// streams (windows > max_windows), odd top-k (exercises the HW parity
     /// split), nonzero start window, collisions likely (40 flows over
-    /// 32-wide rows).
+    /// 32-wide rows). The paced shape gets a smaller `k`: its point is full
+    /// stores choosing between equal-energy coefficients, and at 7 a
+    /// bucket's store fills within its first few dozen windows.
     pub fn quick(kind: StreamKind) -> Self {
         Self {
             sketch: SketchConfig::builder()
                 .rows(3)
                 .width(32)
                 .levels(5)
-                .topk(17)
+                .topk(if kind == StreamKind::Paced { 7 } else { 17 })
                 .max_windows(256)
                 .heavy_rows(16)
                 .selector(SelectorKind::Ideal)
@@ -599,6 +601,41 @@ mod tests {
             );
         }
         diff_run(0, &cfg).unwrap();
+    }
+
+    #[test]
+    fn paced_quick_config_keeps_stores_full_and_tied() {
+        // The paced sweep exists to put the oracle's optimal-k-term check in
+        // front of full stores deciding between equal-energy coefficients;
+        // hold the configuration to that.
+        let cfg = DiffConfig::quick(StreamKind::Paced);
+        let mut basic = BasicWaveSketch::new(cfg.sketch.clone());
+        for (f, w, v) in &gen_stream(1, &cfg.stream) {
+            basic.update(f, *w, *v);
+        }
+        let (mut epochs, mut full, mut tied) = (0, 0, 0);
+        for (_, _, reports) in basic.drain() {
+            for r in reports {
+                epochs += 1;
+                full += usize::from(r.details.len() == cfg.sketch.topk);
+                let mut e: Vec<u128> = r
+                    .details
+                    .iter()
+                    .map(|d| (d.val.unsigned_abs() as u128).pow(2) << (31 - d.level))
+                    .collect();
+                e.sort_unstable();
+                tied += usize::from(e.windows(2).any(|p| p[0] == p[1]));
+            }
+        }
+        assert!(epochs > 100, "suspiciously low coverage: {epochs}");
+        assert!(
+            full * 10 >= epochs * 9,
+            "only {full} of {epochs} stores full"
+        );
+        assert!(
+            tied * 10 >= epochs * 9,
+            "only {tied} of {epochs} stores retain equal-energy coefficients"
+        );
     }
 
     #[test]

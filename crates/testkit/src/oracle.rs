@@ -16,7 +16,9 @@
 //! k-term squared error — total weighted energy minus the k largest energies
 //! — is therefore *unique* even when the retained set is not (ties carry
 //! equal energy), which is what makes it a sound oracle for the ideal
-//! selector's heap-order-dependent tie-breaking.
+//! selector whatever its tie-break — an independent judge of
+//! `wavesketch::select::rank_cmp`, which only decides *which* equal-energy
+//! coefficient a full store keeps.
 
 use std::collections::BTreeMap;
 

@@ -39,7 +39,7 @@ use std::path::Path;
 
 use umon::{
     Analyzer, Collector, HostAgent, HostAgentConfig, HostUplink, PerfectTransport, PeriodReport,
-    RetentionPolicy, RetransmitPolicy,
+    RetentionPolicy, RetransmitPolicy, TornTail,
 };
 use wavesketch::{SelectorKind, SketchConfig};
 
@@ -116,6 +116,10 @@ pub struct RetentionDiffStats {
     pub cold_reads: u64,
     /// Reports re-uploaded by hosts answering backfill requests.
     pub backfilled: u64,
+    /// Every torn segment tail the recovery scenarios' `RecoveryStats`
+    /// reported (the tears are injected on purpose; the analyzer itself
+    /// prints nothing).
+    pub torn_tails: Vec<TornTail>,
     /// Curve comparisons performed.
     pub curves_compared: usize,
 }
@@ -427,6 +431,7 @@ pub fn retention_diff_run(
             )));
         }
         stats.recovered += recovery.recovered;
+        stats.torn_tails.extend(&recovery.torn_tails);
         feed(&mut revived, &delivery[half..]);
 
         // Reference: never crashed, but never saw the torn record either.
@@ -570,6 +575,7 @@ pub fn retention_diff_run(
             )));
         }
         stats.recovered += recovery.recovered;
+        stats.torn_tails.extend(&recovery.torn_tails);
 
         let asks = revived.backfill_requests(&recovery);
         if asks.iter().map(|a| a.host).collect::<Vec<_>>() != vec![0] {

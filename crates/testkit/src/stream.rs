@@ -26,6 +26,13 @@ pub enum StreamKind {
     /// equal-sized chunk in the same window, silence between steps — the
     /// worst case for per-window counter contention.
     Allreduce,
+    /// Paced flows (the pipeline benchmark's `host_paced` / `collect_*`
+    /// shape): every flow sends one equal-sized packet per fixed gap at its
+    /// own seeded phase. Nearly every packet closes a window, and a bucket's
+    /// coefficients come in large groups of *equal* weighted energy — full
+    /// retained stores deciding between ties, which the other shapes'
+    /// random sizes almost never produce.
+    Paced,
 }
 
 impl StreamKind {
@@ -36,7 +43,8 @@ impl StreamKind {
 
     /// The scenario-matrix shapes (see `umon_workloads::scenario`), swept by
     /// the adversarial differential tests on top of [`StreamKind::ALL`].
-    pub const ADVERSARIAL: [StreamKind; 2] = [StreamKind::Incast, StreamKind::Allreduce];
+    pub const ADVERSARIAL: [StreamKind; 3] =
+        [StreamKind::Incast, StreamKind::Allreduce, StreamKind::Paced];
 
     /// Stable lower-case name (used in failure messages and CLI output).
     pub fn name(self) -> &'static str {
@@ -46,6 +54,7 @@ impl StreamKind {
             StreamKind::Bursty => "bursty",
             StreamKind::Incast => "incast",
             StreamKind::Allreduce => "allreduce",
+            StreamKind::Paced => "paced",
         }
     }
 }
@@ -73,6 +82,14 @@ pub fn gen_stream(seed: u64, cfg: &StreamConfig) -> Vec<Update> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let flows = cfg.flows.max(1);
     let elephants = (flows / 8).max(1);
+    // Paced only (no draw otherwise, so the other kinds' streams are what
+    // they always were): one packet per flow per `gap` windows, which makes
+    // `mean_packets` per window overall, at a per-flow phase.
+    let gap = (flows / u64::from(cfg.mean_packets.max(1))).max(2);
+    let phases: Vec<u64> = match cfg.kind {
+        StreamKind::Paced => (0..flows).map(|_| rng.gen_range(0..gap)).collect(),
+        _ => Vec::new(),
+    };
     let mut out = Vec::new();
     for w in 0..cfg.windows {
         let window = cfg.start_window + w;
@@ -146,6 +163,13 @@ pub fn gen_stream(seed: u64, cfg: &StreamConfig) -> Vec<Update> {
                         for _ in 0..cfg.mean_packets.max(1) {
                             out.push((FlowKey::from_id(flow), window, rng.gen_range(950..1050i64)));
                         }
+                    }
+                }
+            }
+            StreamKind::Paced => {
+                for (flow, &phase) in phases.iter().enumerate() {
+                    if w % gap == phase {
+                        out.push((FlowKey::from_id(flow as u64), window, 1000));
                     }
                 }
             }
@@ -253,10 +277,33 @@ mod tests {
             for pair in a.windows(2) {
                 assert!(pair[0].1 <= pair[1].1, "{} out of order", kind.name());
             }
-            // Both shapes are mostly silence between synchronized slams.
-            let touched: std::collections::BTreeSet<u64> = a.iter().map(|u| u.1).collect();
-            assert!(touched.len() < 40, "{} lacks idle gaps", kind.name());
+            // Incast and allreduce are mostly silence between synchronized
+            // slams.
+            if kind != StreamKind::Paced {
+                let touched: std::collections::BTreeSet<u64> = a.iter().map(|u| u.1).collect();
+                assert!(touched.len() < 40, "{} lacks idle gaps", kind.name());
+            }
         }
+    }
+
+    #[test]
+    fn paced_flows_send_one_equal_packet_per_gap_at_their_own_phase() {
+        let s = gen_stream(3, &cfg(StreamKind::Paced));
+        assert!(s.iter().all(|u| u.2 == 1000), "equal-sized packets");
+        let mut per_flow: std::collections::BTreeMap<FlowKey, Vec<u64>> =
+            std::collections::BTreeMap::new();
+        for &(f, w, _) in &s {
+            per_flow.entry(f).or_default().push(w);
+        }
+        assert_eq!(per_flow.len(), 24, "every flow participates");
+        let gap = 24 / 3; // flows / mean_packets
+        let mut phases = std::collections::BTreeSet::new();
+        for windows in per_flow.values() {
+            assert_eq!(windows.len(), 120 / gap as usize);
+            assert!(windows.windows(2).all(|p| p[1] - p[0] == gap));
+            phases.insert(windows[0] % gap);
+        }
+        assert!(phases.len() > 1, "flows share one phase");
     }
 
     #[test]

@@ -279,8 +279,10 @@ pub struct RecoveryStats {
     /// Hosts whose segment had a damaged (truncated or corrupt) tail; the
     /// intact prefix was still recovered.
     pub damaged_tails: Vec<usize>,
-    /// Per-segment damage detail (how many records each torn tail lost),
-    /// parallel in host order to `damaged_tails`. Feed this to
+    /// Per-segment damage detail (host, records and bytes each torn tail
+    /// lost), parallel in host order to `damaged_tails`. Recovery prints
+    /// nothing; a caller that wants the operator to see a tear prints these
+    /// (`TornTail` implements `Display`). Feed this to
     /// [`Analyzer::backfill_requests`] to ask the affected hosts to
     /// re-upload what the tear lost.
     pub torn_tails: Vec<TornTail>,
@@ -358,11 +360,6 @@ impl Analyzer {
         }
         for t in &scan.torn_tails {
             self.retention_stats.torn_tail_records += t.lost_records;
-            eprintln!(
-                "umon: archive segment for host {} lost {} record(s) ({} bytes) \
-                 to a torn tail; backfill needed",
-                t.host, t.lost_records, t.lost_bytes
-            );
         }
         // Index every intact record's location for the cold tier before the
         // replay: records the replay re-evicts (or skips as stale) stay
@@ -2445,8 +2442,20 @@ mod tests {
         let rec = revived.recover_from_archive().expect("scan");
         assert_eq!(rec.damaged_tails, vec![0]);
         assert_eq!(rec.torn_tails.len(), 1);
-        assert_eq!(rec.torn_tails[0].host, 0);
-        assert_eq!(rec.torn_tails[0].lost_records, 1);
+        // The stats carry everything a caller needs to report the tear
+        // (the library itself prints nothing).
+        let torn = rec.torn_tails[0];
+        assert_eq!((torn.host, torn.lost_records), (0, 1));
+        assert!(torn.lost_bytes > 0);
+        assert_eq!(torn.intact_bytes + torn.lost_bytes, len - 5);
+        assert_eq!(
+            torn.to_string(),
+            format!(
+                "archive segment for host 0 lost 1 record(s) ({} bytes) to a torn tail; \
+                 backfill needed",
+                torn.lost_bytes
+            )
+        );
         assert_eq!(revived.retention_stats().torn_tail_records, 1);
 
         let asks = revived.backfill_requests(&rec);

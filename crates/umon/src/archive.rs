@@ -13,9 +13,9 @@
 //! repeat: [payload_len: u32 LE] [fnv1a64(payload): u64 LE] [payload]
 //! ```
 //!
-//! where each payload is the compact binary encoding of one
-//! [`PeriodReport`]: period, host and config fingerprint as fixed LE u64s,
-//! then the varint [`SketchReport`](wavesketch::SketchReport) codec from
+//! where each payload is [`PeriodReport::encode`]'s compact binary encoding:
+//! period, host and config fingerprint as fixed LE u64s, then the varint
+//! [`SketchReport`](wavesketch::SketchReport) codec from
 //! `wavesketch::report`. The per-record checksum plays the same role as the
 //! collection plane's [`Envelope`](crate::collector::Envelope) seal: a
 //! record is either intact or detectably damaged, never silently wrong.
@@ -41,7 +41,6 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use wavesketch::SketchReport;
 
 /// Leading magic of every segment file (8 bytes, versioned).
 const MAGIC: &[u8; 8] = b"UMONSEG1";
@@ -59,33 +58,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// Encodes one report into a record payload.
-fn encode_payload(report: &PeriodReport) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + report.report.wire_bytes());
-    out.extend_from_slice(&report.period.to_le_bytes());
-    out.extend_from_slice(&(report.host as u64).to_le_bytes());
-    out.extend_from_slice(&report.config_fingerprint.to_le_bytes());
-    report.report.encode_into(&mut out);
-    out
-}
-
-/// Decodes one record payload; `None` on truncation or trailing garbage.
-fn decode_payload(payload: &[u8]) -> Option<PeriodReport> {
-    if payload.len() < 24 {
-        return None;
-    }
-    let period = u64::from_le_bytes(payload[0..8].try_into().ok()?);
-    let host = usize::try_from(u64::from_le_bytes(payload[8..16].try_into().ok()?)).ok()?;
-    let config_fingerprint = u64::from_le_bytes(payload[16..24].try_into().ok()?);
-    let report = SketchReport::decode(&payload[24..])?;
-    Some(PeriodReport {
-        period,
-        host,
-        config_fingerprint,
-        report,
-    })
 }
 
 /// The byte location of one record inside its host's segment file.
@@ -113,6 +85,17 @@ pub struct TornTail {
     /// File length of the intact prefix (including magic) — the truncation
     /// point that makes the segment clean again.
     pub intact_bytes: u64,
+}
+
+impl std::fmt::Display for TornTail {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "archive segment for host {} lost {} record(s) ({} bytes) to a torn tail; \
+             backfill needed",
+            self.host, self.lost_records, self.lost_bytes
+        )
+    }
 }
 
 /// What a [`PeriodArchive::scan`] found on disk.
@@ -184,7 +167,7 @@ impl PeriodArchive {
             self.files.insert(host, Segment { file, len });
         }
         let seg = self.files.get_mut(&host).expect("just inserted");
-        let payload = encode_payload(report);
+        let payload = report.encode();
         // One buffered write per record keeps a crash from interleaving
         // half-records from different appends.
         let mut record = Vec::with_capacity(12 + payload.len());
@@ -230,7 +213,7 @@ impl PeriodArchive {
         if fnv1a64(payload) != want {
             return Ok(None);
         }
-        Ok(decode_payload(payload))
+        Ok(PeriodReport::decode(payload))
     }
 
     /// Truncates every torn segment in `scan` back to its intact prefix, so
@@ -319,7 +302,7 @@ impl PeriodArchive {
             if fnv1a64(payload) != want {
                 break;
             }
-            let Some(report) = decode_payload(payload) else {
+            let Some(report) = PeriodReport::decode(payload) else {
                 break;
             };
             reports.push(report);

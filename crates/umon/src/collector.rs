@@ -411,10 +411,13 @@ pub struct HostUplink {
     policy: RetransmitPolicy,
     next_seq: u64,
     pending: VecDeque<Pending>,
-    /// Recently submitted reports, newest last, kept *past* their ACK so a
-    /// restarted analyzer can ask for them again ([`Self::backfill`]).
-    /// Bounded by `policy.replay_capacity`.
-    replay: VecDeque<PeriodReport>,
+    /// Recently submitted reports as `(period, PeriodReport::encode bytes)`,
+    /// newest last, kept *past* their ACK so a restarted analyzer can ask
+    /// for them again ([`Self::backfill`]). Encoded, not cloned: a report
+    /// is thousands of small `Vec`s, its encoding one compact buffer, and
+    /// this is the uplink's largest resident state (DESIGN.md §14 has the
+    /// sizes). Bounded by `policy.replay_capacity`.
+    replay: VecDeque<(u64, Vec<u8>)>,
     /// Reports evicted unacknowledged because the buffer was full.
     pub evicted: u64,
     /// Sends beyond each envelope's first (retransmissions).
@@ -458,8 +461,8 @@ impl HostUplink {
     /// Seals `reports` (typically a
     /// [`poll_finished`](crate::HostAgent::poll_finished) batch) into
     /// sequence-numbered envelopes and queues them for sending. Evicts the
-    /// oldest unacknowledged envelope when the buffer is full. A copy of
-    /// each report also lands in the bounded replay buffer for backfill.
+    /// oldest unacknowledged envelope when the buffer is full. Each report's
+    /// encoding also lands in the bounded replay buffer for backfill.
     pub fn submit(&mut self, reports: Vec<PeriodReport>) {
         for r in reports {
             debug_assert_eq!(r.host, self.host, "uplink sends for one host");
@@ -467,7 +470,7 @@ impl HostUplink {
                 if self.replay.len() == self.policy.replay_capacity {
                     self.replay.pop_front();
                 }
-                self.replay.push_back(r.clone());
+                self.replay.push_back((r.period, r.encode()));
             }
             self.enqueue(r);
         }
@@ -483,8 +486,11 @@ impl HostUplink {
         let again: Vec<PeriodReport> = self
             .replay
             .iter()
-            .filter(|r| after_period.is_none_or(|p| r.period > p))
-            .cloned()
+            .filter(|(period, _)| after_period.is_none_or(|p| *period > p))
+            .map(|(_, bytes)| {
+                PeriodReport::decode(bytes)
+                    .expect("replay buffer holds this uplink's own encodings")
+            })
             .collect();
         let n = again.len();
         for r in again {
@@ -1070,6 +1076,42 @@ mod tests {
         assert_eq!(uplink.in_flight(), 2, "bounded by capacity");
         assert_eq!(uplink.evicted, n as u64 - 2);
         assert_eq!(uplink.submitted(), n as u64);
+    }
+
+    #[test]
+    fn backfill_after_acks_resubmits_the_original_reports_in_period_order() {
+        let cfg = agent_config();
+        let reports = make_reports(0, &cfg);
+        let mut transport = PerfectTransport::new();
+        let mut uplink = HostUplink::new(0, RetransmitPolicy::default());
+        let mut collector = Collector::new();
+        let mut analyzer = Analyzer::new(cfg.sketch.clone());
+        uplink.submit(reports.clone());
+        run_rounds(
+            &mut uplink,
+            &mut transport,
+            &mut collector,
+            &mut analyzer,
+            10,
+        );
+        assert_eq!(uplink.in_flight(), 0, "everything ACKed and released");
+        transport.deliver(); // discard the last tick's fin sentinel
+
+        // The replay buffer outlives the ACKs and round-trips every field.
+        assert_eq!(uplink.backfill(None), reports.len());
+        uplink.tick(100, &mut transport);
+        let resent: Vec<PeriodReport> = transport
+            .deliver()
+            .into_iter()
+            .filter(|env| env.fin.is_none())
+            .map(|env| env.report)
+            .collect();
+        assert_eq!(resent, reports);
+        assert!(resent.windows(2).all(|w| w[0].period < w[1].period));
+
+        // A bounded ask re-submits only the periods after it.
+        let after = reports[1].period;
+        assert_eq!(uplink.backfill(Some(after)), reports.len() - 2);
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl Default for HostAgentConfig {
 /// One uploaded report: the sketch contents of one measurement period.
 /// Serializable so reports can be archived and replayed into an analyzer
 /// offline.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PeriodReport {
     /// Period index (`floor(local_ts / period_ns)`).
     pub period: u64,
@@ -59,6 +59,38 @@ impl PeriodReport {
     /// experiments by the per-period envelope overhead.
     pub fn wire_bytes(&self) -> usize {
         Self::ENVELOPE_WIRE_BYTES + self.report.wire_bytes()
+    }
+
+    /// The compact binary encoding: period, host and config fingerprint as
+    /// fixed LE u64s, then the varint [`SketchReport`] codec. These bytes
+    /// are the archive's record payload (`crate::archive`), so changing
+    /// them orphans every archive already written; the uplink's replay
+    /// buffer holds the same encoding.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(24 + self.report.wire_bytes());
+        out.extend_from_slice(&self.period.to_le_bytes());
+        out.extend_from_slice(&(self.host as u64).to_le_bytes());
+        out.extend_from_slice(&self.config_fingerprint.to_le_bytes());
+        self.report.encode_into(&mut out);
+        out
+    }
+
+    /// Decodes [`Self::encode`]'s bytes; `None` on truncation or trailing
+    /// garbage.
+    pub fn decode(bytes: &[u8]) -> Option<Self> {
+        if bytes.len() < 24 {
+            return None;
+        }
+        let period = u64::from_le_bytes(bytes[0..8].try_into().ok()?);
+        let host = usize::try_from(u64::from_le_bytes(bytes[8..16].try_into().ok()?)).ok()?;
+        let config_fingerprint = u64::from_le_bytes(bytes[16..24].try_into().ok()?);
+        let report = SketchReport::decode(&bytes[24..])?;
+        Some(Self {
+            period,
+            host,
+            config_fingerprint,
+            report,
+        })
     }
 }
 
