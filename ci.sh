@@ -104,6 +104,13 @@ timeout 300 cargo run --release -q -p umon-bench --bin umon_bench -- --smoke
 echo "==> frontier gate: umon_bench --smoke --only frontier"
 timeout 300 cargo run --release -q -p umon-bench --bin umon_bench -- --smoke --only frontier
 
+# Frontier reproduction gate: the committed results/frontier_*.json must be
+# exactly what HEAD writes. Reruns are byte-identical (PR 7), so any diff is
+# a change in what a drain contains that nobody re-recorded (~11 s).
+echo "==> frontier reproduction: umon_bench --record --only frontier"
+timeout 300 cargo run --release -q -p umon-bench --bin umon_bench -- --record --only frontier
+git diff --exit-code -- 'results/frontier_*.json'
+
 # Pipeline benchmark gate (BENCHMARK.json, benchmark/README.md): the
 # stand-alone `benchmark/` package path-depends on the workspace crates but
 # is not a workspace member, so nothing above compiles it. Its tests run all

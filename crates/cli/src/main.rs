@@ -242,7 +242,19 @@ fn cmd_replay(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         serde_json::from_slice(&std::fs::read(args.require("reports")?)?)?;
     let sampling: u64 = args.num_or("sampling", 8)?;
     let mut analyzer = detect(&ce, sampling.max(1).ilog2());
-    analyzer.add_reports(reports);
+    let ingest = analyzer.add_reports(reports);
+    if ingest.mismatched > 0 {
+        let msg = format!(
+            "{} of {} reports quarantined (sketch layout fingerprint or shape mismatch; \
+             re-run umon measure)",
+            ingest.mismatched,
+            ingest.total()
+        );
+        if ingest.mismatched == ingest.total() {
+            return Err(msg.into());
+        }
+        eprintln!("{msg}");
+    }
 
     let events = analyzer.cluster_events(50_000);
     let Some(event) = events.iter().max_by_key(|e| e.flows.len()) else {
@@ -359,6 +371,33 @@ mod tests {
         let result = run(vec!["report".into(), "--trace".into(), path.clone()]);
         std::fs::remove_file(&path).ok();
         result.unwrap();
+    }
+
+    /// `replay` over reports the analyzer refuses wholesale — here stamped
+    /// with the fingerprint the default config had while placement hashed a
+    /// lane first — is an error naming the fix, not empty curves and exit 0.
+    #[test]
+    fn replay_of_only_foreign_layout_reports_is_an_error() {
+        let path = trace_file("replay", &[tx(5)], &[]);
+        let (mut reports, _) = measure(&[tx(5)]);
+        for r in &mut reports {
+            r.config_fingerprint = 0xe956_0ca5_9774_5497;
+        }
+        let reports_path = format!("{path}.reports.json");
+        std::fs::write(&reports_path, serde_json::to_vec(&reports).unwrap()).unwrap();
+        let argv = ["replay", "--trace", &path, "--reports", &reports_path];
+        let result = run(argv.iter().map(|s| s.to_string()).collect());
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&reports_path).ok();
+        let err = result.expect_err("nothing replayable").to_string();
+        assert_eq!(
+            err,
+            format!(
+                "{n} of {n} reports quarantined (sketch layout fingerprint or shape \
+                 mismatch; re-run umon measure)",
+                n = reports.len()
+            )
+        );
     }
 
     /// Regression: `gap_us * 1000` was unchecked; an absurd `--gap-us` now

@@ -233,7 +233,7 @@ impl BasicWaveSketch {
         self.update_placed(&p, window, value);
     }
 
-    /// [`Self::update`] with the key already packed and lane-hashed —
+    /// [`Self::update`] with the key already packed and hashed —
     /// lets [`crate::FullWaveSketch`] share one [`Placement`] between its
     /// heavy part and this light part.
     #[inline]

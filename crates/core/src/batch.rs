@@ -1,26 +1,26 @@
 //! Batch ingest: structure-of-arrays staging and a vectorized hash chain for
 //! [`crate::FullWaveSketch::update_batch`] / [`crate::BasicWaveSketch::update_batch`].
 //!
-//! A sketch update is three phases: hash the key (`d + 2` FNV-1a chains),
+//! A sketch update is three phases: hash the key (`d + 1` FNV-1a chains),
 //! derive bucket indices, fold the value into each bucket. The per-record
 //! path pays the full FNV latency per packet — ~32 ns of the ~68 ns update on
 //! the reference box — because one chain is a serial dependency of 13
 //! multiplies and even the interleaved [`crate::FlowKey::hash_packed_many`]
-//! only overlaps the `d + 2` chains of a *single* key. This module restores
+//! only overlaps the `d + 1` chains of a *single* key. This module restores
 //! the missing parallelism by hashing *many keys per instruction stream*:
 //!
 //! * **Staging** ([`BatchScratch`]): a burst of `(FlowKey, window, value)`
 //!   records is packed into transposed key-byte rows (byte `i` of key `j` at
-//!   [`packed_pos`]`(i, j)`), so a SIMD lane-load picks up byte `i` of 8
+//!   [`packed_pos`]`(i, j)`), so one SIMD row load picks up byte `i` of 8
 //!   consecutive keys in one instruction.
 //! * **Hash kernel**: the same FNV-1a + splitmix64 math evaluated 8 keys
 //!   wide with AVX-512 `vpmullq`. All integer ops are exact, so the kernel
 //!   is bit-identical to the scalar hash by construction — and unit tests
 //!   pin it against a portable reference.
-//! * **Derive**: lane / light-column / heavy-slot indices from the raw
-//!   hashes, identical to [`crate::SketchConfig::light_col_placed`] /
-//!   `heavy_slot_placed`, with the range validation hoisted out of the apply
-//!   loop (one check per record instead of per bucket access).
+//! * **Derive**: light-column / heavy-slot indices from the raw hashes,
+//!   identical to [`crate::SketchConfig::light_col_placed`] /
+//!   `heavy_slot_placed`. The fold (`apply_batch`) range-checks every staged
+//!   index once, up front, instead of on every bucket access.
 //!
 //! The fold phase stays in [`crate::arena::BucketArena::apply_batch`], which
 //! walks one row at a time with the *next* records' buckets prefetched —
@@ -55,7 +55,7 @@
 //! not associative once mixed-sign values are involved, so merging
 //! same-window records before the fold could change saturation behaviour.
 
-use crate::config::{fast_mod, SketchConfig, HEAVY_TAG, LANE_TAG};
+use crate::config::{fast_mod, SketchConfig, HEAVY_TAG};
 use crate::flow::{chain_init, FlowKey};
 
 /// Records staged per internal chunk. Bounds the scratch memory (a few KB)
@@ -74,9 +74,9 @@ const BLOCK: usize = 8;
 const BLOCK_BYTES: usize = 2 * BLOCK * BLOCK;
 
 /// Byte `i` of record `j` in the block-major packed matrix: record `j`
-/// lives in block `j / 8`, lane `j % 8`; inside a block the 16 byte-rows
-/// (13 key bytes + 3 pad) are contiguous, 8 lanes each. A hash step's
-/// 8-lane byte vector is therefore one contiguous 8-byte load, and the
+/// lives in block `j / 8`, column `j % 8`; inside a block the 16 byte-rows
+/// (13 key bytes + 3 pad) are contiguous, 8 keys each. A hash step's
+/// 8-key byte vector is therefore one contiguous 8-byte load, and the
 /// whole block spans two cache lines.
 #[inline(always)]
 fn packed_pos(i: usize, j: usize) -> usize {
@@ -166,8 +166,8 @@ pub(crate) struct BatchScratch {
     /// `avx512vbmi`); otherwise byte-by-byte scalar stores produce the
     /// identical matrix.
     vbmi: bool,
-    /// Per-tag initial FNV states: lane, rows `0..d`, then (full sketch
-    /// only) the heavy tag.
+    /// Per-tag initial FNV states: rows `0..d`, then (full sketch only) the
+    /// heavy tag.
     inits: Vec<u64>,
     /// Transposed packed key bytes, block-major (see [`packed_pos`]).
     packed_t: Vec<u8>,
@@ -192,9 +192,7 @@ pub(crate) struct BatchScratch {
 impl BatchScratch {
     /// Builds scratch for `config`; `heavy` adds the heavy-tag chain.
     pub(crate) fn new(config: &SketchConfig, heavy: bool) -> Self {
-        let mut tags: Vec<u64> = Vec::with_capacity(config.rows + 2);
-        tags.push(LANE_TAG);
-        tags.extend(0..config.rows as u64);
+        let mut tags: Vec<u64> = (0..config.rows as u64).collect();
         if heavy {
             tags.push(HEAVY_TAG);
         }
@@ -219,10 +217,7 @@ impl BatchScratch {
     ///
     /// # Panics
     ///
-    /// Panics if a record's flow does not belong to a lane this sketch
-    /// instance owns — the same misrouting the per-record path catches,
-    /// checked here once per record so the fold loop can trust every index —
-    /// or if the CPU lacks `avx512f` + `avx512dq` (such CPUs take the
+    /// Panics if the CPU lacks `avx512f` + `avx512dq` (such CPUs take the
     /// per-record path and never stage).
     pub(crate) fn stage(&mut self, config: &SketchConfig, chunk: &[(FlowKey, u64, i64)]) {
         self.pack(chunk);
@@ -257,7 +252,7 @@ impl BatchScratch {
     }
 
     /// Hashes the `n` packed keys for every tag in `inits`, writing raw hash
-    /// `t` of key `j` to `hashes[t * CHUNK + j]`. Lanes `>= n` of the
+    /// `t` of key `j` to `hashes[t * CHUNK + j]`. Keys `>= n` of the
     /// trailing SIMD block hash stale staging bytes; nothing reads them.
     fn hash(&mut self, n: usize) {
         assert!(
@@ -290,46 +285,23 @@ impl BatchScratch {
         }
     }
 
-    /// Derives lane / light / heavy indices from the raw hashes —
-    /// bit-identical to `light_col_placed` / `heavy_slot_placed` over
-    /// `place()`.
+    /// Derives light / heavy indices from the raw hashes — bit-identical to
+    /// `light_col_placed` / `heavy_slot_placed` over `place()`.
     fn derive(&mut self, config: &SketchConfig, n: usize) {
-        let rows = config.rows;
         let width = config.width;
-        let lanes = config.lanes as u64;
-        let lane_width = config.lane_width();
-        let heavy = !self.heavy_idx.is_empty();
-        let heavy_per_lane = config.heavy_lane_rows();
-        let mut routed_ok = true;
-        for j in 0..n {
-            let lane = fast_mod(self.hashes[j], lanes) as usize;
-            let lane_rel = lane.wrapping_sub(config.lane_base);
-            routed_ok &= lane_rel < config.lane_count;
-            let lane_rel = if lane_rel < config.lane_count {
-                lane_rel
-            } else {
-                0 // placeholder; the batch panics below before indices are used
-            };
-            let col_base = lane_rel * lane_width;
-            for r in 0..rows {
-                let h = self.hashes[(r + 1) * CHUNK + j];
-                self.light_idx[r * CHUNK + j] =
-                    (r * width + col_base + fast_mod(h, lane_width as u64) as usize) as u32;
-            }
-            if heavy {
-                let h = self.hashes[(rows + 1) * CHUNK + j];
-                self.heavy_idx[j] = (lane_rel * heavy_per_lane
-                    + fast_mod(h, heavy_per_lane as u64) as usize)
-                    as u32;
+        for r in 0..config.rows {
+            let hashes = &self.hashes[r * CHUNK..][..n];
+            let idx = &mut self.light_idx[r * CHUNK..];
+            for (out, &h) in idx.iter_mut().zip(hashes) {
+                *out = (r * width + fast_mod(h, width as u64) as usize) as u32;
             }
         }
-        assert!(
-            routed_ok,
-            "batch contains a flow routed to a lane outside [{}, {}) — \
-             feed shard slices only flows they own (see ShardedWaveSketch)",
-            config.lane_base,
-            config.lane_base + config.lane_count
-        );
+        if !self.heavy_idx.is_empty() {
+            let hashes = &self.hashes[config.rows * CHUNK..][..n];
+            for (out, &h) in self.heavy_idx.iter_mut().zip(hashes) {
+                *out = fast_mod(h, config.heavy_rows as u64) as u32;
+            }
+        }
     }
 }
 
@@ -348,9 +320,9 @@ pub(crate) fn prefetch_read<T>(p: *const T) {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The AVX-512 transpose and hash kernel. The kernel evaluates exactly
-    //! `avalanche((...((init ^ b0) * P ^ b1) * P ... ^ b12) * P)` per lane —
-    //! xor, shift and wrapping multiply are exact integer ops, so the lanes
-    //! are bit-identical to the scalar chain by construction.
+    //! `avalanche((...((init ^ b0) * P ^ b1) * P ... ^ b12) * P)` per key —
+    //! xor, shift and wrapping multiply are exact integer ops, so every key's
+    //! hash is bit-identical to the scalar chain by construction.
 
     use super::{BLOCK, BLOCK_BYTES, CHUNK, KEY_BYTES};
     use crate::flow::{AVALANCHE_MUL2, FNV_PRIME, TAG_MUL};
@@ -409,14 +381,14 @@ mod x86 {
     }
 
     /// Packs up to `CHUNK` keys block-major: 8 keys are widened to 16-byte
-    /// register lanes, stacked into two 64-byte registers and transposed
+    /// register slots, stacked into two 64-byte registers and transposed
     /// into byte-row order by two `vpermt2b`s — the whole block never
     /// touches memory until the final two stores. (An earlier variant
     /// staged the keys through a 128-byte stack buffer; the vector loads
     /// then stalled on store-to-load-forwarding misses against the scalar
     /// byte stores, costing more than the transpose itself.) Bytes written
-    /// are identical to [`super::pack_transpose_scalar`] for lanes `< n`;
-    /// tail lanes of a ragged last block are zero here and stale there —
+    /// are identical to [`super::pack_transpose_scalar`] for keys `< n`;
+    /// tail slots of a ragged last block are zero here and stale there —
     /// both unread garbage.
     ///
     /// # Safety
@@ -468,7 +440,7 @@ mod x86 {
         }
     }
 
-    /// Finishing avalanche on one 8-lane state vector. (Inlines into the
+    /// Finishing avalanche on one 8-key state vector. (Inlines into the
     /// `avx512f,avx512dq` callers, which enable a superset of features.)
     ///
     /// # Safety
@@ -624,6 +596,14 @@ mod tests {
         }
     }
 
+    /// Every config of `configs` paired with every pipeline in
+    /// [`pipelines_here`].
+    fn with_pipelines(configs: &[SketchConfig]) -> Vec<(&SketchConfig, bool)> {
+        (configs.iter())
+            .flat_map(|c| pipelines_here().into_iter().map(move |a| (c, a)))
+            .collect()
+    }
+
     /// Pack + hash, either as production does it (`avx512`) or through the
     /// scalar transpose and the reference hash.
     fn pack_and_hash(scratch: &mut BatchScratch, avx512: bool, chunk: &[(FlowKey, u64, i64)]) {
@@ -664,13 +644,23 @@ mod tests {
             .build()
     }
 
+    /// A width-12, heavy-7 config: `derive`'s `fast_mod` takes its
+    /// hardware-divide branch for both light columns and heavy slots.
+    fn non_pow2_config() -> SketchConfig {
+        SketchConfig {
+            width: 12,
+            heavy_rows: 7,
+            ..small_config(3)
+        }
+    }
+
     /// The kernel (and the reference it is checked against elsewhere) must
     /// reproduce `FlowKey::hash_packed` bit-for-bit for every tag, including
     /// ragged chunk tails.
     #[test]
     fn kernels_match_scalar_hash_bit_for_bit() {
         let config = SketchConfig::builder().rows(3).seed(0x5EED_CAFE).build();
-        let tags = [LANE_TAG, 0u64, 1, 2, HEAVY_TAG];
+        let tags = [0u64, 1, 2, HEAVY_TAG];
         for &n in &[1usize, 7, 8, 9, 63, 255, 256] {
             let chunk: Vec<(FlowKey, u64, i64)> = (0..n as u64)
                 .map(|i| (FlowKey::from_id(i * 7919 + 3), 0, 1))
@@ -691,16 +681,16 @@ mod tests {
         }
     }
 
-    /// Staged indices must equal the scalar placement-derived ones.
+    /// Staged indices must equal the scalar placement-derived ones, for
+    /// power-of-two and other array sizes.
     #[test]
     fn staged_indices_match_scalar_placement() {
-        let config = small_config(3);
         let chunk: Vec<(FlowKey, u64, i64)> = (0..100u64)
             .map(|i| (FlowKey::from_id(i * 31), i / 4, 100 + i as i64))
             .collect();
-        for avx512 in pipelines_here() {
-            let mut scratch = BatchScratch::new(&config, true);
-            stage_with(&mut scratch, avx512, &config, &chunk);
+        for (config, avx512) in with_pipelines(&[small_config(3), non_pow2_config()]) {
+            let mut scratch = BatchScratch::new(config, true);
+            stage_with(&mut scratch, avx512, config, &chunk);
             for (j, (flow, window, value)) in chunk.iter().enumerate() {
                 let p = config.place(flow);
                 for r in 0..config.rows {
@@ -722,16 +712,17 @@ mod tests {
         }
     }
 
-    /// Deep sketches (rows > 4, beyond the Placement prehash limit) must
-    /// still derive identical indices: tag groups split at 5 chains.
+    /// Deeper sketches must still derive identical indices: tag groups
+    /// split at 5 chains, so 4 rows + heavy is exactly one group and 6 rows
+    /// (beyond the Placement prehash limit) + heavy is a group of 5 and one
+    /// of 2.
     #[test]
     fn deep_row_configs_split_tag_groups_correctly() {
-        let config = small_config(6);
         let chunk: Vec<(FlowKey, u64, i64)> =
             (0..50u64).map(|i| (FlowKey::from_id(i), 0, 1)).collect();
-        for avx512 in pipelines_here() {
-            let mut scratch = BatchScratch::new(&config, true);
-            stage_with(&mut scratch, avx512, &config, &chunk);
+        for (config, avx512) in with_pipelines(&[small_config(4), small_config(6)]) {
+            let mut scratch = BatchScratch::new(config, true);
+            stage_with(&mut scratch, avx512, config, &chunk);
             for (j, (flow, _, _)) in chunk.iter().enumerate() {
                 for r in 0..config.rows {
                     let want = r * config.width + config.light_col(flow, r);
@@ -740,21 +731,6 @@ mod tests {
                 assert_eq!(scratch.heavy_idx[j] as usize, config.heavy_slot(flow));
             }
         }
-    }
-
-    /// A shard slice must reject foreign flows instead of folding them into
-    /// the wrong buckets.
-    #[test]
-    #[should_panic(expected = "routed to a lane outside")]
-    fn misrouted_flow_panics_in_stage() {
-        let slice = small_config(3).shard_slice(0, 2);
-        // Find a flow the slice does NOT own.
-        let foreign = (0..10_000u64)
-            .map(FlowKey::from_id)
-            .find(|k| !slice.owns_flow(k))
-            .expect("some flow lands in the other shard");
-        let mut scratch = BatchScratch::new(&slice, true);
-        stage_with(&mut scratch, avx512_available(), &slice, &[(foreign, 0, 1)]);
     }
 
     /// Diagnostic (not a gate): per-phase wall time of the batch pipeline,

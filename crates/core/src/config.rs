@@ -1,14 +1,12 @@
-//! Configuration for WaveSketch instances, including the *lane* placement
-//! that makes sharded ingest exact (see [`crate::sharded`]).
+//! Configuration for WaveSketch instances and the paper's Count-Min
+//! placement: row `r` of flow `f` is column `h_r(f) mod width`, the heavy
+//! slot is `h_heavy(f) mod heavy_rows` (§4.2, Fig. 6).
 
 use crate::flow::FlowKey;
 use crate::select::SelectorKind;
 
-/// Hash tag reserved for the lane hash. Light rows use tags `0..d` (small)
-/// and the heavy part uses `0xFF`, so `0xFE` yields an independent stream.
-pub(crate) const LANE_TAG: u64 = 0xFE;
-
-/// Hash tag of the heavy part (see [`SketchConfig::heavy_slot`]).
+/// Hash tag of the heavy part (see [`SketchConfig::heavy_slot`]). Light rows
+/// use tags `0..d`, so `0xFF` yields an independent stream.
 pub(crate) const HEAVY_TAG: u64 = 0xFF;
 
 /// How many light-row hashes a [`Placement`] can carry precomputed. Configs
@@ -17,8 +15,8 @@ pub(crate) const HEAVY_TAG: u64 = 0xFF;
 const MAX_PREHASH_ROWS: usize = 4;
 
 /// `h % m`, with the hardware divide replaced by a mask when `m` is a power
-/// of two — the common case, since widths, lane counts and heavy-row counts
-/// default to powers of two. The result is identical for every input.
+/// of two — the common case, since widths and heavy-row counts default to
+/// powers of two. The result is identical for every input.
 #[inline]
 pub(crate) fn fast_mod(h: u64, m: u64) -> u64 {
     if m.is_power_of_two() {
@@ -28,30 +26,19 @@ pub(crate) fn fast_mod(h: u64, m: u64) -> u64 {
     }
 }
 
-/// `n / m`, shifting instead of dividing when `m` is a power of two.
-#[inline]
-fn fast_div(n: usize, m: usize) -> usize {
-    if m.is_power_of_two() {
-        n >> m.trailing_zeros()
-    } else {
-        n / m
-    }
-}
-
 /// Per-update placement state, computed once via [`SketchConfig::place`] and
-/// reused across all light rows and the heavy slot: the packed key bytes, the
-/// flow's global lane, and the raw row/heavy hashes.
+/// reused across all light rows and the heavy slot: the packed key bytes and
+/// the raw row/heavy hashes.
 ///
 /// The derived indices are bit-identical to calling
 /// [`SketchConfig::light_col`] / [`SketchConfig::heavy_slot`] per row; this
-/// only removes redundant re-packing and re-hashing. All `d + 2` hashes of an
+/// only removes redundant re-packing and re-hashing. All `d + 1` hashes of an
 /// update are computed in one interleaved batch
 /// ([`FlowKey::hash_packed_many`]) so their multiply chains overlap instead
 /// of serializing — the single biggest cost of the pre-refactor packet path.
 #[derive(Debug, Clone, Copy)]
 pub struct Placement {
     packed: [u8; 13],
-    lane: usize,
     /// Raw hashes for rows `0..prehashed_rows` (tags `0..d`).
     row_hashes: [u64; MAX_PREHASH_ROWS],
     /// Raw hash for the heavy slot (tag `0xFF`).
@@ -60,32 +47,11 @@ pub struct Placement {
     prehashed_rows: u8,
 }
 
-impl Placement {
-    /// The flow's global lane, in `0..lanes`.
-    #[inline]
-    pub fn lane(&self) -> usize {
-        self.lane
-    }
-}
-
 /// Parameters of a WaveSketch (basic or full).
 ///
 /// Paper defaults (§7.1): `rows = 3`, `width = 256`, `levels = 8`, `topk` set
 /// from the memory budget (32–256), `max_windows` from the measurement period
 /// (20 ms at 8.192 μs windows ≈ 2442, rounded up to a power of two).
-///
-/// # Lanes
-///
-/// Bucket placement is hierarchical: a flow first hashes to one of `lanes`
-/// *lanes*, then to a column (and heavy slot) inside that lane's contiguous
-/// slice of the arrays. The marginal distribution is unchanged — every
-/// (lane, within-lane) pair is one distinct column, so pairwise collision
-/// probability stays `1/width` per row — but all of a flow's state lives
-/// inside its lane. That is what lets [`crate::sharded::ShardedWaveSketch`]
-/// split a sketch into independent per-shard instances whose union is
-/// bit-identical to the sequential sketch. `lane_base` / `lane_count`
-/// describe which slice of the global lane space this instance owns; a
-/// stand-alone sketch owns all of them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SketchConfig {
     /// Number of hash rows `d` in the light/basic part.
@@ -107,15 +73,6 @@ pub struct SketchConfig {
     pub selector: SelectorKind,
     /// Hash seed; two sketches with the same seed hash identically.
     pub seed: u64,
-    /// Total lanes in the *global* lane space. Must divide `width` and
-    /// `heavy_rows`. The builder auto-selects (largest power of two ≤ 8
-    /// dividing both) when not set explicitly.
-    pub lanes: usize,
-    /// First global lane this instance owns (0 for a stand-alone sketch).
-    pub lane_base: usize,
-    /// Number of lanes this instance owns (`lanes` for a stand-alone
-    /// sketch). `width` and `heavy_rows` cover exactly these lanes.
-    pub lane_count: usize,
 }
 
 impl SketchConfig {
@@ -169,7 +126,6 @@ impl SketchConfig {
             self.max_windows as u64,
             self.heavy_rows as u64,
             self.seed,
-            self.lanes as u64,
         ] {
             h ^= v;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -177,71 +133,42 @@ impl SketchConfig {
         h
     }
 
-    /// Columns per lane in the light part.
-    #[inline]
-    pub fn lane_width(&self) -> usize {
-        fast_div(self.width, self.lane_count)
-    }
-
-    /// Heavy slots per lane.
-    #[inline]
-    pub fn heavy_lane_rows(&self) -> usize {
-        fast_div(self.heavy_rows, self.lane_count)
-    }
-
-    /// The flow's *global* lane, in `0..lanes`.
-    #[inline]
-    pub fn lane_of(&self, flow: &FlowKey) -> usize {
-        fast_mod(flow.hash(LANE_TAG, self.seed), self.lanes as u64) as usize
-    }
-
     /// Computes the per-update [`Placement`] once — packs the key and batches
-    /// all `d + 2` hashes (lane, light rows, heavy slot) through one
-    /// interleaved pass — to be reused by [`Self::light_col_placed`] and
+    /// all `d + 1` hashes (light rows, heavy slot) through one interleaved
+    /// pass — to be reused by [`Self::light_col_placed`] and
     /// [`Self::heavy_slot_placed`].
     #[inline]
     pub fn place(&self, flow: &FlowKey) -> Placement {
         let packed = flow.pack();
         let mut row_hashes = [0u64; MAX_PREHASH_ROWS];
-        let (lane_hash, heavy_hash, prehashed_rows) = match self.rows {
+        let (heavy_hash, prehashed_rows) = match self.rows {
             1 => {
-                let [l, r0, hh] =
-                    FlowKey::hash_packed_many(&packed, [LANE_TAG, 0, HEAVY_TAG], self.seed);
+                let [r0, hh] = FlowKey::hash_packed_many(&packed, [0, HEAVY_TAG], self.seed);
                 row_hashes[0] = r0;
-                (l, hh, 1u8)
+                (hh, 1u8)
             }
             2 => {
-                let [l, r0, r1, hh] =
-                    FlowKey::hash_packed_many(&packed, [LANE_TAG, 0, 1, HEAVY_TAG], self.seed);
+                let [r0, r1, hh] = FlowKey::hash_packed_many(&packed, [0, 1, HEAVY_TAG], self.seed);
                 row_hashes[..2].copy_from_slice(&[r0, r1]);
-                (l, hh, 2)
+                (hh, 2)
             }
             3 => {
-                let [l, r0, r1, r2, hh] =
-                    FlowKey::hash_packed_many(&packed, [LANE_TAG, 0, 1, 2, HEAVY_TAG], self.seed);
+                let [r0, r1, r2, hh] =
+                    FlowKey::hash_packed_many(&packed, [0, 1, 2, HEAVY_TAG], self.seed);
                 row_hashes[..3].copy_from_slice(&[r0, r1, r2]);
-                (l, hh, 3)
+                (hh, 3)
             }
             4 => {
-                let [l, r0, r1, r2, r3, hh] = FlowKey::hash_packed_many(
-                    &packed,
-                    [LANE_TAG, 0, 1, 2, 3, HEAVY_TAG],
-                    self.seed,
-                );
+                let [r0, r1, r2, r3, hh] =
+                    FlowKey::hash_packed_many(&packed, [0, 1, 2, 3, HEAVY_TAG], self.seed);
                 row_hashes[..4].copy_from_slice(&[r0, r1, r2, r3]);
-                (l, hh, 4)
+                (hh, 4)
             }
-            _ => {
-                // Unusually deep sketches hash rows lazily in
-                // `light_col_placed`; lane and heavy still batch.
-                let [l, hh] = FlowKey::hash_packed_many(&packed, [LANE_TAG, HEAVY_TAG], self.seed);
-                (l, hh, 0)
-            }
+            // Unusually deep sketches hash rows lazily in `light_col_placed`.
+            _ => (FlowKey::hash_packed(&packed, HEAVY_TAG, self.seed), 0),
         };
-        let lane = fast_mod(lane_hash, self.lanes as u64) as usize;
         Placement {
             packed,
-            lane,
             row_hashes,
             heavy_hash,
             prehashed_rows,
@@ -251,99 +178,30 @@ impl SketchConfig {
     /// [`Self::light_col`] from a precomputed [`Placement`].
     #[inline]
     pub fn light_col_placed(&self, p: &Placement, row: usize) -> usize {
-        debug_assert!(
-            p.lane >= self.lane_base && p.lane < self.lane_base + self.lane_count,
-            "flow routed to the wrong shard: lane {} not in [{}, {})",
-            p.lane,
-            self.lane_base,
-            self.lane_base + self.lane_count
-        );
         let row_hash = if row < p.prehashed_rows as usize {
             p.row_hashes[row]
         } else {
             FlowKey::hash_packed(&p.packed, row as u64, self.seed)
         };
-        let lane_width = self.lane_width();
-        (p.lane - self.lane_base) * lane_width + fast_mod(row_hash, lane_width as u64) as usize
+        fast_mod(row_hash, self.width as u64) as usize
     }
 
     /// [`Self::heavy_slot`] from a precomputed [`Placement`].
     #[inline]
     pub fn heavy_slot_placed(&self, p: &Placement) -> usize {
-        debug_assert!(
-            p.lane >= self.lane_base && p.lane < self.lane_base + self.lane_count,
-            "flow routed to the wrong shard: lane {} not in [{}, {})",
-            p.lane,
-            self.lane_base,
-            self.lane_base + self.lane_count
-        );
-        let per_lane = self.heavy_lane_rows();
-        (p.lane - self.lane_base) * per_lane + fast_mod(p.heavy_hash, per_lane as u64) as usize
+        fast_mod(p.heavy_hash, self.heavy_rows as u64) as usize
     }
 
-    /// True if the flow's lane falls in this instance's owned slice.
-    #[inline]
-    pub fn owns_flow(&self, flow: &FlowKey) -> bool {
-        let lane = self.lane_of(flow);
-        (self.lane_base..self.lane_base + self.lane_count).contains(&lane)
-    }
-
-    /// Light-part column of `flow` in `row`, local to this instance.
-    ///
-    /// For a stand-alone sketch this is the global column; for a shard it is
-    /// the global column minus the shard's column offset
-    /// (`lane_base * lane_width`), so a shard's array is exactly the
-    /// sequential sketch's slice. The flow must belong to an owned lane.
+    /// Light-part column of `flow` in `row`: `h_row(flow) mod width`.
     #[inline]
     pub fn light_col(&self, flow: &FlowKey, row: usize) -> usize {
         self.light_col_placed(&self.place(flow), row)
     }
 
-    /// Heavy-part slot of `flow`, local to this instance (same lane-relative
-    /// layout as [`Self::light_col`]).
+    /// Heavy-part slot of `flow`: `h_heavy(flow) mod heavy_rows`.
     #[inline]
     pub fn heavy_slot(&self, flow: &FlowKey) -> usize {
         self.heavy_slot_placed(&self.place(flow))
-    }
-
-    /// The shard (out of `shard_count`) that owns `flow` when the global lane
-    /// space is split evenly across `shard_count` shards.
-    #[inline]
-    pub fn shard_of(&self, flow: &FlowKey, shard_count: usize) -> usize {
-        debug_assert!(self.lanes.is_multiple_of(shard_count));
-        self.lane_of(flow) / (self.lanes / shard_count)
-    }
-
-    /// Derives the configuration of shard `shard` out of `shard_count`: the
-    /// same hashing knobs over a `1/shard_count` slice of lanes, columns and
-    /// heavy slots. Only a global config (owning every lane) can be sliced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this config is already a slice, `shard_count` does not
-    /// divide `lanes`, or `shard >= shard_count`.
-    pub fn shard_slice(&self, shard: usize, shard_count: usize) -> SketchConfig {
-        assert!(
-            self.lane_base == 0 && self.lane_count == self.lanes,
-            "only a global config can be sliced into shards"
-        );
-        assert!(shard_count >= 1, "shard_count must be positive");
-        assert!(
-            self.lanes.is_multiple_of(shard_count),
-            "shard_count ({shard_count}) must divide lanes ({})",
-            self.lanes
-        );
-        assert!(shard < shard_count, "shard {shard} out of {shard_count}");
-        let per = self.lanes / shard_count;
-        let sliced = SketchConfig {
-            width: self.width / shard_count,
-            heavy_rows: self.heavy_rows / shard_count,
-            lane_base: shard * per,
-            lane_count: per,
-            ..self.clone()
-        };
-        sliced.validate();
-        sliced
     }
 
     /// Report size in bytes for one *active* bucket: `w0` plus the
@@ -372,32 +230,6 @@ impl SketchConfig {
             self.max_windows,
             1u64 << self.levels
         );
-        assert!(self.lanes > 0, "lanes must be positive");
-        assert!(
-            self.lane_count > 0 && self.lane_count <= self.lanes,
-            "lane_count ({}) must be in 1..=lanes ({})",
-            self.lane_count,
-            self.lanes
-        );
-        assert!(
-            self.lane_base + self.lane_count <= self.lanes,
-            "lane slice [{}, {}) exceeds lanes ({})",
-            self.lane_base,
-            self.lane_base + self.lane_count,
-            self.lanes
-        );
-        assert!(
-            self.width.is_multiple_of(self.lane_count),
-            "width ({}) must be divisible by owned lanes ({})",
-            self.width,
-            self.lane_count
-        );
-        assert!(
-            self.heavy_rows.is_multiple_of(self.lane_count),
-            "heavy_rows ({}) must be divisible by owned lanes ({})",
-            self.heavy_rows,
-            self.lane_count
-        );
     }
 }
 
@@ -419,9 +251,6 @@ impl Default for SketchConfigBuilder {
                 heavy_rows: 256,
                 selector: SelectorKind::Ideal,
                 seed: 0x5EED_u64,
-                lanes: 0, // auto-selected in build()
-                lane_base: 0,
-                lane_count: 0, // resolved to `lanes` in build()
             },
         }
     }
@@ -476,40 +305,13 @@ impl SketchConfigBuilder {
         self
     }
 
-    /// Sets the lane count explicitly (must divide `width` and
-    /// `heavy_rows`). When not called, `build()` picks the largest power of
-    /// two ≤ 8 that divides both, so any config stays valid.
-    pub fn lanes(mut self, lanes: usize) -> Self {
-        self.config.lanes = lanes;
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Panics
     ///
     /// Panics if any field is out of range (zero sizes, `max_windows` smaller
-    /// than one approximation block, lanes not dividing the arrays, …).
-    pub fn build(mut self) -> SketchConfig {
-        if self.config.lanes == 0 {
-            // Auto: the largest power of two ≤ 8 dividing both arrays. 8
-            // lanes allow up to 8-way sharding while keeping the chance of a
-            // full d-row collision (lane hash shared across rows) negligible.
-            let pow2_div = |n: usize| -> u32 {
-                if n == 0 {
-                    u32::MAX
-                } else {
-                    n.trailing_zeros()
-                }
-            };
-            let exp = 3u32
-                .min(pow2_div(self.config.width))
-                .min(pow2_div(self.config.heavy_rows));
-            self.config.lanes = 1 << exp;
-        }
-        if self.config.lane_count == 0 {
-            self.config.lane_count = self.config.lanes;
-        }
+    /// than one approximation block, …).
+    pub fn build(self) -> SketchConfig {
         self.config.validate();
         self.config
     }
@@ -564,78 +366,43 @@ mod tests {
         );
     }
 
+    /// Placement is the paper's Count-Min layout — each row and the heavy
+    /// part hash the flow on their own, nothing routes it first — for
+    /// power-of-two and other widths alike, and through `place()`'s
+    /// prehashed and lazily hashed rows alike.
     #[test]
-    fn lanes_auto_select_to_largest_fitting_power_of_two() {
-        assert_eq!(SketchConfig::builder().build().lanes, 8);
-        // width 1 (single-bucket ablations) can only support one lane.
-        assert_eq!(SketchConfig::builder().width(1).build().lanes, 1);
-        // heavy_rows 4 caps the lane count at 4.
-        assert_eq!(SketchConfig::builder().heavy_rows(4).build().lanes, 4);
-        // Non-power-of-two width keeps its largest power-of-two factor.
-        assert_eq!(
-            SketchConfig::builder()
-                .width(12)
-                .heavy_rows(12)
-                .build()
-                .lanes,
-            4
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "divisible by owned lanes")]
-    fn explicit_lanes_must_divide_width() {
-        SketchConfig::builder().width(10).lanes(4).build();
-    }
-
-    #[test]
-    fn shard_slice_partitions_lanes_and_arrays() {
-        let global = SketchConfig::builder().build(); // w=256, h=256, lanes=8
-        for n in [1usize, 2, 4, 8] {
-            let mut lanes_seen = 0;
-            for s in 0..n {
-                let slice = global.shard_slice(s, n);
-                assert_eq!(slice.width, global.width / n);
-                assert_eq!(slice.heavy_rows, global.heavy_rows / n);
-                assert_eq!(slice.lane_count, global.lanes / n);
-                assert_eq!(slice.lane_base, s * global.lanes / n);
-                assert_eq!(slice.lane_width(), global.lane_width());
-                assert_eq!(slice.heavy_lane_rows(), global.heavy_lane_rows());
-                lanes_seen += slice.lane_count;
-            }
-            assert_eq!(lanes_seen, global.lanes);
-        }
-    }
-
-    #[test]
-    fn shard_placement_matches_global_placement() {
-        use crate::flow::FlowKey;
-        let global = SketchConfig::builder().build();
-        for n in [1usize, 2, 4, 8] {
-            for id in 0..500u64 {
-                let f = FlowKey::from_id(id);
-                let shard = global.shard_of(&f, n);
-                let slice = global.shard_slice(shard, n);
-                assert!(slice.owns_flow(&f));
-                // Local placement + shard offset == global placement.
-                for row in 0..global.rows {
-                    assert_eq!(
-                        shard * slice.width + slice.light_col(&f, row),
-                        global.light_col(&f, row),
-                        "flow {id} row {row} n {n}"
-                    );
+    fn placement_is_the_count_min_layout() {
+        for width in [256usize, 12, 10, 1] {
+            for heavy_rows in [256usize, 7] {
+                for rows in [3usize, 6] {
+                    let c = SketchConfig::builder()
+                        .rows(rows)
+                        .width(width)
+                        .heavy_rows(heavy_rows)
+                        .seed(0xC0FFEE)
+                        .build();
+                    for id in 0..500u64 {
+                        let f = FlowKey::from_id(id);
+                        for r in 0..rows {
+                            assert_eq!(
+                                c.light_col(&f, r) as u64,
+                                f.hash(r as u64, c.seed) % width as u64,
+                                "width {width}, row {r}, flow {id}"
+                            );
+                        }
+                        assert_eq!(
+                            c.heavy_slot(&f) as u64,
+                            f.hash(HEAVY_TAG, c.seed) % heavy_rows as u64,
+                            "heavy_rows {heavy_rows}, flow {id}"
+                        );
+                    }
                 }
-                assert_eq!(
-                    shard * slice.heavy_rows + slice.heavy_slot(&f),
-                    global.heavy_slot(&f)
-                );
             }
         }
     }
 
     #[test]
-    fn lane_placement_keeps_columns_uniformish() {
-        use crate::flow::FlowKey;
+    fn placement_keeps_columns_uniformish() {
         let c = SketchConfig::builder().build();
         let mut counts = vec![0usize; c.width];
         let flows = 64 * c.width;
@@ -646,13 +413,6 @@ mod tests {
         assert!(counts.iter().all(|&n| n > 0), "unreachable column");
         let max = *counts.iter().max().unwrap();
         assert!(max < 64 * 3, "hot column: {max} of expected 64");
-    }
-
-    #[test]
-    #[should_panic(expected = "only a global config")]
-    fn shard_slice_rejects_double_slicing() {
-        let c = SketchConfig::builder().build();
-        c.shard_slice(0, 2).shard_slice(0, 2);
     }
 
     #[test]

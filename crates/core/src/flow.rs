@@ -62,7 +62,7 @@ impl FlowKey {
 
     /// [`Self::pack`] widened to a little-endian `u128` (bytes 13..16 zero):
     /// byte `k` of the result equals `pack()[k]`. Built entirely in
-    /// registers — the batch pack phase feeds SIMD lanes from this and a
+    /// registers — the batch pack phase feeds SIMD vectors from this and a
     /// 13-byte stack array would stall every vector load on
     /// store-to-load-forwarding misses.
     #[inline]
@@ -86,8 +86,8 @@ impl FlowKey {
 
     /// [`Self::hash`] over pre-packed key bytes.
     ///
-    /// The sketch update needs `d + 2` hashes of the *same* key (lane, light
-    /// rows, heavy slot); packing once and hashing the bytes directly keeps
+    /// The sketch update needs `d + 1` hashes of the *same* key (light rows,
+    /// heavy slot); packing once and hashing the bytes directly keeps
     /// the values bit-identical while the packing cost is paid once per
     /// packet instead of once per hash.
     #[inline]
@@ -102,7 +102,7 @@ impl FlowKey {
     /// Each value is bit-identical to the corresponding single-tag call; the
     /// point of the batch is instruction-level parallelism. One FNV-1a chain
     /// is a serial dependency of 13 multiplies (~40 cycles of latency on its
-    /// own), so hashing the `d + 2` tags of a sketch update one after another
+    /// own), so hashing the `d + 1` tags of a sketch update one after another
     /// is latency-bound. Interleaving the chains byte-by-byte keeps `N`
     /// independent multiplies in flight and makes the batch cost close to a
     /// single chain.
@@ -195,11 +195,11 @@ mod tests {
 
     #[test]
     fn batched_hashes_match_single_hashes() {
-        // The interleaved chains must not contaminate each other: every lane
+        // The interleaved chains must not contaminate each other: every entry
         // of the batch equals the stand-alone hash for its tag.
         for id in 0..100u64 {
             let p = FlowKey::from_id(id).pack();
-            let tags = [0xFEu64, 0, 1, 2, 0xFF];
+            let tags = [0u64, 1, 2, 0xFF];
             let batch = FlowKey::hash_packed_many(&p, tags, 0x5EED);
             for (i, &t) in tags.iter().enumerate() {
                 assert_eq!(batch[i], FlowKey::hash_packed(&p, t, 0x5EED), "tag {t}");

@@ -38,8 +38,8 @@ const FREE_SLOT: HeavySlot = HeavySlot {
 ///
 /// The heavy part is a flat [`BucketArena`] plus a key/vote slot array,
 /// so an eviction is an in-place bucket reset (no allocation) and the
-/// per-packet path shares one [`crate::config::Placement`] (pack + lane
-/// hash) between the heavy slot and the light rows.
+/// per-packet path shares one [`crate::config::Placement`] (pack + `d + 1`
+/// hashes) between the heavy slot and the light rows.
 pub struct FullWaveSketch {
     config: SketchConfig,
     /// Heavy-candidate slots (key + votes), one per heavy bucket.
@@ -93,8 +93,8 @@ impl FullWaveSketch {
 
     #[inline]
     fn heavy_index(&self, flow: &FlowKey) -> usize {
-        // A distinct hash stream (row tag 0xFF inside the flow's lane) keeps
-        // the heavy placement independent of the light rows.
+        // A distinct hash stream (row tag 0xFF) keeps the heavy placement
+        // independent of the light rows.
         self.config.heavy_slot(flow)
     }
 
@@ -143,8 +143,8 @@ impl FullWaveSketch {
     }
 
     /// Records a burst of `(flow, window, value)` updates. On CPUs with
-    /// AVX-512 this is the batch pipeline: one SIMD hashing pass covers the
-    /// lane, all `d` light rows *and* the heavy slot of every record, then
+    /// AVX-512 this is the batch pipeline: one SIMD hashing pass covers all
+    /// `d` light rows *and* the heavy slot of every record, then
     /// the light rows are applied row-phased with prefetch and the heavy vote
     /// machine is replayed in original record order. Everywhere else it is a
     /// loop over [`Self::update`].

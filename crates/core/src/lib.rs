@@ -28,8 +28,6 @@
 //! * [`batch`] — burst ingest behind `update_batch`: one staged AVX-512
 //!   pipeline (pack → hash 8 keys wide → derive → prefetched fold) where the
 //!   CPU has it, the per-record `update` loop everywhere else.
-//! * [`sharded`] — lane-sharded full sketch, bit-identical to the sequential
-//!   one.
 //! * [`hw`] — hardware implementation model: approximate selection knobs,
 //!   threshold calibration from traces, and the PISA pipeline resource model
 //!   used to reproduce Table 1.
@@ -73,7 +71,6 @@ pub mod hw;
 pub mod reconstruct;
 pub mod report;
 pub mod select;
-pub mod sharded;
 pub mod streaming;
 
 pub use arena::BucketArena;

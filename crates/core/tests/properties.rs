@@ -262,43 +262,6 @@ proptest! {
             prop_assert_eq!(haar::weighted_cmp(a, la, 2 * b, lb + 2), fwd);
         }
     }
-
-    /// Lane-sharded ingest is invisible: for any flow mix and any shard
-    /// count in {1, 2, 4, 8}, `ShardedWaveSketch` answers every query and
-    /// drains bit-identically to a sequential `FullWaveSketch`.
-    #[test]
-    fn sharded_sketch_is_bit_identical_to_sequential(
-        flows in proptest::collection::vec((0u64..200, 0u64..64, 1i64..5_000), 1..200),
-        shard_shift in 0u32..4,
-    ) {
-        use wavesketch::sharded::ShardedWaveSketch;
-        let shards = 1usize << shard_shift;
-        let config = SketchConfig::builder()
-            .rows(3)
-            .width(32)
-            .levels(4)
-            .topk(32)
-            .max_windows(64)
-            .heavy_rows(8)
-            .build();
-        let mut by_window = flows.clone();
-        by_window.sort_by_key(|&(_, w, _)| w);
-        let batch: Vec<(FlowKey, u64, i64)> = by_window
-            .iter()
-            .map(|&(id, w, v)| (FlowKey::from_id(id), w, v))
-            .collect();
-        let mut seq = wavesketch::FullWaveSketch::new(config.clone());
-        let mut sharded = ShardedWaveSketch::new(config, shards);
-        for (f, w, v) in &batch {
-            seq.update(f, *w, *v);
-        }
-        sharded.update_batch(&batch);
-        for (f, _, _) in &batch {
-            prop_assert_eq!(sharded.is_heavy(f), seq.is_heavy(f));
-            prop_assert_eq!(sharded.query(f), seq.query(f));
-        }
-        prop_assert_eq!(sharded.drain(), seq.drain());
-    }
 }
 
 /// An arbitrary epoch coefficient set, including shapes the transform itself

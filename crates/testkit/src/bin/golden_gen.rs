@@ -17,9 +17,10 @@
 //! content already matches is left byte-for-byte alone when regenerating, so
 //! a regeneration's `git diff` lists exactly the seeds whose content moved —
 //! each of which needs its reason written down (DESIGN.md §8 has the
-//! history: six of the eight files still date from the pre-arena
-//! implementation). The query fixtures are bit-exact `f64` curves from the
-//! pre-index, pre-sparse-kernel analyzer and have never been regenerated.
+//! history). The query fixtures are bit-exact `f64` curves and are always
+//! rewritten; only a change meant to alter curves may let them move. All
+//! twelve were last re-recorded through the ISSUE 26 placement bridge:
+//! bytes the previous code wrote with its lane count forced to 1.
 
 use std::path::PathBuf;
 use umon_testkit::golden::{canonical, golden_drain, golden_fixture_name, GOLDEN_SEEDS};

@@ -25,22 +25,19 @@
 //!    `query ≥ truth` bound is *not* asserted for heavy flows: their light
 //!    path subtracts other heavy flows' lossy reconstructions, which can
 //!    legitimately overshoot — the sound bound is the post-election volume.)
-//! 6. **Sharded ≡ Full**: for every shard count, queries and the merged
-//!    drain are bit-identical to the sequential Full sketch.
-//! 7. **HW selector bound**: with the threshold selector, reports stay
+//! 6. **HW selector bound**: with the threshold selector, reports stay
 //!    structurally exact (approx, coefficient values) and the reconstruction
 //!    error lands in `[optimal, keep-nothing]`.
-//! 8. **Within-window permutation invariance**: shuffling packets inside a
+//! 7. **Within-window permutation invariance**: shuffling packets inside a
 //!    window leaves Basic drains, Full light drains and per-flow bucket
 //!    drains bit-identical (heavy election is order-dependent and exempt).
-//! 9. **Value scaling**: scaling every count by `c` scales every coefficient
+//! 8. **Value scaling**: scaling every count by `c` scales every coefficient
 //!    of an ideal-selector Full drain by exactly `c` (selection and election
 //!    are scale-invariant).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use wavesketch::reconstruct::reconstruct;
-use wavesketch::sharded::ShardedWaveSketch;
 use wavesketch::{
     BasicWaveSketch, BucketArena, BucketReport, FlowKey, FullWaveSketch, SelectorKind,
     SketchConfig, SketchReport,
@@ -60,8 +57,6 @@ pub struct DiffConfig {
     pub hw_even: u64,
     /// HW-selector retain threshold for odd loop levels.
     pub hw_odd: u64,
-    /// Shard counts to drive (each must divide the config's lanes).
-    pub shard_counts: Vec<usize>,
     /// How many flows to spot-check with queries.
     pub query_sample: usize,
     /// Factor for the value-scaling metamorphic check.
@@ -113,7 +108,6 @@ impl DiffConfig {
             },
             hw_even: 3,
             hw_odd: 3,
-            shard_counts: vec![2, 4],
             query_sample: 16,
             scale_factor: 3,
             batch_burst: batch_burst_from_env(),
@@ -331,9 +325,9 @@ pub fn diff_run(seed: u64, cfg: &DiffConfig) -> Result<DiffStats, DiffError> {
         .check_light_drain(&basic_drain, &params)
         .map_err(|e| fail(format!("basic variant: {e}")))?;
 
-    // 5 + 6: Full sketch and its sharded twins. The heavy part's majority
-    // vote is value-independent and deterministic, so replay it exactly:
-    // per slot, the incumbent key, its vote and its post-election volume.
+    // 5: Full sketch. The heavy part's majority vote is value-independent
+    // and deterministic, so replay it exactly: per slot, the incumbent key,
+    // its vote and its post-election volume.
     let mut slots: Vec<(Option<FlowKey>, i64, i64)> = vec![(None, 0, 0); cfg.sketch.heavy_rows];
     for (f, _, v) in &stream {
         let slot = &mut slots[cfg.sketch.heavy_slot(f)];
@@ -362,32 +356,14 @@ pub fn diff_run(seed: u64, cfg: &DiffConfig) -> Result<DiffStats, DiffError> {
             "heavy candidates/votes differ from the exact majority-vote replay".into(),
         ));
     }
-    let mut sharded: Vec<ShardedWaveSketch> = cfg
-        .shard_counts
-        .iter()
-        .map(|&n| {
-            let mut s = ShardedWaveSketch::new(cfg.sketch.clone(), n);
-            s.update_batch(&stream);
-            s
-        })
-        .collect();
     for flow in &sample {
-        let seq = full.query(flow);
-        for s in &sharded {
-            if s.query(flow) != seq {
-                return Err(fail(format!(
-                    "sharded query ({} shards) differs from sequential for flow {flow:?}",
-                    s.shard_count()
-                )));
-            }
-        }
         if full.is_heavy(flow) {
             // The query overlays the exact heavy bucket onto the light
             // curve, so its total can never drop below the flow's exact
             // post-election volume (the truth total itself is not a sound
             // bound here — see the module docs).
             let post_election = slots[cfg.sketch.heavy_slot(flow)].2 as f64;
-            let est = seq.as_ref().map(|s| s.total()).unwrap_or(0.0);
+            let est = full.query(flow).map(|s| s.total()).unwrap_or(0.0);
             if est < post_election - 1e-6 * (1.0 + post_election) {
                 return Err(fail(format!(
                     "full query of heavy flow {flow:?} is {est}, below its exact \
@@ -444,18 +420,7 @@ pub fn diff_run(seed: u64, cfg: &DiffConfig) -> Result<DiffStats, DiffError> {
             return Err(fail(format!("empty heavy entry for key {key:?}")));
         }
     }
-    for s in &mut sharded {
-        let n = s.shard_count();
-        if s.drain() != full_report {
-            return Err(fail(format!(
-                "sharded drain ({n} shards) is not bit-identical to the sequential full drain"
-            )));
-        }
-        stats.drains_compared += 1;
-    }
-
-    // 7: HW threshold selector — structural exactness + the error corridor,
-    // and shard-merge identity under the approximate selector too.
+    // 6: HW threshold selector — structural exactness + the error corridor.
     let hw_cfg = SketchConfig {
         selector: SelectorKind::HwThreshold {
             even: cfg.hw_even,
@@ -464,24 +429,14 @@ pub fn diff_run(seed: u64, cfg: &DiffConfig) -> Result<DiffStats, DiffError> {
         ..cfg.sketch.clone()
     };
     let hw_params = CheckParams::from_config(&hw_cfg);
-    let mut hw = FullWaveSketch::new(hw_cfg.clone());
+    let mut hw = FullWaveSketch::new(hw_cfg);
     drive_full(&mut hw, &stream, cfg);
     let hw_report = hw.drain();
     stats.light_epochs += oracle
         .check_light_drain(&hw_report.light, &hw_params)
         .map_err(|e| fail(format!("hw variant: {e}")))?;
-    if let Some(&n) = cfg.shard_counts.first() {
-        let mut hw_sharded = ShardedWaveSketch::new(hw_cfg.clone(), n);
-        hw_sharded.update_batch(&stream);
-        if hw_sharded.drain() != hw_report {
-            return Err(fail(format!(
-                "sharded HW drain ({n} shards) differs from the sequential HW drain"
-            )));
-        }
-        stats.drains_compared += 1;
-    }
 
-    // 8: within-window permutation invariance.
+    // 7: within-window permutation invariance.
     let shuffled = shuffle_within_windows(&stream, seed ^ 0xA5A5_5A5A_F00D_BEEF);
     let mut basic_p = BasicWaveSketch::new(cfg.sketch.clone());
     let mut full_p = FullWaveSketch::new(cfg.sketch.clone());
@@ -513,7 +468,7 @@ pub fn diff_run(seed: u64, cfg: &DiffConfig) -> Result<DiffStats, DiffError> {
     }
     stats.drains_compared += 2;
 
-    // 9: value scaling.
+    // 8: value scaling.
     let scaled = scale_values(&stream, cfg.scale_factor);
     let mut full_s = FullWaveSketch::new(cfg.sketch.clone());
     drive_full(&mut full_s, &scaled, cfg);
@@ -541,9 +496,6 @@ mod tests {
                 cfg.sketch.topk % 2 == 1,
                 "odd k exercises the HW parity split"
             );
-            for &n in &cfg.shard_counts {
-                assert!(cfg.sketch.lanes.is_multiple_of(n));
-            }
         }
     }
 
@@ -554,7 +506,9 @@ mod tests {
             assert!(stats.updates > 0);
             assert!(stats.light_epochs > 0);
             assert!(stats.flow_epochs > 0);
-            assert!(stats.drains_compared >= 6);
+            // Full light ≡ Basic, the two permutation drains, the scaled
+            // drain.
+            assert_eq!(stats.drains_compared, 4);
         }
     }
 
@@ -566,9 +520,12 @@ mod tests {
         // can undershoot the all-time truth — that mechanism is inherent to
         // the sketch and still reproduces below. The public volume query is
         // therefore clamped from below by the exact post-election volume:
-        // the sound bound the sketch can actually promise.
+        // the sound bound the sketch can actually promise. (Seed 0 stopped
+        // colliding that way when placement dropped its lane hash; seed 12
+        // is the first bursty seed that does under the Count-Min layout.)
+        let seed = 12;
         let cfg = DiffConfig::quick(StreamKind::Bursty);
-        let stream = gen_stream(0, &cfg.stream);
+        let stream = gen_stream(seed, &cfg.stream);
         let mut oracle = Oracle::new(cfg.sketch.clone());
         let mut full = FullWaveSketch::new(cfg.sketch.clone());
         for (f, w, v) in &stream {
@@ -582,7 +539,7 @@ mod tests {
         });
         assert!(
             undershoot,
-            "seed 0 / bursty no longer reproduces the undershoot; refresh this regression"
+            "seed {seed} / bursty no longer reproduces the undershoot; refresh this regression"
         );
         // The fix: for every heavy flow, the volume query never falls below
         // the exact post-election volume nor below the curve total.
@@ -600,7 +557,7 @@ mod tests {
                 "flow {f:?}: query_volume {volume} below max({curve_total}, {bound})"
             );
         }
-        diff_run(0, &cfg).unwrap();
+        diff_run(seed, &cfg).unwrap();
     }
 
     #[test]
@@ -660,7 +617,7 @@ mod tests {
             cfg.batch_burst = Some(257);
             let batched = diff_run(0xBA7C, &cfg).unwrap();
             assert_eq!(scalar, batched);
-            assert!(batched.drains_compared >= 6);
+            assert_eq!(batched.drains_compared, 4);
         }
     }
 }

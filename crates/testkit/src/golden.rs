@@ -7,11 +7,11 @@
 //! order a selector emits them in is unspecified, so both sides of a
 //! comparison are put through [`canonical`] first. `tests/differential.rs`
 //! replays the same seeded workloads on the current implementation and
-//! compares; `golden_gen --check` is the same gate stand-alone. Six of the
-//! eight files are still the bytes the pre-arena (`Vec`-of-`WaveBucket`)
-//! implementation wrote; seeds 13 and 21 were re-recorded when `rank_cmp`
-//! fixed which of several equal-energy coefficients a full store keeps
-//! (DESIGN.md §8 has the three swapped coefficients).
+//! compares; `golden_gen --check` is the same gate stand-alone. All eight
+//! files were last written when placement became the paper's Count-Min
+//! layout (ISSUE 26), and only through a bridge: the previous code with its
+//! lane count forced to 1 wrote these exact bytes, so the re-record moved
+//! placement and nothing else (DESIGN.md §8 has the per-seed table).
 //!
 //! The eight seeds sweep both selector kinds (ideal top-k and the hardware
 //! threshold split, with an odd `k` so the uneven parity split is covered)

@@ -10,11 +10,14 @@
 //! ([`f64::to_bits`]) — JSON float round-tripping must not be able to hide a
 //! last-ulp divergence.
 //!
-//! The fixtures were generated from the pre-index, pre-sparse-kernel query
-//! path (linear rescans + dense inverse Haar) via `golden_gen`; the indexed
-//! query engine must reproduce them bit for bit. They must never be
-//! regenerated from code whose curves are not already known to be
-//! bit-identical to that implementation.
+//! The fixtures were first generated from the pre-index, pre-sparse-kernel
+//! query path (linear rescans + dense inverse Haar); the indexed query
+//! engine and the block-dense kernel reproduced them bit for bit. They were
+//! regenerated once, when placement became the paper's Count-Min layout
+//! (ISSUE 26), and then only from the previous code with its lane count
+//! forced to 1 — the same query engine over reports placed the new way
+//! (DESIGN.md §8). Regenerate them from nothing whose curves are not
+//! already known to be bit-identical to the code that wrote them.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

@@ -12,8 +12,8 @@
 //!   three workload shapes ([`StreamKind`]): uniform background traffic,
 //!   a skewed elephants-and-mice mix, and bursty incast with idle gaps.
 //! * [`diff_run`] — the differential fuzzer step. One call drives the Basic,
-//!   Full, HW-selector, Streaming (per-flow bucket) and Sharded variants over
-//!   the same generated stream and asserts the cross-variant and
+//!   Full, HW-selector and Streaming (per-flow bucket) variants over the
+//!   same generated stream and asserts the cross-variant and
 //!   vs-oracle invariants listed in DESIGN.md §8. Every failure carries the
 //!   seed, so `cargo run -p umon-testkit --bin diff_fuzz -- --seeds 1
 //!   --start <seed>` reproduces it exactly.

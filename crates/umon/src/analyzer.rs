@@ -245,8 +245,8 @@ const QUARANTINE_CAP: usize = 64;
 /// heavy key or a `w0` next to `u64::MAX` aborts the (`panic = "abort"`)
 /// process and a `padded_len` of 2^24 sizes a 134 MB curve. An epoch of a
 /// drain is `next_power_of_two` of at most `max_windows` windows (itself a
-/// power of two), whatever the selector and however many lanes were merged;
-/// `padded_len == 0` (a degenerate heavy record) is legal.
+/// power of two), whatever the selector; `padded_len == 0` (a degenerate
+/// heavy record) is legal.
 fn fits_config(r: &PeriodReport, cfg: &SketchConfig) -> bool {
     let epochs_fit = |brs: &[BucketReport]| {
         brs.iter().all(|b| {
@@ -1602,6 +1602,42 @@ mod tests {
         // The healthy report still reconstructs.
         let curve = analyzer.flow_curve(0, 5).expect("good report survives");
         assert!((curve.at(10) - 1000.0).abs() < 1e-6);
+    }
+
+    /// The fingerprint `HostAgentConfig::default()` stamped while placement
+    /// hashed every flow to a lane first (8 of them by default; the
+    /// fingerprint covered the lane count), computed at that code. Every `reports.json` and archive
+    /// written then carries it.
+    const LANE_ERA_DEFAULT_FINGERPRINT: u64 = 0xe956_0ca5_9774_5497;
+
+    /// A lane-era report puts flows in other buckets than the Count-Min
+    /// layout does; reconstructed under it, it would hand one flow another's
+    /// traffic. Live ingest and archive recovery both quarantine it.
+    #[test]
+    fn lane_era_reports_are_refused_live_and_from_the_archive() {
+        let cfg = HostAgentConfig::default();
+        assert_ne!(cfg.sketch.fingerprint(), LANE_ERA_DEFAULT_FINGERPRINT);
+        let mut agent = HostAgent::new(0, cfg.clone());
+        agent.observe(5, 10 << 13, 1000);
+        let mut old = agent.finish().remove(0);
+        old.config_fingerprint = LANE_ERA_DEFAULT_FINGERPRINT;
+
+        let mut analyzer = Analyzer::new(cfg.sketch.clone());
+        let stats = analyzer.add_reports(vec![old.clone()]);
+        assert_eq!((stats.accepted, stats.mismatched), (0, 1));
+        assert_eq!(analyzer.quarantined().len(), 1);
+        assert!(analyzer.flow_curve(0, 5).is_none());
+        assert!(analyzer.host_rate_curve(0).is_none());
+
+        let dir = std::env::temp_dir().join(format!("umon_lane_era_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        (PeriodArchive::open(&dir).and_then(|mut a| a.append(&old))).expect("archive old report");
+        let mut revived = Analyzer::with_archive(cfg.sketch, RetentionPolicy::default(), &dir)
+            .expect("open archive");
+        let rec = revived.recover_from_archive().expect("scan archive");
+        assert_eq!((rec.recovered, rec.mismatched), (0, 1));
+        assert!(revived.flow_curve(0, 5).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A healthy report for period 0 and a copy for period 1 that `damage`

@@ -28,7 +28,6 @@ mod cold;
 pub mod collector;
 pub mod events;
 pub mod host_agent;
-pub mod parallel_host;
 pub mod pswitch;
 pub mod query_index;
 pub mod retention;
@@ -47,7 +46,6 @@ pub use collector::{
 };
 pub use events::{loss_events, pause_storms, LossEvent, PauseStorm};
 pub use host_agent::{HostAgent, HostAgentConfig, PeriodReport};
-pub use parallel_host::ParallelHostAgent;
 pub use pswitch::{PSwitchAgent, PSwitchConfig, PSwitchEvent};
 pub use query_index::QueryScratch;
 pub use retention::{ResidencySnapshot, RetentionPolicy, RetentionStats};

@@ -91,7 +91,6 @@ fn lying_length_prefix_allocates_nothing() {
 }
 
 fn batch_ingest_path_is_allocation_free() {
-    use wavesketch::sharded::ShardedWaveSketch;
     use wavesketch::{FlowKey, FullWaveSketch, SketchConfig};
 
     const BURST: usize = 256;
@@ -99,19 +98,15 @@ fn batch_ingest_path_is_allocation_free() {
     const SEED: u64 = 0xBA7C_F00D;
 
     let mut sketch = FullWaveSketch::new(SketchConfig::builder().build());
-    let mut sharded = ShardedWaveSketch::new(SketchConfig::builder().build(), 4);
     let mut burst: Vec<(FlowKey, u64, i64)> = Vec::with_capacity(BURST);
 
     // Same flow/value sequence for warm-up and measurement (the rng is
-    // reseeded) so the sharded path's per-shard route buffers see identical
-    // per-burst shard occupancies both times — their capacities are grown
-    // once during warm-up and can never need more afterwards. Only the
-    // window keeps advancing, and 2 * BURSTS * BURST / 100 advances stay
-    // below max_windows (4096), so no epoch rollover allocates a report.
+    // reseeded). Only the window keeps advancing, and 2 * BURSTS * BURST /
+    // 100 advances stay below max_windows (4096), so no epoch rollover
+    // allocates a report.
     let mut window = 0u64;
     let mut step = 0u64;
     let run = |sketch: &mut FullWaveSketch,
-               sharded: &mut ShardedWaveSketch,
                burst: &mut Vec<(FlowKey, u64, i64)>,
                window: &mut u64,
                step: &mut u64| {
@@ -128,30 +123,16 @@ fn batch_ingest_path_is_allocation_free() {
                 burst.push((flow, *window, bytes));
             }
             sketch.update_batch(burst);
-            sharded.update_batch(burst);
         }
     };
 
     // Warm-up: allocates the staging scratch (hash/pack/index SoA buffers),
-    // the sharded route buffers, first-epoch bucket state and the initial
-    // heavy-slot elections.
-    run(
-        &mut sketch,
-        &mut sharded,
-        &mut burst,
-        &mut window,
-        &mut step,
-    );
+    // first-epoch bucket state and the initial heavy-slot elections.
+    run(&mut sketch, &mut burst, &mut window, &mut step);
 
     let evictions_before = sketch.evictions();
     let before = heap_ops();
-    run(
-        &mut sketch,
-        &mut sharded,
-        &mut burst,
-        &mut window,
-        &mut step,
-    );
+    run(&mut sketch, &mut burst, &mut window, &mut step);
     let measured = heap_ops() - before;
 
     assert!(

@@ -323,7 +323,7 @@ fn scenario_matrix_records_replay_into_validated_period_reports() {
 /// retained coefficients in is unspecified). A fixture is regenerated only
 /// for an intentional, documented change of content — `golden_gen` leaves
 /// files whose content still matches untouched, and DESIGN.md §8 records
-/// why seeds 13 and 21 moved. CI also runs `golden_gen --check`.
+/// every re-record and its bridge. CI also runs `golden_gen --check`.
 #[test]
 fn drains_match_golden_fixtures_in_content() {
     use umon_testkit::golden::{canonical, golden_drain, golden_fixture_name, GOLDEN_SEEDS};
