@@ -804,7 +804,7 @@ fn bench_analyzer(sweeps: usize) -> AnalyzerMeasure {
         us_per_query: wall_ns as f64 / 1e3 / queries as f64,
         queries_per_sweep: queries / sweeps as u64,
         peak_rss_kb: peak_rss_kb(),
-        notes: "ingest-time index + reconstruction cache + QueryScratch".into(),
+        notes: "ingest-time index + curves memoised on first read + QueryScratch".into(),
     }
 }
 

@@ -626,7 +626,7 @@ pub struct RetentionSoakStats {
     pub periods: u64,
     /// Maximum resident periods observed at any checkpoint.
     pub max_resident_periods: usize,
-    /// Maximum cached reconstruction bytes observed at any checkpoint.
+    /// Maximum bytes reserved for hot curves observed at any checkpoint.
     pub max_cached_bytes: usize,
     /// Periods evicted over the run.
     pub evicted: u64,

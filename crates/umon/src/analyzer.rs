@@ -587,6 +587,8 @@ impl Analyzer {
             s.cold_read_ns = c.read_ns;
             s.cold_read_errors = c.errors;
         }
+        s.curve_epochs_indexed = self.index.epochs_indexed();
+        s.curve_epochs_built = self.index.epochs_built().get();
         s
     }
 
@@ -806,12 +808,16 @@ impl Analyzer {
                 }
                 visit_refs(
                     heavy_refs,
-                    |p, i| hidx.heavy_entry(p, i).map(|(_, ces)| ces.as_slice()),
+                    |p, i| {
+                        hidx.heavy_entry(store, p, i)
+                            .map(|(_, brs, memos)| (brs, memos))
+                    },
                     f,
                 );
             },
             heavy,
             recon,
+            self.index.epochs_built(),
         );
         if has_heavy {
             // Each heavy epoch's opening window may be partial (the flow's
@@ -827,8 +833,8 @@ impl Analyzer {
                 }
             }
             for &(p, i) in heavy_refs {
-                if let Some((_, ces)) = hidx.heavy_entry(p, i) {
-                    starts.extend(ces.iter().map(|e| e.w0));
+                if let Some((_, brs, _)) = hidx.heavy_entry(store, p, i) {
+                    starts.extend(brs.iter().map(|r| r.w0));
                 }
             }
             if !self.light_with_subtraction_into(
@@ -910,10 +916,11 @@ impl Analyzer {
                             }
                         }
                     }
-                    visit_refs(light_refs, |p, i| hidx.light_curves(p, i), f);
+                    visit_refs(light_refs, |p, i| hidx.light_curves(store, p, i), f);
                 },
                 light_cand,
                 recon,
+                self.index.epochs_built(),
             ) {
                 continue;
             }
@@ -943,14 +950,15 @@ impl Analyzer {
                     visit_refs(
                         heavy_refs,
                         |p, i| {
-                            let (k, ces) = hidx.heavy_entry(p, i)?;
-                            (k != packed).then_some(ces.as_slice())
+                            let (k, brs, memos) = hidx.heavy_entry(store, p, i)?;
+                            (k != packed.as_slice()).then_some((brs, memos))
                         },
                         f,
                     );
                 },
                 heavy_sub,
                 recon,
+                self.index.epochs_built(),
             );
             if colliding {
                 light_cand.subtract_clamped(heavy_sub);
@@ -1100,10 +1108,11 @@ impl Analyzer {
                         }
                     }
                 }
-                visit_refs(&hidx.row0, |p, i| hidx.light_curves(p, i), f);
+                visit_refs(&hidx.row0, |p, i| hidx.light_curves(store, p, i), f);
             },
             rate,
             recon,
+            self.index.epochs_built(),
         )
         .then_some(rate)
     }
@@ -2034,6 +2043,149 @@ mod tests {
             }
         }
         assert_eq!(analyzer.ingest_stats().duplicates, reports.len() as u64);
+    }
+
+    /// Filled memo cells per indexed `(host, period)`.
+    fn memoised(a: &Analyzer, hosts: usize) -> BTreeMap<(usize, u64), usize> {
+        let mut out = BTreeMap::new();
+        for h in 0..hosts {
+            for (&p, c) in a.index.host(h).map(|x| &x.curves).into_iter().flatten() {
+                let filled = (c.light.iter().chain(&c.heavy))
+                    .flat_map(|memos| memos.iter())
+                    .filter(|m| m.get().is_some())
+                    .count();
+                out.insert((h, p), filled);
+            }
+        }
+        out
+    }
+
+    fn assert_bits_eq(got: Option<&WindowSeries>, want: Option<&WindowSeries>, what: &str) {
+        let bits = |s: Option<&WindowSeries>| {
+            s.map(|s| {
+                let v: Vec<u64> = s.values.iter().map(|x| x.to_bits()).collect();
+                (s.start_window, v)
+            })
+        };
+        assert_eq!(bits(got), bits(want), "{what}");
+    }
+
+    /// Ingest indexes epochs without reconstructing any; a query fills the
+    /// memos of exactly the epochs it reads, once, and answers bit-equal
+    /// to the rescan reference.
+    #[test]
+    fn ingest_builds_no_curve_until_a_query_reads_it() {
+        let (cfg, reports) = contested_reports(2, 150);
+        let mut analyzer = Analyzer::new(cfg.sketch.clone());
+        analyzer.add_reports(reports.clone());
+        let all_epochs: usize = (reports.iter())
+            .map(|r| {
+                let light = r.report.light.iter().map(|(_, _, brs)| brs.len());
+                light
+                    .chain(r.report.heavy.iter().map(|(_, brs)| brs.len()))
+                    .sum::<usize>()
+            })
+            .sum();
+        let s = analyzer.retention_stats();
+        assert_eq!(s.curve_epochs_indexed, all_epochs as u64);
+        assert_eq!(s.curve_epochs_built, 0, "ingest must not reconstruct");
+
+        // The epochs one flow query reads: its own heavy records, and per
+        // row the light bucket plus every other heavy key colliding there.
+        let (host, flow) = (0, 1u64);
+        let key = FlowKey::from_id(flow);
+        let packed = key.pack().to_vec();
+        let cols: Vec<u32> = (0..cfg.sketch.rows)
+            .map(|row| cfg.sketch.light_col(&key, row) as u32)
+            .collect();
+        let mut visited = 0usize;
+        for r in reports.iter().filter(|r| r.host == host) {
+            for (row, col, brs) in &r.report.light {
+                if cols[*row as usize] == *col {
+                    visited += brs.len();
+                }
+            }
+            for (k, brs) in &r.report.heavy {
+                let kc = unpack_key(k);
+                let collides = (0..cfg.sketch.rows)
+                    .any(|row| cfg.sketch.light_col(&kc, row) as u32 == cols[row]);
+                if *k == packed || collides {
+                    visited += brs.len();
+                }
+            }
+        }
+
+        let mut scratch = QueryScratch::new();
+        let got = analyzer.flow_curve_with(host, flow, &mut scratch).cloned();
+        let built = analyzer.retention_stats().curve_epochs_built;
+        assert!(built > 0, "the query must read hot epochs");
+        assert!(
+            built as usize <= visited,
+            "built {built} > visited {visited}"
+        );
+        let again = analyzer.flow_curve_with(host, flow, &mut scratch).cloned();
+        assert_eq!(analyzer.retention_stats().curve_epochs_built, built);
+        let want = rescan_reference::flow_curve(&analyzer, host, flow);
+        assert_bits_eq(got.as_ref(), want.as_ref(), "first read");
+        assert_bits_eq(again.as_ref(), want.as_ref(), "memoised read");
+    }
+
+    /// Compaction and eviction drop a period's filled memos with it, leave
+    /// every other period's alone, and a compacted period whose curves were
+    /// memoised still answers bit-equal to an unbounded analyzer.
+    #[test]
+    fn compaction_and_eviction_release_memoised_curves() {
+        let (cfg, reports) = contested_reports(2, 200);
+        let mut unbounded = Analyzer::new(cfg.sketch.clone());
+        unbounded.add_reports(reports.clone());
+        let mut by_period: BTreeMap<u64, Vec<PeriodReport>> = BTreeMap::new();
+        for r in &reports {
+            by_period.entry(r.period).or_default().push(r.clone());
+        }
+        assert!(by_period.len() >= 4, "workload must outlast the horizons");
+        for policy in [
+            RetentionPolicy::bounded(2, u64::MAX),
+            RetentionPolicy::bounded(1, 2),
+        ] {
+            let mut a = Analyzer::with_retention(cfg.sketch.clone(), policy);
+            let mut scratch = QueryScratch::new();
+            let mut before = BTreeMap::new();
+            for batch in by_period.values() {
+                a.add_reports(batch.clone());
+                // Periods that left the index took their memos along; the
+                // survivors kept theirs, and the new period has none filled.
+                let after = memoised(&a, 2);
+                for (k, &filled) in &after {
+                    assert_eq!(filled, before.get(k).copied().unwrap_or(0), "{k:?}");
+                }
+                for host in 0..2 {
+                    for flow in 0..24u64 {
+                        a.flow_curve_with(host, flow, &mut scratch);
+                    }
+                    a.host_rate_curve_with(host, &mut scratch);
+                }
+                before = memoised(&a, 2);
+                assert!(before.values().sum::<usize>() > 0);
+            }
+            let s = a.retention_stats();
+            assert!(s.compacted_periods > 0);
+            if policy.resident_periods != u64::MAX {
+                assert!(s.evicted_periods > 0);
+                continue;
+            }
+            // Every period but the newest two was memoised while hot and is
+            // now read through the compacted tier.
+            for host in 0..2 {
+                for flow in 0..24u64 {
+                    let got = a.flow_curve_with(host, flow, &mut scratch).cloned();
+                    let want = unbounded.flow_curve(host, flow);
+                    assert_bits_eq(got.as_ref(), want.as_ref(), "compacted flow");
+                }
+                let got = a.host_rate_curve_with(host, &mut scratch).cloned();
+                let want = unbounded.host_rate_curve(host);
+                assert_bits_eq(got.as_ref(), want.as_ref(), "compacted rate");
+            }
+        }
     }
 
     /// Quarantined (config-mismatched) reports must leave the index — not

@@ -20,13 +20,19 @@
 //!
 //! Indexing alone only removes the scan; the remaining query time was
 //! dominated by re-running the inverse wavelet transform on the same stored
-//! epochs for every query. So ingest also reconstructs each accepted
-//! report's epochs exactly once (through the index's own
-//! [`ReconstructScratch`]) and caches the resulting window curves
-//! ([`CachedEpoch`]); queries then reduce to accumulating cached `f64`
-//! slices. The cached values are byte-for-byte what
+//! epochs for every query. So every indexed epoch also gets a memo cell
+//! ([`Memo`]), positionally parallel to the stored report's `light` and
+//! `heavy` lists: the first query that reads the epoch reconstructs it
+//! (through the query's own [`ReconstructScratch`]) and fills the cell, and
+//! every later query accumulates the memoised `f64` slice. Ingest builds
+//! only the ref maps and the empty cells — most epochs of a long run are
+//! compacted away without ever being read, and no longer pay for a curve.
+//! The memoised values are byte-for-byte what
 //! `BucketReport::reconstruct_with` returns and are summed in the same
-//! order, so curves stay bit-identical.
+//! order, so curves stay bit-identical. The bytes a memo would hold are
+//! charged to [`QueryIndex::cached_bytes`] at index time, so that figure
+//! (and the budget compaction it drives) is an upper bound on what the
+//! memos actually hold.
 //!
 //! A "ref" is `(period, position)` into the analyzer's period-keyed report
 //! store, kept sorted by binary-search insertion — reports may arrive out of
@@ -37,7 +43,8 @@
 //! bit-identical (the golden query fixtures check this).
 
 use crate::host_agent::PeriodReport;
-use std::collections::HashMap;
+use std::cell::{Cell, OnceCell};
+use std::collections::{BTreeMap, HashMap};
 use wavesketch::basic::WindowSeries;
 use wavesketch::reconstruct::ReconstructScratch;
 use wavesketch::{BucketReport, FlowKey, SketchConfig};
@@ -47,23 +54,19 @@ use wavesketch::{BucketReport, FlowKey, SketchConfig};
 /// index map the ref lives in).
 pub(crate) type EntryRef = (u64, u32);
 
-/// One stored epoch's reconstruction, cached at ingest: the epoch's opening
-/// window and its `padded_len` clamped window values, bit-identical to what
-/// `BucketReport::reconstruct_with` returns for the same report.
-#[derive(Debug)]
-pub(crate) struct CachedEpoch {
-    pub(crate) w0: u64,
-    pub(crate) curve: Box<[f64]>,
-}
+/// One hot epoch's window curve, empty until a query first reads the epoch
+/// and then exactly what `BucketReport::reconstruct_with` returns for it.
+pub(crate) type Memo = OnceCell<Box<[f64]>>;
 
-/// One period's cached reconstructions, positionally parallel to the stored
-/// report's `light` and `heavy` lists (so an [`EntryRef`] addresses both the
-/// report store and this cache). Heavy entries keep their packed key so the
-/// subtraction path can skip the queried flow without touching the store.
+/// One indexed period's memo cells, positionally parallel to the stored
+/// report's `light` and `heavy` lists and, within an entry, to its epochs
+/// (so an [`EntryRef`] addresses both the report store and these cells).
 #[derive(Debug, Default)]
 pub(crate) struct CachedCurves {
-    pub(crate) light: Vec<Vec<CachedEpoch>>,
-    pub(crate) heavy: Vec<([u8; 13], Vec<CachedEpoch>)>,
+    pub(crate) light: Vec<Box<[Memo]>>,
+    pub(crate) heavy: Vec<Box<[Memo]>>,
+    /// What this period adds to [`QueryIndex::cached_bytes`].
+    bytes: usize,
 }
 
 /// Per-host query index; see the module docs.
@@ -79,21 +82,33 @@ pub(crate) struct HostIndex {
     /// Row-0 light refs (every packet lands in row 0 exactly once — the
     /// host-rate aggregation set), ordered.
     pub(crate) row0: Vec<EntryRef>,
-    /// Period → that period's cached reconstructions.
+    /// Period → that period's memo cells.
     pub(crate) curves: HashMap<u64, CachedCurves>,
 }
 
 impl HostIndex {
-    /// The cached light epochs behind one light ref.
-    pub(crate) fn light_curves(&self, period: u64, i: u32) -> Option<&[CachedEpoch]> {
-        self.curves
-            .get(&period)
-            .map(|c| c.light[i as usize].as_slice())
+    /// The stored epochs and memo cells behind one light ref.
+    pub(crate) fn light_curves<'r>(
+        &'r self,
+        store: &'r BTreeMap<u64, PeriodReport>,
+        period: u64,
+        i: u32,
+    ) -> Option<(&'r [BucketReport], &'r [Memo])> {
+        let memos = &self.curves.get(&period)?.light[i as usize];
+        let (_, _, brs) = &store.get(&period)?.report.light[i as usize];
+        Some((brs, memos))
     }
 
-    /// The packed key and cached epochs behind one heavy ref.
-    pub(crate) fn heavy_entry(&self, period: u64, i: u32) -> Option<&([u8; 13], Vec<CachedEpoch>)> {
-        self.curves.get(&period).map(|c| &c.heavy[i as usize])
+    /// The packed key, stored epochs and memo cells behind one heavy ref.
+    pub(crate) fn heavy_entry<'r>(
+        &'r self,
+        store: &'r BTreeMap<u64, PeriodReport>,
+        period: u64,
+        i: u32,
+    ) -> Option<(&'r [u8], &'r [BucketReport], &'r [Memo])> {
+        let memos = &self.curves.get(&period)?.heavy[i as usize];
+        let (k, brs) = &store.get(&period)?.report.heavy[i as usize];
+        Some((k, brs, memos))
     }
 }
 
@@ -108,21 +123,54 @@ pub(crate) struct QueryIndex {
     /// Bounded at [`KEY_COLS_CAP`]: it is a pure cache, so overflowing it
     /// (a very long run meeting ever-fresh flows) just clears and refills.
     key_cols: HashMap<[u8; 13], Vec<u32>>,
-    /// The ingest-time reconstruction scratch feeding the curve cache.
-    recon: ReconstructScratch,
-    /// Bytes held by cached epoch curves across all hosts (the dominant
-    /// index cost; maintained by [`Self::index_report`] and
-    /// [`Self::deindex_period`]).
+    /// Bytes reserved for hot epoch curves across all hosts: charged for
+    /// every indexed epoch whether or not its memo is filled, so an upper
+    /// bound on what the memos hold (maintained by [`Self::index_report`]
+    /// and [`Self::deindex_period`]).
     cached_bytes: usize,
+    /// Memo cells created at ingest, cumulative.
+    epochs_indexed: u64,
+    /// Memo cells filled by a query, cumulative. A `Cell` because queries
+    /// take `&self`.
+    epochs_built: Cell<u64>,
 }
 
 /// Cap on distinct heavy keys in the column-resolution cache (~4 MB at 3
 /// rows). Without it the cache would be the analyzer's last unbounded map.
 const KEY_COLS_CAP: usize = 1 << 17;
 
-/// Bytes attributed to one cached epoch: its boxed curve plus the struct.
-fn epoch_bytes(e: &CachedEpoch) -> usize {
-    std::mem::size_of::<CachedEpoch>() + e.curve.len() * std::mem::size_of::<f64>()
+/// Bytes charged for one indexed epoch: its full curve plus a window id
+/// and the curve's fat pointer. Charged at ingest whether or not a query
+/// ever fills the memo, so byte budgets hold before any query runs.
+fn epoch_bytes(r: &BucketReport) -> usize {
+    std::mem::size_of::<(u64, Box<[f64]>)>() + r.padded_len * std::mem::size_of::<f64>()
+}
+
+impl CachedCurves {
+    /// One empty memo cell per epoch of a stored bucket, each charged
+    /// [`epoch_bytes`] to this period.
+    fn empty_memos(&mut self, brs: &[BucketReport]) -> Box<[Memo]> {
+        self.bytes += brs.iter().map(epoch_bytes).sum::<usize>();
+        brs.iter().map(|_| Memo::new()).collect()
+    }
+}
+
+/// The light column per row of a packed heavy key, unpacked and hashed once
+/// and then served from `key_cols`.
+fn cols_of<'c>(
+    key_cols: &'c mut HashMap<[u8; 13], Vec<u32>>,
+    packed: [u8; 13],
+    cfg: &SketchConfig,
+) -> &'c [u32] {
+    if key_cols.len() >= KEY_COLS_CAP && !key_cols.contains_key(&packed) {
+        key_cols.clear();
+    }
+    key_cols.entry(packed).or_insert_with(|| {
+        let key = unpack_key(&packed);
+        (0..cfg.rows)
+            .map(|row| cfg.light_col(&key, row) as u32)
+            .collect()
+    })
 }
 
 /// Inserts `entry` into an ordered ref list at its sorted position.
@@ -147,19 +195,6 @@ impl QueryIndex {
         self.hosts.get(&host)
     }
 
-    /// The cached light columns of a packed heavy key.
-    fn cols_of(&mut self, packed: [u8; 13], cfg: &SketchConfig) -> &[u32] {
-        if self.key_cols.len() >= KEY_COLS_CAP && !self.key_cols.contains_key(&packed) {
-            self.key_cols.clear();
-        }
-        self.key_cols.entry(packed).or_insert_with(|| {
-            let key = unpack_key(&packed);
-            (0..cfg.rows)
-                .map(|row| cfg.light_col(&key, row) as u32)
-                .collect()
-        })
-    }
-
     /// Marks `host` as present (empty index) — called for reports accepted
     /// straight into the compacted tier, so queries find the host even when
     /// none of its periods is indexed.
@@ -167,12 +202,23 @@ impl QueryIndex {
         self.hosts.entry(host).or_default();
     }
 
-    /// Bytes held by cached epoch curves across all hosts.
+    /// Bytes reserved for hot epoch curves across all hosts.
     pub(crate) fn cached_bytes(&self) -> usize {
         self.cached_bytes
     }
 
-    /// The oldest `(period, host)` still carrying cached curves, if any —
+    /// Memo cells created at ingest, cumulative.
+    pub(crate) fn epochs_indexed(&self) -> u64 {
+        self.epochs_indexed
+    }
+
+    /// The count of memo cells filled by queries, cumulative; handed to
+    /// [`series_from_epochs`], which bumps it.
+    pub(crate) fn epochs_built(&self) -> &Cell<u64> {
+        &self.epochs_built
+    }
+
+    /// The oldest `(period, host)` still indexed, if any —
     /// the next victim of a cached-bytes budget.
     pub(crate) fn oldest_indexed(&self) -> Option<(u64, usize)> {
         self.hosts
@@ -187,9 +233,9 @@ impl QueryIndex {
     }
 
     /// Removes one period of one host from the index entirely: every ref in
-    /// every map and the period's cached curves. The stored report (still
-    /// resident in the analyzer's compacted tier, or about to be evicted)
-    /// tells us exactly which map entries to touch, so this is
+    /// every map and the period's memo cells, filled or not. The stored
+    /// report (still resident in the analyzer's compacted tier, or about to
+    /// be evicted) tells us exactly which map entries to touch, so this is
     /// `O(period entries · log)` — no full-index sweep.
     pub(crate) fn deindex_period(
         &mut self,
@@ -197,21 +243,20 @@ impl QueryIndex {
         r: &PeriodReport,
         cfg: &SketchConfig,
     ) -> bool {
+        let QueryIndex {
+            hosts,
+            key_cols,
+            cached_bytes,
+            ..
+        } = self;
         let period = r.period;
-        let Some(hidx) = self.hosts.get_mut(&host) else {
+        let Some(hidx) = hosts.get_mut(&host) else {
             return false;
         };
         let Some(cached) = hidx.curves.remove(&period) else {
             return false;
         };
-        let freed: usize = cached
-            .light
-            .iter()
-            .flatten()
-            .chain(cached.heavy.iter().flat_map(|(_, ces)| ces))
-            .map(epoch_bytes)
-            .sum();
-        self.cached_bytes -= freed;
+        *cached_bytes -= cached.bytes;
         for (row, col, _) in &r.report.light {
             if let Some(refs) = hidx.light.get_mut(&(*row, *col)) {
                 remove_period(refs, period);
@@ -223,26 +268,15 @@ impl QueryIndex {
                 remove_period(&mut hidx.row0, period);
             }
         }
-        // Resolve heavy columns before mutating the host maps (split
-        // borrows, same shape as `index_report`).
-        let packed_cols: Vec<([u8; 13], Vec<u32>)> = r
-            .report
-            .heavy
-            .iter()
-            .map(|(k, _)| {
-                let packed: [u8; 13] = k.as_slice().try_into().expect("packed keys are 13 bytes");
-                (packed, self.cols_of(packed, cfg).to_vec())
-            })
-            .collect();
-        let hidx = self.hosts.get_mut(&host).expect("host exists");
-        for (packed, cols) in packed_cols {
+        for (k, _) in &r.report.heavy {
+            let packed: [u8; 13] = k.as_slice().try_into().expect("packed keys are 13 bytes");
             if let Some(refs) = hidx.heavy.get_mut(&packed) {
                 remove_period(refs, period);
                 if refs.is_empty() {
                     hidx.heavy.remove(&packed);
                 }
             }
-            for (row, col) in cols.into_iter().enumerate() {
+            for (row, &col) in cols_of(key_cols, packed, cfg).iter().enumerate() {
                 if let Some(refs) = hidx.heavy_by_col.get_mut(&(row as u32, col)) {
                     remove_period(refs, period);
                     if refs.is_empty() {
@@ -254,16 +288,27 @@ impl QueryIndex {
         true
     }
 
-    /// Indexes one accepted report. Must be called exactly once per report
-    /// that enters the store (and never for duplicates or quarantined
-    /// reports), with the same `(host, period)` the store files it under.
+    /// Indexes one accepted report: refs and one empty memo cell per epoch,
+    /// no reconstruction. Must be called exactly once per report that enters
+    /// the store (and never for duplicates or quarantined reports), with the
+    /// same `(host, period)` the store files it under.
     pub(crate) fn index_report(&mut self, host: usize, r: &PeriodReport, cfg: &SketchConfig) {
+        let QueryIndex {
+            hosts,
+            key_cols,
+            cached_bytes,
+            epochs_indexed,
+            ..
+        } = self;
         let period = r.period;
+        // Filing the cells also marks the host as present even for a report
+        // with no light and no heavy entries (matching the report store).
+        let hidx = hosts.entry(host).or_default();
         let mut cached = CachedCurves::default();
         for (i, (row, col, brs)) in r.report.light.iter().enumerate() {
             let entry = (period, i as u32);
-            cached.light.push(cache_epochs(brs, &mut self.recon));
-            let hidx = self.hosts.entry(host).or_default();
+            let memos = cached.empty_memos(brs);
+            cached.light.push(memos);
             insert_ordered(hidx.light.entry((*row, *col)).or_default(), entry);
             if *row == 0 {
                 insert_ordered(&mut hidx.row0, entry);
@@ -272,47 +317,22 @@ impl QueryIndex {
         for (i, (k, brs)) in r.report.heavy.iter().enumerate() {
             let packed: [u8; 13] = k.as_slice().try_into().expect("packed keys are 13 bytes");
             let entry = (period, i as u32);
-            cached
-                .heavy
-                .push((packed, cache_epochs(brs, &mut self.recon)));
-            // Split borrows: resolve the key's columns first, then touch the
-            // host maps.
-            let cols: Vec<u32> = self.cols_of(packed, cfg).to_vec();
-            let hidx = self.hosts.entry(host).or_default();
+            let memos = cached.empty_memos(brs);
+            cached.heavy.push(memos);
             insert_ordered(hidx.heavy.entry(packed).or_default(), entry);
-            for (row, &col) in cols.iter().enumerate() {
+            for (row, &col) in cols_of(key_cols, packed, cfg).iter().enumerate() {
                 insert_ordered(
                     hidx.heavy_by_col.entry((row as u32, col)).or_default(),
                     entry,
                 );
             }
         }
-        self.cached_bytes += cached
-            .light
-            .iter()
-            .flatten()
-            .chain(cached.heavy.iter().flat_map(|(_, ces)| ces))
-            .map(epoch_bytes)
-            .sum::<usize>();
-        // Filing the cache also marks the host as present even for a report
-        // with no light and no heavy entries (matching the report store).
-        self.hosts
-            .entry(host)
-            .or_default()
-            .curves
-            .insert(period, cached);
+        *epochs_indexed += (cached.light.iter().chain(&cached.heavy))
+            .map(|memos| memos.len() as u64)
+            .sum::<u64>();
+        *cached_bytes += cached.bytes;
+        hidx.curves.insert(period, cached);
     }
-}
-
-/// Reconstructs every epoch of one stored bucket once, for the ingest-time
-/// curve cache.
-fn cache_epochs(brs: &[BucketReport], recon: &mut ReconstructScratch) -> Vec<CachedEpoch> {
-    brs.iter()
-        .map(|r| CachedEpoch {
-            w0: r.w0,
-            curve: r.reconstruct_with(recon).into(),
-        })
-        .collect()
 }
 
 /// Unpacks a 13-byte packed key back into a [`FlowKey`].
@@ -351,8 +371,8 @@ pub struct QueryScratch {
     pub(crate) starts: Vec<u64>,
     /// The light estimate at each opening window, captured pre-overlay.
     pub(crate) light_at: Vec<f64>,
-    /// Reconstruction scratch for epochs whose cached curve was
-    /// compacted away; idle (and allocation-free) on the hot path.
+    /// Reconstruction scratch: fills a hot epoch's memo on its first read
+    /// and reconstructs compacted and cold epochs on every read.
     pub(crate) recon: ReconstructScratch,
     /// Cold-tier reports fetched for the current query (evicted periods
     /// read back from the archive), period-ascending. Filled once per query
@@ -369,26 +389,21 @@ impl QueryScratch {
     }
 }
 
-/// One epoch contribution to a series, from either storage tier: a cached
-/// reconstruction (hot) or a raw wire report whose curve is reconstructed
-/// on demand (compacted). `WindowSeries::accumulate_curve` and
+/// One epoch contribution to a series, from either storage tier: a hot
+/// epoch, whose curve is memoised on first read, or a raw wire report whose
+/// curve is reconstructed on every read (compacted and cold).
+/// `WindowSeries::accumulate_curve` over a reconstruction and
 /// `accumulate_report` are bit-identical for the same epoch, so a series
 /// built from any mix of tiers equals the all-hot (and the pre-index
 /// rescan) result exactly.
 pub(crate) enum Epoch<'a> {
-    /// A hot-tier epoch: accumulate its cached curve.
-    Cached(&'a CachedEpoch),
-    /// A compacted-tier epoch: reconstruct from the wire report.
+    /// A hot-tier epoch: accumulate its memo, filling it first if empty.
+    Hot {
+        report: &'a BucketReport,
+        memo: &'a Memo,
+    },
+    /// A compacted- or cold-tier epoch: reconstruct from the wire report.
     Raw(&'a BucketReport),
-}
-
-impl Epoch<'_> {
-    fn span(&self) -> (u64, usize) {
-        match self {
-            Epoch::Cached(e) => (e.w0, e.curve.len()),
-            Epoch::Raw(r) => (r.w0, r.padded_len),
-        }
-    }
 }
 
 /// Streams epochs into `out` in visit order: pass 1 finds the union span,
@@ -398,22 +413,24 @@ impl Epoch<'_> {
 /// epochs in that order, compacted (older) periods before hot refs.
 /// Returns `false` (with `out` reset to empty) when nothing is visited,
 /// matching `from_reports(&[]) == None`; an epoch with an empty curve still
-/// counts as visited (degenerate heavy records anchor coverage).
+/// counts as visited (degenerate heavy records anchor coverage). Each hot
+/// memo this fills adds one to `built`.
 ///
 /// `for_each` is called twice and must yield the same epochs both times.
 pub(crate) fn series_from_epochs(
     mut for_each: impl FnMut(&mut dyn FnMut(Epoch<'_>)),
     out: &mut WindowSeries,
     recon: &mut ReconstructScratch,
+    built: &Cell<u64>,
 ) -> bool {
     let mut start = u64::MAX;
     let mut end = 0u64;
     let mut any = false;
     for_each(&mut |e| {
-        let (w0, len) = e.span();
+        let (Epoch::Hot { report: r, .. } | Epoch::Raw(r)) = e;
         any = true;
-        start = start.min(w0);
-        end = end.max(w0 + len as u64);
+        start = start.min(r.w0);
+        end = end.max(r.w0 + r.padded_len as u64);
     });
     if !any {
         out.reset(0, 0);
@@ -421,25 +438,31 @@ pub(crate) fn series_from_epochs(
     }
     out.reset(start, (end - start) as usize);
     for_each(&mut |e| match e {
-        Epoch::Cached(c) => out.accumulate_curve(c.w0, &c.curve),
+        Epoch::Hot { report, memo } => {
+            let curve = memo.get_or_init(|| {
+                built.set(built.get() + 1);
+                report.reconstruct_with(recon).into()
+            });
+            out.accumulate_curve(report.w0, curve);
+        }
         Epoch::Raw(r) => out.accumulate_report(r, recon),
     });
     true
 }
 
-/// Visits the cached epochs behind `refs` in ref order — the hot-tier half
-/// of a [`series_from_epochs`] visitation. `lookup` resolves one ref and
-/// may return `None` to skip it (the subtraction path skips the queried
-/// flow's own key).
+/// Visits the hot epochs behind `refs` in ref order — the hot-tier half of
+/// a [`series_from_epochs`] visitation. `lookup` resolves one ref to its
+/// stored epochs and their memo cells, and may return `None` to skip it
+/// (the subtraction path skips the queried flow's own key).
 pub(crate) fn visit_refs<'r>(
     refs: &[EntryRef],
-    lookup: impl Fn(u64, u32) -> Option<&'r [CachedEpoch]>,
+    lookup: impl Fn(u64, u32) -> Option<(&'r [BucketReport], &'r [Memo])>,
     f: &mut dyn FnMut(Epoch<'r>),
 ) {
     for &(period, i) in refs {
-        if let Some(ces) = lookup(period, i) {
-            for e in ces {
-                f(Epoch::Cached(e));
+        if let Some((brs, memos)) = lookup(period, i) {
+            for (report, memo) in brs.iter().zip(memos) {
+                f(Epoch::Hot { report, memo });
             }
         }
     }

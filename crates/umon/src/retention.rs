@@ -7,10 +7,11 @@
 //! analyzer's time-tiered storage:
 //!
 //! * **hot** — the newest [`RetentionPolicy::hot_periods`] periods per host
-//!   keep full query-index refs *and* cached window-curve reconstructions:
-//!   queries are pure cached-`f64` accumulation (the PR 5 fast path).
+//!   keep full query-index refs *and* window curves memoised on first
+//!   read: after one query per epoch, queries are pure memoised-`f64`
+//!   accumulation.
 //! * **compacted** — periods aging past the hot horizon stay resident (the
-//!   raw [`PeriodReport`] is kept) but are deindexed: their cached curves
+//!   raw [`PeriodReport`] is kept) but are deindexed: their memoised curves
 //!   and per-column collision refs are dropped, and queries fall back to a
 //!   linear period scan with on-demand inverse-Haar reconstruction. The two
 //!   paths are bit-identical (`WindowSeries::accumulate_report` vs
@@ -45,15 +46,17 @@
 /// identical behavior to the pre-retention analyzer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetentionPolicy {
-    /// Newest periods per host kept fully indexed with cached
-    /// reconstructions.
+    /// Newest periods per host kept fully indexed, their curves memoised on
+    /// first read.
     pub hot_periods: u64,
     /// Newest periods per host kept resident at all (hot + compacted);
     /// older periods are evicted from memory.
     pub resident_periods: u64,
-    /// Optional global (all hosts) budget for cached reconstruction bytes.
-    /// When exceeded, the globally oldest hot period is compacted early,
-    /// even inside the hot horizon.
+    /// Optional global (all hosts) budget for the bytes reserved for hot
+    /// curves: every indexed epoch is charged its full curve at ingest, so
+    /// this bounds what the memos actually hold from above. When exceeded,
+    /// the globally oldest hot period is compacted early, even inside the
+    /// hot horizon.
     pub max_cached_bytes: Option<usize>,
     /// Byte budget for the cold tier's in-memory segment cache (decoded
     /// archive records retained across queries). Only consulted when the
@@ -158,7 +161,7 @@ impl TierFloors {
 /// Retention accounting, cumulative since construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetentionStats {
-    /// Periods demoted from hot to compacted (cached curves dropped).
+    /// Periods demoted from hot to compacted (memoised curves dropped).
     pub compacted_periods: u64,
     /// Periods evicted from memory.
     pub evicted_periods: u64,
@@ -193,6 +196,11 @@ pub struct RetentionStats {
     /// Detail coefficients dropped from resident compacted periods by the
     /// lossy floor ([`RetentionPolicy::lossy_floor`]).
     pub lossy_trimmed_details: u64,
+    /// Hot epochs indexed at ingest, each with an empty curve memo.
+    pub curve_epochs_indexed: u64,
+    /// Hot epoch curves reconstructed by a query (memos filled). Divided
+    /// by [`Self::curve_epochs_indexed`] it is the hot tier's read rate.
+    pub curve_epochs_built: u64,
 }
 
 /// A point-in-time snapshot of what the analyzer holds resident — the
@@ -203,7 +211,8 @@ pub struct ResidencySnapshot {
     pub resident_periods: usize,
     /// Resident periods that are fully indexed (hot tier).
     pub hot_periods: usize,
-    /// Bytes held by cached epoch reconstructions.
+    /// Bytes reserved for hot epoch curves: charged at ingest for every
+    /// indexed epoch, an upper bound on what the memos actually hold.
     pub cached_bytes: usize,
     /// Nominal wire bytes of all resident reports (the compacted tier's
     /// dominant cost).
