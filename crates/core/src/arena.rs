@@ -14,8 +14,9 @@
 //!   allocator in `tests/alloc_gate.rs`),
 //! * evicting a heavy candidate is a constant-time in-place reset
 //!   ([`BucketArena::reset_bucket`]) instead of building a new bucket, and
-//! * completed epochs drain into a caller-provided scratch buffer
-//!   ([`BucketArena::drain_bucket_into`]).
+//! * completed epochs drain as exact-size lists
+//!   ([`BucketArena::drain_bucket`]), ready to travel and be kept as they
+//!   are.
 //!
 //! # What a drain is equal to
 //!
@@ -704,19 +705,15 @@ impl BucketArena {
         self.headers[b] = EMPTY_HEADER;
     }
 
-    /// Drains bucket `b`: seals the current epoch and appends all reports to
-    /// `out`, leaving the bucket empty (its completed list keeps its
-    /// capacity for the next period).
-    pub fn drain_bucket_into(&mut self, b: usize, out: &mut Vec<BucketReport>) {
-        self.seal_epoch(b);
-        out.append(&mut self.completed[b]);
-    }
-
-    /// Drains bucket `b` into a fresh vector (see
-    /// [`Self::drain_bucket_into`] for the reuse-friendly variant).
+    /// Drains bucket `b`: seals the current epoch and hands over its
+    /// completed list, leaving the bucket empty. The list is exact-size:
+    /// a drained report travels the collection plane and is kept by the
+    /// analyzer as it is, so spare capacity here would be resident there.
     pub fn drain_bucket(&mut self, b: usize) -> Vec<BucketReport> {
         self.seal_epoch(b);
-        std::mem::take(&mut self.completed[b])
+        let mut reports = std::mem::take(&mut self.completed[b]);
+        reports.shrink_to_fit();
+        reports
     }
 
     /// Discards bucket `b`'s entire state — completed epochs included — in
@@ -1062,18 +1059,19 @@ mod tests {
     }
 
     #[test]
-    fn drain_into_appends_and_keeps_capacity() {
+    fn drain_is_exact_size_and_leaves_no_capacity() {
         // A long flow: two completed epochs + one open, reconstructing to
         // the injected counts end to end (k = 64 keeps every coefficient).
         let mut arena = BucketArena::new(2, 4, 64, SelectorKind::Ideal, 1);
         for w in 0..12u64 {
             arena.update(0, w, (w as i64 + 1) * 10);
         }
-        let mut scratch = Vec::new();
-        arena.drain_bucket_into(0, &mut scratch);
-        assert_eq!(scratch.len(), 3);
+        let drained = arena.drain_bucket(0);
+        assert_eq!(drained.len(), 3);
+        assert_eq!(drained.capacity(), drained.len(), "drain is exact-size");
+        assert_eq!(arena.completed[0].capacity(), 0, "bucket keeps nothing");
         assert!(arena.is_bucket_empty(0));
-        let all: Vec<f64> = scratch
+        let all: Vec<f64> = drained
             .iter()
             .flat_map(|r| reconstruct(&r.coeffs()).into_iter().take(4))
             .collect();

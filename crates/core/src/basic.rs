@@ -320,8 +320,8 @@ impl BasicWaveSketch {
             .collect()
     }
 
-    /// Drains every bucket into a list of `(row, col, reports)` entries and
-    /// resets the sketch for the next measurement period.
+    /// Drains every bucket into an exact-size list of `(row, col, reports)`
+    /// entries and resets the sketch for the next measurement period.
     pub fn drain(&mut self) -> Vec<(u32, u32, Vec<BucketReport>)> {
         let mut out = Vec::new();
         for row in 0..self.config.rows {
@@ -333,6 +333,7 @@ impl BasicWaveSketch {
                 }
             }
         }
+        out.shrink_to_fit();
         out
     }
 

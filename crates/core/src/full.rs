@@ -325,8 +325,9 @@ impl FullWaveSketch {
         best
     }
 
-    /// Drains the sketch into an uploadable report and resets all state for
-    /// the next measurement period.
+    /// Drains the sketch into an uploadable, exact-size report (the
+    /// analyzer keeps it as it arrives) and resets all state for the next
+    /// measurement period.
     pub fn drain(&mut self) -> SketchReport {
         let mut report = SketchReport::default();
         for slot in 0..self.config.heavy_rows {
@@ -338,6 +339,7 @@ impl FullWaveSketch {
             }
             self.slots[slot].votes = 0;
         }
+        report.heavy.shrink_to_fit();
         report.light = self.light.drain();
         self.evictions = 0;
         report

@@ -273,59 +273,79 @@ impl SketchReport {
             + self.light.iter().map(|(_, _, r)| r.len()).sum::<usize>()
     }
 
-    /// A cheap structural checksum: a multiply-and-fold mix over every
-    /// length, tag and coefficient, one whole `u64` per step.
+    /// A cheap structural checksum: multiply-and-fold mixes over every
+    /// length, tag and coefficient, one whole `u64` per step, in six
+    /// independent lanes folded together at the end.
     ///
     /// Collection envelopes carry this value so the analyzer can detect
     /// truncated or corrupted payloads without deserializing twice: any
     /// dropped entry, reordered record or flipped coefficient changes the
-    /// digest. Every list is mixed behind its length, so two different
-    /// reports never feed the mix the same word sequence, and each step is a
-    /// bijection of the running state, so a change confined to one word
-    /// always shows. Not cryptographic — it guards against lossy transports,
-    /// not adversaries — and not a format: it lives only as long as an
-    /// envelope in flight (the archive checksums its own record bytes).
+    /// digest. Lane 0 takes the structure — every list length, key byte,
+    /// tag, `w0`, `levels` and `padded_len` — so two reports with equal
+    /// lane-0 sequences have the same shape and feed every other lane the
+    /// same number of words in the same places. Lane 1 takes the
+    /// approximation coefficients; lanes 2–3 the even-position details
+    /// (position word, then value) and lanes 4–5 the odd-position ones.
+    /// Each step is a bijection of its lane's state and the final fold is a
+    /// bijection of each lane, so a change confined to one word always
+    /// shows. Not cryptographic — it guards against lossy transports, not
+    /// adversaries — and not a format: it lives only as long as an envelope
+    /// in flight (the archive checksums its own record bytes).
     pub fn integrity(&self) -> u64 {
         // One multiply per word, not per byte: every seal and every verify
-        // walks the whole report through this. The fold carries the top
-        // bits back down: a multiply only moves differences up, so without
-        // it two flips of bit 63 would cancel.
+        // walks the whole report through this, and the lanes let those
+        // multiplies overlap instead of waiting on one chain. The fold
+        // carries the top bits back down: a multiply only moves differences
+        // up, so without it two flips of bit 63 would cancel.
         fn mix(h: u64, v: u64) -> u64 {
             let h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
             h ^ (h >> 32)
         }
-        fn mix_buckets(mut h: u64, reports: &[BucketReport]) -> u64 {
-            h = mix(h, reports.len() as u64);
+        fn position(d: &DetailRecord) -> u64 {
+            ((d.level as u64) << 32) | d.idx as u64
+        }
+        fn mix_buckets(lanes: [u64; 6], reports: &[BucketReport]) -> [u64; 6] {
+            let [mut s, mut a, mut ek, mut ev, mut ok, mut ov] = lanes;
+            s = mix(s, reports.len() as u64);
             for r in reports {
-                h = mix(h, r.w0);
-                h = mix(h, r.levels as u64);
-                h = mix(h, r.padded_len as u64);
-                h = mix(h, r.approx.len() as u64);
-                for &a in &r.approx {
-                    h = mix(h, a as u64);
+                s = mix(s, r.w0);
+                s = mix(s, r.levels as u64);
+                s = mix(s, r.padded_len as u64);
+                s = mix(s, r.approx.len() as u64);
+                s = mix(s, r.details.len() as u64);
+                for &v in &r.approx {
+                    a = mix(a, v as u64);
                 }
-                h = mix(h, r.details.len() as u64);
-                for d in &r.details {
-                    h = mix(h, ((d.level as u64) << 32) | d.idx as u64);
-                    h = mix(h, d.val as u64);
+                let pairs = r.details.chunks_exact(2);
+                let last = pairs.remainder();
+                for pair in pairs {
+                    ek = mix(ek, position(&pair[0]));
+                    ev = mix(ev, pair[0].val as u64);
+                    ok = mix(ok, position(&pair[1]));
+                    ov = mix(ov, pair[1].val as u64);
+                }
+                if let [d] = last {
+                    ek = mix(ek, position(d));
+                    ev = mix(ev, d.val as u64);
                 }
             }
-            h
+            [s, a, ek, ev, ok, ov]
         }
-        let mut h = mix(0xcbf2_9ce4_8422_2325, self.heavy.len() as u64);
+        let mut lanes = [0xcbf2_9ce4_8422_2325; 6];
+        lanes[0] = mix(lanes[0], self.heavy.len() as u64);
         for (key, reports) in &self.heavy {
-            h = mix(h, key.len() as u64);
+            lanes[0] = mix(lanes[0], key.len() as u64);
             for &b in key {
-                h = mix(h, b as u64);
+                lanes[0] = mix(lanes[0], b as u64);
             }
-            h = mix_buckets(h, reports);
+            lanes = mix_buckets(lanes, reports);
         }
-        h = mix(h, self.light.len() as u64);
+        lanes[0] = mix(lanes[0], self.light.len() as u64);
         for &(row, col, ref reports) in &self.light {
-            h = mix(h, ((row as u64) << 32) | col as u64);
-            h = mix_buckets(h, reports);
+            lanes[0] = mix(lanes[0], ((row as u64) << 32) | col as u64);
+            lanes = mix_buckets(lanes, reports);
         }
-        h
+        lanes[1..].iter().fold(lanes[0], |h, &lane| mix(h, lane))
     }
 
     /// Appends the compact binary encoding of the whole report to `out`.

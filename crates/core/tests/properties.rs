@@ -351,7 +351,7 @@ fn arb_bucket_report() -> impl Strategy<Value = BucketReport> {
         0u32..u32::MAX,
         0usize..usize::MAX,
         proptest::collection::vec(i64::MIN..i64::MAX, 0..4),
-        proptest::collection::vec((0u32..u32::MAX, 0u32..u32::MAX, i64::MIN..i64::MAX), 0..4),
+        proptest::collection::vec((0u32..u32::MAX, 0u32..u32::MAX, i64::MIN..i64::MAX), 0..6),
     )
         .prop_map(|(w0, levels, padded_len, approx, details)| BucketReport {
             w0,
@@ -384,8 +384,9 @@ fn epochs_mut(sr: &mut SketchReport, light: bool, e: usize) -> &mut Vec<BucketRe
 }
 
 /// Every report one small damage away from `sr`: each single-bit flip of each
-/// field, each single dropped entry / epoch / approximation / detail, and each
-/// swap of two adjacent, different details.
+/// field, each single dropped entry / epoch / approximation / detail, each
+/// swap of two different details one or two positions apart, and each
+/// exchange of an approximation value with a different detail value.
 fn damaged_copies(sr: &SketchReport) -> Vec<(String, SketchReport)> {
     let mut out = Vec::new();
     let mut damage = |what: String, edit: &dyn Fn(&mut SketchReport)| {
@@ -451,10 +452,22 @@ fn damaged_copies(sr: &SketchReport) -> Vec<(String, SketchReport)> {
                 damage(format!("drop {at} detail {d}"), &|m| {
                     epochs_mut(m, light, e)[i].details.remove(d);
                 });
-                if d + 1 < r.details.len() && r.details[d] != r.details[d + 1] {
-                    damage(format!("swap {at} details {d}, {}", d + 1), &|m| {
-                        epochs_mut(m, light, e)[i].details.swap(d, d + 1)
-                    });
+                // Neighbours sit in different digest lanes, `d` and `d + 2`
+                // in the same one.
+                for gap in [1, 2] {
+                    if d + gap < r.details.len() && r.details[d] != r.details[d + gap] {
+                        damage(format!("swap {at} details {d}, {}", d + gap), &|m| {
+                            epochs_mut(m, light, e)[i].details.swap(d, d + gap)
+                        });
+                    }
+                }
+                for a in 0..r.approx.len() {
+                    if r.approx[a] != r.details[d].val {
+                        damage(format!("exchange {at} approx {a}, detail {d} val"), &|m| {
+                            let epoch = &mut epochs_mut(m, light, e)[i];
+                            std::mem::swap(&mut epoch.approx[a], &mut epoch.details[d].val)
+                        });
+                    }
                 }
                 for bit in 0..32 {
                     damage(format!("{at} detail {d} level bit {bit}"), &|m| {
@@ -479,7 +492,8 @@ proptest! {
     /// The envelope digest (`SketchReport::integrity`) sees every small
     /// damage a lossy transport can do: any single flipped bit of any field,
     /// any single dropped entry, epoch, approximation or detail, any two
-    /// adjacent details swapped.
+    /// details one or two positions apart swapped (across lanes and within
+    /// one), any approximation value exchanged with a detail value.
     #[test]
     fn integrity_changes_under_every_small_damage(sr in arb_sketch_report()) {
         let sealed = sr.integrity();

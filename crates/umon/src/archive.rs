@@ -128,6 +128,9 @@ pub struct PeriodArchive {
     dir: PathBuf,
     /// Open append handles, one per host heard.
     files: HashMap<usize, Segment>,
+    /// [`Self::append`]'s record buffer, `[len][fnv1a64][payload]`, kept
+    /// between appends so a warm archive encodes without allocating.
+    record: Vec<u8>,
 }
 
 impl PeriodArchive {
@@ -138,6 +141,7 @@ impl PeriodArchive {
         Ok(Self {
             dir,
             files: HashMap::new(),
+            record: Vec::new(),
         })
     }
 
@@ -167,14 +171,19 @@ impl PeriodArchive {
             self.files.insert(host, Segment { file, len });
         }
         let seg = self.files.get_mut(&host).expect("just inserted");
-        let payload = report.encode();
-        // One buffered write per record keeps a crash from interleaving
+        // The payload is encoded straight behind a reserved header, then the
+        // header is filled in: one buffer, reused across appends, and one
+        // write per record, which keeps a crash from interleaving
         // half-records from different appends.
-        let mut record = Vec::with_capacity(12 + payload.len());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        record.extend_from_slice(&payload);
-        seg.file.write_all(&record)?;
+        let record = &mut self.record;
+        record.clear();
+        record.resize(12, 0);
+        report.encode_into(record);
+        let payload_len = record.len() - 12;
+        let checksum = fnv1a64(&record[12..]);
+        record[0..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        record[4..12].copy_from_slice(&checksum.to_le_bytes());
+        seg.file.write_all(record)?;
         seg.file.flush()?;
         let loc = SegLoc {
             offset: seg.len,
@@ -403,6 +412,28 @@ mod tests {
             assert_eq!(got.config_fingerprint, want.config_fingerprint);
             assert_eq!(got.report, want.report);
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn segment_bytes_are_the_documented_record_format() {
+        let dir = tmp_dir("format");
+        let mut archive = PeriodArchive::open(&dir).unwrap();
+        // Largest first, so later appends reuse a buffer holding a longer
+        // record's bytes.
+        let mut reports = sample_reports(1);
+        reports.sort_by_key(|r| std::cmp::Reverse(r.encode().len()));
+        let mut want = MAGIC.to_vec();
+        for r in &reports {
+            archive.append(r).unwrap();
+            let payload = r.encode();
+            want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            want.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+            want.extend_from_slice(&payload);
+        }
+        drop(archive);
+        assert!(reports.len() >= 2);
+        assert_eq!(std::fs::read(dir.join("host_1.seg")).unwrap(), want);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

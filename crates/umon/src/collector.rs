@@ -18,7 +18,8 @@
 //!   ACK-driven release, exponential backoff. Memory is capped by
 //!   [`RetransmitPolicy::capacity`]; when the network outlives the buffer,
 //!   the oldest unacknowledged report is evicted and counted, never silently
-//!   wedged.
+//!   wedged. It holds one copy of each report: the first send moves the
+//!   report onto the wire, retransmissions decode its kept encoding.
 //! * [`Collector`] — the analyzer-side ingest: verifies envelope integrity,
 //!   dedups by `(host, seq)`, detects sequence gaps, quarantines damage
 //!   behind counters instead of panicking, and keeps the analyzer's
@@ -30,6 +31,7 @@
 //! corrupted data.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::sync::Arc;
 
 use crate::analyzer::Analyzer;
 use crate::host_agent::PeriodReport;
@@ -396,15 +398,48 @@ impl Default for RetransmitPolicy {
     }
 }
 
+/// One unacknowledged report: its seal, and the report itself in the only
+/// two forms the uplink keeps.
 struct Pending {
-    env: Envelope,
+    /// Sequence number, epoch count and digest, sealed once at enqueue.
+    seq: u64,
+    declared_epochs: usize,
+    checksum: u64,
+    /// The report until its first send moves it onto the wire.
+    first: Option<PeriodReport>,
+    /// The report's [`PeriodReport::encode`] bytes, shared with the replay
+    /// buffer: what every retransmission decodes.
+    bytes: Arc<[u8]>,
     attempts: u32,
     due: u64,
+}
+
+impl Pending {
+    /// The envelope for the next send: the report itself the first time,
+    /// a decode of the kept encoding on every retransmission.
+    fn envelope(&mut self) -> Envelope {
+        let report = self.first.take().unwrap_or_else(|| {
+            // Unreachable: `bytes` is this uplink's own encoding of the
+            // report, and the codec round-trips every report.
+            PeriodReport::decode(&self.bytes).expect("uplink decodes its own encoding")
+        });
+        Envelope {
+            seq: self.seq,
+            declared_epochs: self.declared_epochs,
+            checksum: self.checksum,
+            fin: None,
+            report,
+        }
+    }
 }
 
 /// The host side of the collection plane: seals finished reports into
 /// envelopes, sends them, and retransmits with exponential backoff until
 /// ACKed — inside a hard memory bound.
+///
+/// The uplink keeps one copy of each report. `submit` encodes it once;
+/// the first send moves the report itself onto the wire, and a
+/// retransmission decodes the kept encoding, which the replay buffer shares.
 pub struct HostUplink {
     /// The host this uplink sends for.
     pub host: usize,
@@ -413,11 +448,15 @@ pub struct HostUplink {
     pending: VecDeque<Pending>,
     /// Recently submitted reports as `(period, PeriodReport::encode bytes)`,
     /// newest last, kept *past* their ACK so a restarted analyzer can ask
-    /// for them again ([`Self::backfill`]). Encoded, not cloned: a report
-    /// is thousands of small `Vec`s, its encoding one compact buffer, and
-    /// this is the uplink's largest resident state (DESIGN.md §14 has the
-    /// sizes). Bounded by `policy.replay_capacity`.
-    replay: VecDeque<(u64, Vec<u8>)>,
+    /// for them again ([`Self::backfill`]). Each entry shares its bytes with
+    /// the report's [`Pending`] entry while that is in flight. Encoded, not
+    /// cloned: a report is thousands of small `Vec`s, its encoding one
+    /// compact buffer, and this is the uplink's largest resident state
+    /// (DESIGN.md §14 has the sizes). Bounded by `policy.replay_capacity`.
+    replay: VecDeque<(u64, Arc<[u8]>)>,
+    /// Reused encode buffer: `submit` encodes here, then copies once into
+    /// the report's exact-size shared bytes.
+    encode_buf: Vec<u8>,
     /// Reports evicted unacknowledged because the buffer was full.
     pub evicted: u64,
     /// Sends beyond each envelope's first (retransmissions).
@@ -436,23 +475,29 @@ impl HostUplink {
             next_seq: 0,
             pending: VecDeque::new(),
             replay: VecDeque::new(),
+            encode_buf: Vec::new(),
             evicted: 0,
             retransmissions: 0,
             acked: 0,
         }
     }
 
-    /// Seals one report under a fresh sequence number and queues it,
-    /// evicting the oldest unacknowledged envelope when the buffer is full.
-    fn enqueue(&mut self, r: PeriodReport) {
-        let env = Envelope::seal(self.next_seq, r);
+    /// Seals one report under a fresh sequence number and queues it with
+    /// its encoding, evicting the oldest unacknowledged report when the
+    /// buffer is full.
+    fn enqueue(&mut self, report: PeriodReport, bytes: Arc<[u8]>) {
+        let seq = self.next_seq;
         self.next_seq += 1;
         if self.pending.len() == self.policy.capacity {
             self.pending.pop_front();
             self.evicted += 1;
         }
         self.pending.push_back(Pending {
-            env,
+            seq,
+            declared_epochs: report.report.epoch_count(),
+            checksum: report.report.integrity(),
+            first: Some(report),
+            bytes,
             attempts: 0,
             due: 0,
         });
@@ -461,18 +506,22 @@ impl HostUplink {
     /// Seals `reports` (typically a
     /// [`poll_finished`](crate::HostAgent::poll_finished) batch) into
     /// sequence-numbered envelopes and queues them for sending. Evicts the
-    /// oldest unacknowledged envelope when the buffer is full. Each report's
-    /// encoding also lands in the bounded replay buffer for backfill.
+    /// oldest unacknowledged envelope when the buffer is full. Each report
+    /// is encoded once, even with replay disabled — retransmissions decode
+    /// it — and the bounded replay buffer shares that encoding for backfill.
     pub fn submit(&mut self, reports: Vec<PeriodReport>) {
         for r in reports {
             debug_assert_eq!(r.host, self.host, "uplink sends for one host");
+            self.encode_buf.clear();
+            r.encode_into(&mut self.encode_buf);
+            let bytes: Arc<[u8]> = Arc::from(self.encode_buf.as_slice());
             if self.policy.replay_capacity > 0 {
                 if self.replay.len() == self.policy.replay_capacity {
                     self.replay.pop_front();
                 }
-                self.replay.push_back((r.period, r.encode()));
+                self.replay.push_back((r.period, Arc::clone(&bytes)));
             }
-            self.enqueue(r);
+            self.enqueue(r, bytes);
         }
     }
 
@@ -483,18 +532,20 @@ impl HostUplink {
     /// absorbs any the analyzer turns out to still have. Returns how many
     /// reports were queued.
     pub fn backfill(&mut self, after_period: Option<u64>) -> usize {
-        let again: Vec<PeriodReport> = self
+        let again: Vec<(PeriodReport, Arc<[u8]>)> = self
             .replay
             .iter()
             .filter(|(period, _)| after_period.is_none_or(|p| *period > p))
             .map(|(_, bytes)| {
-                PeriodReport::decode(bytes)
-                    .expect("replay buffer holds this uplink's own encodings")
+                // Unreachable failure: the replay buffer holds this
+                // uplink's own encodings.
+                let report = PeriodReport::decode(bytes).expect("uplink decodes its own encoding");
+                (report, Arc::clone(bytes))
             })
             .collect();
         let n = again.len();
-        for r in again {
-            self.enqueue(r);
+        for (report, bytes) in again {
+            self.enqueue(report, bytes);
         }
         n
     }
@@ -503,16 +554,18 @@ impl HostUplink {
     /// releases ACKed envelopes, then (re)sends every pending envelope whose
     /// backoff has expired, then declares the assigned-sequence high-water
     /// mark with a fin sentinel so the collector can see trailing losses.
+    /// A first send moves the report out of the uplink; only its encoding
+    /// stays behind for retransmission.
     pub fn tick(&mut self, now: u64, transport: &mut dyn Transport) {
         let acked: BTreeSet<u64> = transport.deliver_acks(self.host).into_iter().collect();
         if !acked.is_empty() {
             let before = self.pending.len();
-            self.pending.retain(|p| !acked.contains(&p.env.seq));
+            self.pending.retain(|p| !acked.contains(&p.seq));
             self.acked += (before - self.pending.len()) as u64;
         }
         for p in &mut self.pending {
             if p.due <= now {
-                transport.send(p.env.clone());
+                transport.send(p.envelope());
                 if p.attempts > 0 {
                     self.retransmissions += 1;
                 }
@@ -635,6 +688,24 @@ impl HostSeqState {
             .chain(self.damaged.iter().next_back().copied())
             .max()
     }
+
+    /// The sequences past the seen window that are still unaccounted for:
+    /// from just above the window's top to one past the highest sequence
+    /// heard in any form or declared assigned (empty if nothing is owed).
+    fn unseen_tail(&self) -> std::ops::Range<u64> {
+        let end = self.max_heard().map_or(0, |m| m + 1).max(self.declared);
+        let from = match self.seen.max_seen() {
+            Some(m) => m + 1,
+            None => self.seen.floor(),
+        };
+        from..end
+    }
+
+    /// `Collector::missing_seqs(host).len()`, counted without building it.
+    fn missing_count(&self) -> u64 {
+        let tail = self.unseen_tail();
+        self.seen.hole_count() + tail.end.saturating_sub(tail.start)
+    }
 }
 
 impl Collector {
@@ -696,12 +767,13 @@ impl Collector {
             state.seen.insert(seq);
             transport.ack(host, seq);
         }
-        for host in self.hosts() {
-            // Conceded (force-skipped) sequences were never received intact,
-            // so they stay in the loss count even after leaving the window.
-            let skipped = self.hosts.get(&host).map_or(0, |s| s.seen.skipped());
-            let lost = self.missing_seqs(host).len() as u64 + skipped;
-            analyzer.set_known_lost(host, lost);
+        for (&host, state) in &self.hosts {
+            if state.heard() {
+                // Conceded (force-skipped) sequences were never received
+                // intact, so they stay in the loss count even after leaving
+                // the window.
+                analyzer.set_known_lost(host, state.missing_count() + state.seen.skipped());
+            }
         }
         CollectorStats {
             accepted: self.stats.accepted - before.accepted,
@@ -743,23 +815,19 @@ impl Collector {
         let Some(state) = self.hosts.get(&host) else {
             return Vec::new();
         };
-        // One past the highest sequence we must account for: everything
-        // heard in any form, plus everything the host declared assigned.
-        let end = state.max_heard().map_or(0, |m| m + 1).max(state.declared);
-        if end == 0 {
-            return Vec::new();
-        }
         let mut out = Vec::new();
         // Holes inside the seen window...
         state.seen.for_each_hole(|h| out.push(h));
         // ...plus everything between the window's top and the accountable
         // end (heard about or declared, never received intact).
-        let from = match state.seen.max_seen() {
-            Some(m) => m + 1,
-            None => state.seen.floor(),
-        };
-        out.extend(from..end);
+        out.extend(state.unseen_tail());
         out
+    }
+
+    /// How many sequences [`Self::missing_seqs`] would list for `host`,
+    /// without building the list.
+    pub fn missing_count(&self, host: usize) -> u64 {
+        self.hosts.get(&host).map_or(0, HostSeqState::missing_count)
     }
 
     /// Resident dedup/gap-tracking entries across all hosts — the quantity
@@ -1076,6 +1144,72 @@ mod tests {
         assert_eq!(uplink.in_flight(), 2, "bounded by capacity");
         assert_eq!(uplink.evicted, n as u64 - 2);
         assert_eq!(uplink.submitted(), n as u64);
+    }
+
+    #[test]
+    fn first_send_moves_the_report_and_retransmissions_decode_it() {
+        let cfg = agent_config();
+        let reports = make_reports(0, &cfg);
+        assert!(reports.len() >= 2);
+        let report_envelopes = |transport: &mut PerfectTransport| -> Vec<Envelope> {
+            let mut envs = transport.deliver();
+            envs.retain(|env| env.fin.is_none());
+            envs
+        };
+
+        // An entry evicted before its first send is counted, never sent.
+        let policy = RetransmitPolicy {
+            capacity: 1,
+            ..RetransmitPolicy::default()
+        };
+        let mut uplink = HostUplink::new(0, policy);
+        let mut transport = PerfectTransport::new();
+        uplink.submit(reports[..2].to_vec());
+        assert_eq!(uplink.evicted, 1);
+        uplink.tick(0, &mut transport);
+        let first = report_envelopes(&mut transport);
+        assert_eq!(first.len(), 1);
+        assert_eq!(first[0].seq, 1, "seq 0 was evicted unsent");
+
+        // The first send moved the report: only its encoding stays behind.
+        assert!(uplink.pending.iter().all(|p| p.first.is_none()));
+        assert_eq!(first[0].report, reports[1]);
+        assert!(first[0].verify());
+
+        // No ACK: the retransmission decodes the kept encoding into a report
+        // equal to the original, under the same seal.
+        uplink.tick(1, &mut transport);
+        let again = report_envelopes(&mut transport);
+        assert_eq!(uplink.retransmissions, 1);
+        assert_eq!(again.len(), 1);
+        assert_eq!(again[0].report, reports[1]);
+        assert_eq!(
+            (again[0].seq, again[0].declared_epochs, again[0].checksum),
+            (first[0].seq, first[0].declared_epochs, first[0].checksum)
+        );
+        assert!(again[0].verify());
+    }
+
+    #[test]
+    fn replay_shares_the_pending_encoding_and_disabled_replay_still_encodes() {
+        let cfg = agent_config();
+        let reports = make_reports(0, &cfg);
+        let mut uplink = HostUplink::new(0, RetransmitPolicy::default());
+        uplink.submit(reports.clone());
+        for (p, (_, bytes)) in uplink.pending.iter().zip(&uplink.replay) {
+            assert!(Arc::ptr_eq(&p.bytes, bytes), "one encoding per report");
+        }
+
+        let policy = RetransmitPolicy {
+            replay_capacity: 0,
+            ..RetransmitPolicy::default()
+        };
+        let mut uplink = HostUplink::new(0, policy);
+        uplink.submit(reports.clone());
+        assert!(uplink.replay.is_empty());
+        for (p, r) in uplink.pending.iter().zip(&reports) {
+            assert_eq!(&*p.bytes, r.encode().as_slice());
+        }
     }
 
     #[test]

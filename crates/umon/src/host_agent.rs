@@ -64,15 +64,21 @@ impl PeriodReport {
     /// The compact binary encoding: period, host and config fingerprint as
     /// fixed LE u64s, then the varint [`SketchReport`] codec. These bytes
     /// are the archive's record payload (`crate::archive`), so changing
-    /// them orphans every archive already written; the uplink's replay
-    /// buffer holds the same encoding.
+    /// them orphans every archive already written; the uplink keeps the
+    /// same encoding for retransmission and replay.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.report.wire_bytes());
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`Self::encode`]'s bytes to `out`, so a caller with a warm
+    /// buffer encodes without allocating.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.period.to_le_bytes());
         out.extend_from_slice(&(self.host as u64).to_le_bytes());
         out.extend_from_slice(&self.config_fingerprint.to_le_bytes());
-        self.report.encode_into(&mut out);
-        out
+        self.report.encode_into(out);
     }
 
     /// Decodes [`Self::encode`]'s bytes; `None` on truncation or trailing

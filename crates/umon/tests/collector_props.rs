@@ -158,6 +158,7 @@ proptest! {
             Some(m) => log.dropped_seqs.iter().copied().filter(|&s| s < m).collect(),
         };
         prop_assert_eq!(collector.missing_seqs(0), expect.clone());
+        prop_assert_eq!(collector.missing_count(0), expect.len() as u64);
         prop_assert_eq!(collector.stats().accepted, log.sent - log.dropped);
         if delivered_max.is_some() {
             prop_assert_eq!(analyzer.host_coverage(0).known_lost, expect.len() as u64);
@@ -201,6 +202,10 @@ proptest! {
             uplink.tick(now, &mut transport);
             prop_assert!(uplink.in_flight() <= capacity);
             collector.pump(&mut transport, &mut analyzer);
+            prop_assert_eq!(
+                collector.missing_count(0),
+                collector.missing_seqs(0).len() as u64
+            );
         }
         // Submit any remainder at once — eviction must absorb the burst.
         uplink.submit(queue);
@@ -244,6 +249,10 @@ proptest! {
         for now in 0..3000u64 {
             uplink.tick(now, &mut transport);
             collector.pump(&mut transport, &mut analyzer);
+            prop_assert_eq!(
+                collector.missing_count(0),
+                collector.missing_seqs(0).len() as u64
+            );
             if uplink.in_flight() == 0 && collector.stats().accepted == n {
                 break;
             }

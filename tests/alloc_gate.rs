@@ -5,7 +5,8 @@
 //! nor the netsim event queue's push/pop cycle, nor the analyzer's indexed
 //! query path (`flow_curve_with` / `host_rate_curve_with` through a warm
 //! `QueryScratch`) touches the heap — and, off the hot path, that a report
-//! decoder allocates nothing for a length prefix its input cannot back.  A
+//! decoder allocates nothing for a length prefix its input cannot back and
+//! that an uplink's first send moves a report instead of copying it.  A
 //! counting `#[global_allocator]` wraps the system allocator; this file
 //! contains a single `#[test]` so no sibling test thread can contribute
 //! spurious counts (each integration-test file is its own binary).
@@ -73,6 +74,46 @@ fn steady_state_hot_paths_do_not_allocate() {
     event_queue_cycle_is_allocation_free();
     analyzer_query_path_is_allocation_free();
     lying_length_prefix_allocates_nothing();
+    uplink_tick_moves_the_report();
+}
+
+/// Off the packet path too: a report's first send moves it onto the wire.
+/// The heap operations of a `HostUplink::tick` that sends one report for the
+/// first time must not depend on the report's size — a deep copy of the
+/// envelope costs an allocation per key and coefficient list (1 842 for the
+/// 400-flow report here, 12 for the one-flow one).
+fn uplink_tick_moves_the_report() {
+    use umon::{HostAgent, HostAgentConfig, HostUplink, PerfectTransport, RetransmitPolicy};
+
+    let report = |flows: u64| {
+        let mut agent = HostAgent::new(0, HostAgentConfig::default());
+        for w in 0..64u64 {
+            for flow in 0..flows {
+                agent.observe(flow, (w << 13) + flow, 1000);
+            }
+        }
+        agent.finish().remove(0)
+    };
+    let first_tick = |report: umon::PeriodReport| -> u64 {
+        let mut uplink = HostUplink::new(0, RetransmitPolicy::default());
+        let mut transport = PerfectTransport::new();
+        uplink.submit(vec![report]);
+        let before = heap_ops();
+        uplink.tick(0, &mut transport);
+        heap_ops() - before
+    };
+    let (small, large) = (report(1), report(400));
+    assert!(large.report.epoch_count() >= 100 * small.report.epoch_count());
+    let (small_ops, large_ops) = (first_tick(small), first_tick(large));
+    assert_eq!(
+        small_ops, large_ops,
+        "a first-send tick allocated {small_ops} times for a one-flow report \
+         and {large_ops} times for a 400-flow one"
+    );
+    assert!(
+        large_ops <= 4,
+        "a first-send tick allocated {large_ops} times"
+    );
 }
 
 /// Not a hot path, but the same counter answers it: a report decoder handed
