@@ -81,32 +81,26 @@ timeout 600 cargo run --release -q -p umon-testkit --bin retention_soak -- --see
 echo "==> golden fixtures: golden_gen --check"
 timeout 300 cargo run --release -q -p umon-testkit --bin golden_gen -- --check
 
-# Reproducible perf gate (DESIGN.md §10, §11, §14): runs the shortened
-# fixed-seed bench workloads — sketch update, simulator event loop, and the
-# analyzer query sweep — and fails if the committed BENCH_core.json /
-# BENCH_netsim.json / BENCH_analyzer.json (including the hot → compacted →
-# archived `cold` ladder and its segment-cache hit rate) are missing or
-# contain non-finite metrics, then prints the smoke-vs-recorded delta. Smoke timings are NOT
-# compared against thresholds — shared CI boxes
-# are too noisy for that — so this catches bitrot (bench no longer builds or
-# runs, records gone stale or corrupt), not slow regressions; refresh the
-# committed numbers with `umon_bench --record` on a quiet machine.
+# Perf-record gate (DESIGN.md §10, §16): umon_bench keeps only the
+# wall-clock records the pipeline benchmark below does not take. The smoke
+# fails if BENCH_core.json (`wide` and `paced`) or BENCH_netsim.json
+# (`scaling`) is missing a point, has another schema, or holds a reading
+# that is not positive and finite; then it takes one fresh `paced` reading
+# and prints its delta against the committed one. No timing is held to a
+# threshold — shared CI boxes are too noisy for that — so this catches
+# bitrot (bench no longer builds or runs, records gone stale or corrupt),
+# not slow regressions; refresh the records with `umon_bench --record` on
+# a quiet machine.
 echo "==> perf gate: umon_bench --smoke"
 timeout 300 cargo run --release -q -p umon-bench --bin umon_bench -- --smoke
 
-# Memory–accuracy frontier gate (DESIGN.md §13): validates the committed
-# results/frontier_*.json files (every scenario × budget × scheme point must
-# exist with finite, in-range metrics), then re-runs a shrunken sweep — two
-# scenarios at two tiny budgets — fresh. Accuracy metrics are fully
-# deterministic, so there are no noisy thresholds to tune: the gate fails
-# only on missing files or invalid numbers. Regenerate the committed
-# frontier with `umon_bench --record --only frontier` (byte-identical runs).
-echo "==> frontier gate: umon_bench --smoke --only frontier"
-timeout 300 cargo run --release -q -p umon-bench --bin umon_bench -- --smoke --only frontier
-
-# Frontier reproduction gate: the committed results/frontier_*.json must be
-# exactly what HEAD writes. Reruns are byte-identical (PR 7), so any diff is
-# a change in what a drain contains that nobody re-recorded (~11 s).
+# Frontier reproduction gate (DESIGN.md §13): the committed
+# results/frontier_*.json must be exactly what HEAD writes. The record run
+# validates every scenario x budget x scheme point (finite, in range, full
+# scheme set) before writing and fails on an invalid one; reruns are
+# byte-identical, so any diff is a change in what a drain contains that
+# nobody re-recorded (~11 s). There are no accuracy thresholds: the numbers
+# are deterministic, any drift is a diff for review.
 echo "==> frontier reproduction: umon_bench --record --only frontier"
 timeout 300 cargo run --release -q -p umon-bench --bin umon_bench -- --record --only frontier
 git diff --exit-code -- 'results/frontier_*.json'

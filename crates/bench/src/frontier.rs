@@ -34,9 +34,6 @@ pub const FRONTIER_SEED: u64 = 0xF407;
 /// Schemes swept at every budget, in output order.
 pub const SCHEMES: [&str; 4] = ["wavesketch", "fourier", "omniwindow", "persist_cms"];
 
-/// Scenarios the CI smoke sweep runs (one clean, one failure-injected).
-pub const SMOKE_SCENARIOS: [&str; 2] = ["incast_dcqcn", "pfc_storm"];
-
 /// The budget ladder, bytes of total sketch memory.
 pub fn budgets(smoke: bool) -> Vec<usize> {
     if smoke {
@@ -256,13 +253,11 @@ pub fn evaluate_scenario(scenario: &Scenario, smoke: bool) -> ScenarioFrontier {
     }
 }
 
-/// The full sweep: every matrix scenario (or the two [`SMOKE_SCENARIOS`]
-/// under shrunken knobs when `smoke`), in matrix order.
-pub fn sweep(smoke: bool) -> Vec<ScenarioFrontier> {
-    scenario_matrix(FRONTIER_SEED, smoke)
+/// The full sweep: every matrix scenario, in matrix order.
+pub fn sweep() -> Vec<ScenarioFrontier> {
+    scenario_matrix(FRONTIER_SEED, false)
         .iter()
-        .filter(|s| !smoke || SMOKE_SCENARIOS.contains(&s.name.as_str()))
-        .map(|s| evaluate_scenario(s, smoke))
+        .map(|s| evaluate_scenario(s, false))
         .collect()
 }
 

@@ -156,14 +156,19 @@ pub fn fmt_metrics(m: &MetricSummary) -> String {
 }
 
 /// Writes a JSON results blob under `results/` so EXPERIMENTS.md can quote
-/// it; also returns the serialized string.
+/// it; also returns the serialized string. Panics with the path when the
+/// file cannot be written: a figure binary that wrote nothing must not
+/// succeed.
 pub fn save_results(name: &str, value: &serde_json::Value) -> String {
     let s = serde_json::to_string_pretty(value).expect("serializable");
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let _ = std::fs::write(dir.join(format!("{name}.json")), &s);
-    }
+    write_results(std::path::Path::new("results"), name, &s);
     s
+}
+
+fn write_results(dir: &std::path::Path, name: &str, json: &str) {
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
+    let path = dir.join(format!("{name}.json"));
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
 }
 
 #[cfg(test)]
@@ -269,6 +274,16 @@ mod tests {
         let buckets: Vec<u64> = rows.iter().map(|r| r.0).collect();
         assert_eq!(buckets, vec![10, 100, 10_000]);
         assert_eq!(rows[1].2, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot create")]
+    fn write_results_panics_when_the_directory_cannot_be_created() {
+        // A directory under a regular file can never be created.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("Cargo.toml")
+            .join("results");
+        write_results(&dir, "unwritable", "{}");
     }
 }
 pub mod accuracy;
