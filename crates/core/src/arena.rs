@@ -477,7 +477,7 @@ impl XformView<'_> {
 /// each epoch's retained details (see the module docs); stand-alone users
 /// (oracles, calibration, tests) build a one-bucket arena.
 ///
-/// Bucket `b`'s state lives at offset `b` of [`Self::headers`]-style flat
+/// Bucket `b`'s state lives at offset `b` of `headers`-style flat
 /// arrays; no per-bucket allocation exists, so updates, evictions
 /// ([`Self::reset_bucket`]) and epoch rollovers never touch the allocator.
 /// Only epoch *completion* stores grow (`completed`), and only at rollover —

@@ -9,9 +9,9 @@
 //! only overlaps the `d + 1` chains of a *single* key. This module restores
 //! the missing parallelism by hashing *many keys per instruction stream*:
 //!
-//! * **Staging** ([`BatchScratch`]): a burst of `(FlowKey, window, value)`
+//! * **Staging** (`BatchScratch`): a burst of `(FlowKey, window, value)`
 //!   records is packed into transposed key-byte rows (byte `i` of key `j` at
-//!   [`packed_pos`]`(i, j)`), so one SIMD row load picks up byte `i` of 8
+//!   `packed_pos(i, j)`), so one SIMD row load picks up byte `i` of 8
 //!   consecutive keys in one instruction.
 //! * **Hash kernel**: the same FNV-1a + splitmix64 math evaluated 8 keys
 //!   wide with AVX-512 `vpmullq`. All integer ops are exact, so the kernel
@@ -22,7 +22,7 @@
 //!   `heavy_slot_placed`. The fold (`apply_batch`) range-checks every staged
 //!   index once, up front, instead of on every bucket access.
 //!
-//! The fold phase stays in [`crate::arena::BucketArena::apply_batch`], which
+//! The fold phase stays in `BucketArena::apply_batch`, which
 //! walks one row at a time with the *next* records' buckets prefetched —
 //! possible only in a batch, where future addresses are already known
 //! (DESIGN.md §10 records why prefetching the per-record path measured
@@ -35,7 +35,7 @@
 //! (`is_x86_feature_detected!`); every sketch reads it once at construction.
 //! On any other CPU or architecture it reports [`BatchKernel::Scalar`] and
 //! `update_batch` is a loop over per-record `update` — no staging, no
-//! [`BatchScratch`]. An AVX2 kernel and a software-interleaved kernel used to
+//! `BatchScratch`. An AVX2 kernel and a software-interleaved kernel used to
 //! sit in between; both measured at or below the per-record path they were
 //! pinned bit-identical to (DESIGN.md §15 "Tried and rejected").
 //!

@@ -29,7 +29,7 @@ pub mod collector;
 pub mod events;
 pub mod host_agent;
 pub mod pswitch;
-pub mod query_index;
+mod query_index;
 pub mod retention;
 pub mod seqwin;
 pub mod switch_agent;

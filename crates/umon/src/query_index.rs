@@ -1,4 +1,6 @@
 //! The analyzer's ingest-time query index and reusable query scratch.
+//! `analyzer/ingest.rs` maintains the index; the query walk in
+//! `analyzer/query.rs` is its one reader.
 //!
 //! Before this index existed, every `Analyzer::flow_curve` call linearly
 //! rescanned every stored period's entire `light` and `heavy` lists once per
@@ -35,16 +37,13 @@
 //! memos actually hold.
 //!
 //! A "ref" is `(period, position)` into the analyzer's period-keyed report
-//! store, kept sorted by binary-search insertion — reports may arrive out of
-//! order, but query-time iteration must walk periods ascending and, within a
-//! period, entries in drain order, because that is the order the pre-index
-//! code summed `f64` reconstructions in and float addition is
-//! order-sensitive. Keeping the order identical keeps every curve
-//! bit-identical (the golden query fixtures check this).
+//! store, kept sorted by binary-search insertion: reports may arrive out of
+//! order, and the walk's visit-order contract (`analyzer/query.rs`) needs
+//! hot refs periods ascending, drain order within a period.
 
 use crate::host_agent::PeriodReport;
 use std::cell::{Cell, OnceCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use wavesketch::basic::WindowSeries;
 use wavesketch::reconstruct::ReconstructScratch;
 use wavesketch::{BucketReport, FlowKey, SketchConfig};
@@ -84,32 +83,6 @@ pub(crate) struct HostIndex {
     pub(crate) row0: Vec<EntryRef>,
     /// Period → that period's memo cells.
     pub(crate) curves: HashMap<u64, CachedCurves>,
-}
-
-impl HostIndex {
-    /// The stored epochs and memo cells behind one light ref.
-    pub(crate) fn light_curves<'r>(
-        &'r self,
-        store: &'r BTreeMap<u64, PeriodReport>,
-        period: u64,
-        i: u32,
-    ) -> Option<(&'r [BucketReport], &'r [Memo])> {
-        let memos = &self.curves.get(&period)?.light[i as usize];
-        let (_, _, brs) = &store.get(&period)?.report.light[i as usize];
-        Some((brs, memos))
-    }
-
-    /// The packed key, stored epochs and memo cells behind one heavy ref.
-    pub(crate) fn heavy_entry<'r>(
-        &'r self,
-        store: &'r BTreeMap<u64, PeriodReport>,
-        period: u64,
-        i: u32,
-    ) -> Option<(&'r [u8], &'r [BucketReport], &'r [Memo])> {
-        let memos = &self.curves.get(&period)?.heavy[i as usize];
-        let (k, brs) = &store.get(&period)?.report.heavy[i as usize];
-        Some((k, brs, memos))
-    }
 }
 
 /// The analyzer-wide query index: one [`HostIndex`] per host plus the
@@ -212,8 +185,8 @@ impl QueryIndex {
         self.epochs_indexed
     }
 
-    /// The count of memo cells filled by queries, cumulative; handed to
-    /// [`series_from_epochs`], which bumps it.
+    /// The count of memo cells filled by queries, cumulative; the query
+    /// walk's `series` bumps it.
     pub(crate) fn epochs_built(&self) -> &Cell<u64> {
         &self.epochs_built
     }
@@ -367,16 +340,15 @@ pub struct QueryScratch {
     pub(crate) heavy: WindowSeries,
     /// The host-rate aggregation buffer.
     pub(crate) rate: WindowSeries,
-    /// Heavy epoch opening windows (`w0` per heavy report, in order).
-    pub(crate) starts: Vec<u64>,
-    /// The light estimate at each opening window, captured pre-overlay.
-    pub(crate) light_at: Vec<f64>,
+    /// Heavy epoch opening windows (`w0` per heavy report, in order), each
+    /// with the light estimate there, captured before the overlay.
+    pub(crate) starts: Vec<(u64, f64)>,
     /// Reconstruction scratch: fills a hot epoch's memo on its first read
     /// and reconstructs compacted and cold epochs on every read.
     pub(crate) recon: ReconstructScratch,
     /// Cold-tier reports fetched for the current query (evicted periods
     /// read back from the archive), period-ascending. Filled once per query
-    /// *before* the two-pass epoch walk so both passes see identical
+    /// *before* any epoch walk so every walk of the query sees identical
     /// epochs; the `Rc`s keep the reports alive for the whole query even if
     /// the cold cache's byte budget evicts them mid-fetch.
     pub(crate) cold: Vec<std::rc::Rc<crate::host_agent::PeriodReport>>,
@@ -386,85 +358,6 @@ impl QueryScratch {
     /// A fresh scratch; buffers grow to the workload on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-}
-
-/// One epoch contribution to a series, from either storage tier: a hot
-/// epoch, whose curve is memoised on first read, or a raw wire report whose
-/// curve is reconstructed on every read (compacted and cold).
-/// `WindowSeries::accumulate_curve` over a reconstruction and
-/// `accumulate_report` are bit-identical for the same epoch, so a series
-/// built from any mix of tiers equals the all-hot (and the pre-index
-/// rescan) result exactly.
-pub(crate) enum Epoch<'a> {
-    /// A hot-tier epoch: accumulate its memo, filling it first if empty.
-    Hot {
-        report: &'a BucketReport,
-        memo: &'a Memo,
-    },
-    /// A compacted- or cold-tier epoch: reconstruct from the wire report.
-    Raw(&'a BucketReport),
-}
-
-/// Streams epochs into `out` in visit order: pass 1 finds the union span,
-/// pass 2 resets `out` to it and accumulates each epoch — the exact
-/// addition order (periods ascending, drain order within a period) the
-/// pre-index `WindowSeries::from_reports` code used. Callers must visit
-/// epochs in that order, compacted (older) periods before hot refs.
-/// Returns `false` (with `out` reset to empty) when nothing is visited,
-/// matching `from_reports(&[]) == None`; an epoch with an empty curve still
-/// counts as visited (degenerate heavy records anchor coverage). Each hot
-/// memo this fills adds one to `built`.
-///
-/// `for_each` is called twice and must yield the same epochs both times.
-pub(crate) fn series_from_epochs(
-    mut for_each: impl FnMut(&mut dyn FnMut(Epoch<'_>)),
-    out: &mut WindowSeries,
-    recon: &mut ReconstructScratch,
-    built: &Cell<u64>,
-) -> bool {
-    let mut start = u64::MAX;
-    let mut end = 0u64;
-    let mut any = false;
-    for_each(&mut |e| {
-        let (Epoch::Hot { report: r, .. } | Epoch::Raw(r)) = e;
-        any = true;
-        start = start.min(r.w0);
-        end = end.max(r.w0 + r.padded_len as u64);
-    });
-    if !any {
-        out.reset(0, 0);
-        return false;
-    }
-    out.reset(start, (end - start) as usize);
-    for_each(&mut |e| match e {
-        Epoch::Hot { report, memo } => {
-            let curve = memo.get_or_init(|| {
-                built.set(built.get() + 1);
-                report.reconstruct_with(recon).into()
-            });
-            out.accumulate_curve(report.w0, curve);
-        }
-        Epoch::Raw(r) => out.accumulate_report(r, recon),
-    });
-    true
-}
-
-/// Visits the hot epochs behind `refs` in ref order — the hot-tier half of
-/// a [`series_from_epochs`] visitation. `lookup` resolves one ref to its
-/// stored epochs and their memo cells, and may return `None` to skip it
-/// (the subtraction path skips the queried flow's own key).
-pub(crate) fn visit_refs<'r>(
-    refs: &[EntryRef],
-    lookup: impl Fn(u64, u32) -> Option<(&'r [BucketReport], &'r [Memo])>,
-    f: &mut dyn FnMut(Epoch<'r>),
-) {
-    for &(period, i) in refs {
-        if let Some((brs, memos)) = lookup(period, i) {
-            for (report, memo) in brs.iter().zip(memos) {
-                f(Epoch::Hot { report, memo });
-            }
-        }
     }
 }
 
