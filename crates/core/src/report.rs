@@ -240,6 +240,47 @@ impl BucketReport {
     }
 }
 
+/// The one checksum of the collection plane and the archive: a
+/// multiply-and-fold digest over `bytes` read as little-endian `u64` words,
+/// word `i` into lane `i % 4`. The tail is zero-padded to a whole word and
+/// the byte length is folded in last, so a prefix differs from the whole
+/// even where the cut-off bytes were zeros.
+///
+/// Each step of a lane is a bijection of its state for a fixed word, and
+/// the final fold is a bijection of each lane, so a change confined to one
+/// word — every single-byte damage — always shows. Four lanes let the
+/// multiplies overlap instead of waiting on one chain. Not cryptographic:
+/// it guards against lossy transports and torn writes, not adversaries.
+/// Part of the on-disk format (`UMONSEG2` records carry it).
+pub fn digest(bytes: &[u8]) -> u64 {
+    // One multiply per word, not per byte. The fold carries the top bits
+    // back down: a multiply only moves differences up, so without it two
+    // flips of bit 63 in one lane would cancel.
+    fn mix(h: u64, v: u64) -> u64 {
+        let h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        h ^ (h >> 32)
+    }
+    fn word(b: &[u8]) -> u64 {
+        u64::from_le_bytes(b.try_into().expect("8-byte chunk"))
+    }
+    let mut lanes = [0xcbf2_9ce4_8422_2325u64; 4];
+    let mut step = |block: &[u8]| {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix(*lane, word(w));
+        }
+    };
+    let blocks = bytes.chunks_exact(32);
+    let rest = blocks.remainder();
+    blocks.for_each(&mut step);
+    if !rest.is_empty() {
+        let mut tail = [0u8; 32];
+        tail[..rest.len()].copy_from_slice(rest);
+        step(&tail[..rest.len().next_multiple_of(8)]);
+    }
+    let h = lanes[1..].iter().fold(lanes[0], |h, &lane| mix(h, lane));
+    mix(h, bytes.len() as u64)
+}
+
 /// A full sketch report: every active bucket's epochs from one measurement
 /// period, as uploaded by a host agent.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -273,79 +314,16 @@ impl SketchReport {
             + self.light.iter().map(|(_, _, r)| r.len()).sum::<usize>()
     }
 
-    /// A cheap structural checksum: multiply-and-fold mixes over every
-    /// length, tag and coefficient, one whole `u64` per step, in six
-    /// independent lanes folded together at the end.
+    /// [`digest`] of this report's [`Self::encode`] bytes.
     ///
-    /// Collection envelopes carry this value so the analyzer can detect
-    /// truncated or corrupted payloads without deserializing twice: any
-    /// dropped entry, reordered record or flipped coefficient changes the
-    /// digest. Lane 0 takes the structure — every list length, key byte,
-    /// tag, `w0`, `levels` and `padded_len` — so two reports with equal
-    /// lane-0 sequences have the same shape and feed every other lane the
-    /// same number of words in the same places. Lane 1 takes the
-    /// approximation coefficients; lanes 2–3 the even-position details
-    /// (position word, then value) and lanes 4–5 the odd-position ones.
-    /// Each step is a bijection of its lane's state and the final fold is a
-    /// bijection of each lane, so a change confined to one word always
-    /// shows. Not cryptographic — it guards against lossy transports, not
-    /// adversaries — and not a format: it lives only as long as an envelope
-    /// in flight (the archive checksums its own record bytes).
+    /// The collection plane seals and verifies the whole
+    /// `PeriodReport` encoding instead (`umon::collector`), and the archive
+    /// stores that digest as its record checksum, so this is the same
+    /// function over the report's own bytes: any change that alters the
+    /// encoding — a dropped entry, a reordered record, a flipped
+    /// coefficient — changes the value.
     pub fn integrity(&self) -> u64 {
-        // One multiply per word, not per byte: every seal and every verify
-        // walks the whole report through this, and the lanes let those
-        // multiplies overlap instead of waiting on one chain. The fold
-        // carries the top bits back down: a multiply only moves differences
-        // up, so without it two flips of bit 63 would cancel.
-        fn mix(h: u64, v: u64) -> u64 {
-            let h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-            h ^ (h >> 32)
-        }
-        fn position(d: &DetailRecord) -> u64 {
-            ((d.level as u64) << 32) | d.idx as u64
-        }
-        fn mix_buckets(lanes: [u64; 6], reports: &[BucketReport]) -> [u64; 6] {
-            let [mut s, mut a, mut ek, mut ev, mut ok, mut ov] = lanes;
-            s = mix(s, reports.len() as u64);
-            for r in reports {
-                s = mix(s, r.w0);
-                s = mix(s, r.levels as u64);
-                s = mix(s, r.padded_len as u64);
-                s = mix(s, r.approx.len() as u64);
-                s = mix(s, r.details.len() as u64);
-                for &v in &r.approx {
-                    a = mix(a, v as u64);
-                }
-                let pairs = r.details.chunks_exact(2);
-                let last = pairs.remainder();
-                for pair in pairs {
-                    ek = mix(ek, position(&pair[0]));
-                    ev = mix(ev, pair[0].val as u64);
-                    ok = mix(ok, position(&pair[1]));
-                    ov = mix(ov, pair[1].val as u64);
-                }
-                if let [d] = last {
-                    ek = mix(ek, position(d));
-                    ev = mix(ev, d.val as u64);
-                }
-            }
-            [s, a, ek, ev, ok, ov]
-        }
-        let mut lanes = [0xcbf2_9ce4_8422_2325; 6];
-        lanes[0] = mix(lanes[0], self.heavy.len() as u64);
-        for (key, reports) in &self.heavy {
-            lanes[0] = mix(lanes[0], key.len() as u64);
-            for &b in key {
-                lanes[0] = mix(lanes[0], b as u64);
-            }
-            lanes = mix_buckets(lanes, reports);
-        }
-        lanes[0] = mix(lanes[0], self.light.len() as u64);
-        for &(row, col, ref reports) in &self.light {
-            lanes[0] = mix(lanes[0], ((row as u64) << 32) | col as u64);
-            lanes = mix_buckets(lanes, reports);
-        }
-        lanes[1..].iter().fold(lanes[0], |h, &lane| mix(h, lane))
+        digest(&self.encode())
     }
 
     /// Appends the compact binary encoding of the whole report to `out`.
@@ -518,6 +496,19 @@ mod tests {
         twice.heavy[0].1[0].details[0].val ^= i64::MIN;
         twice.heavy[0].1[0].details[1].val ^= i64::MIN;
         assert_ne!(base, twice.integrity(), "paired top-bit flips cancelled");
+    }
+
+    /// `digest` is an on-disk format (every archive record carries it):
+    /// known answers for an empty input, one whole word, and several blocks
+    /// with a ragged tail.
+    #[test]
+    fn digest_known_answers() {
+        let ramp: Vec<u8> = (0..37).collect();
+        assert_eq!(digest(b""), 0xd950_6df2_e436_3726);
+        assert_eq!(digest(b"UMONSEG2"), 0x41fc_c1f4_3f9c_47bf);
+        assert_eq!(digest(&ramp), 0x6980_1f80_d081_b21d);
+        // Zero padding is not data: the length tells a cut-off zero apart.
+        assert_ne!(digest(&[1, 0]), digest(&[1]));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use wavesketch::haar;
 use wavesketch::reconstruct::reconstruct;
+use wavesketch::report::digest;
 use wavesketch::select::{Candidate, CoeffSelector, HwThresholdSelector, IdealTopK};
 use wavesketch::streaming::StreamingTransform;
 use wavesketch::{
@@ -452,8 +453,7 @@ fn damaged_copies(sr: &SketchReport) -> Vec<(String, SketchReport)> {
                 damage(format!("drop {at} detail {d}"), &|m| {
                     epochs_mut(m, light, e)[i].details.remove(d);
                 });
-                // Neighbours sit in different digest lanes, `d` and `d + 2`
-                // in the same one.
+                // Swaps of neighbours and of details two apart.
                 for gap in [1, 2] {
                     if d + gap < r.details.len() && r.details[d] != r.details[d + gap] {
                         damage(format!("swap {at} details {d}, {}", d + gap), &|m| {
@@ -499,6 +499,27 @@ proptest! {
         let sealed = sr.integrity();
         for (what, damaged) in damaged_copies(&sr) {
             prop_assert!(damaged.integrity() != sealed, "undetected: {}", what);
+        }
+    }
+
+    /// The byte digest the seal and the archive records share sees every
+    /// single-byte damage of an encoding (any nonzero XOR of any one byte:
+    /// a change confined to one word) and every strict prefix (a torn
+    /// record or a truncated datagram).
+    #[test]
+    fn digest_changes_under_every_byte_flip_and_every_prefix(sr in arb_sketch_report()) {
+        let bytes = sr.encode();
+        let sealed = digest(&bytes);
+        let mut damaged = bytes.clone();
+        for at in 0..bytes.len() {
+            for mask in 1..=u8::MAX {
+                damaged[at] ^= mask;
+                prop_assert!(digest(&damaged) != sealed, "undetected: byte {} ^ {:#04x}", at, mask);
+                damaged[at] ^= mask;
+            }
+        }
+        for cut in 0..bytes.len() {
+            prop_assert!(digest(&bytes[..cut]) != sealed, "undetected: prefix of {} bytes", cut);
         }
     }
 }

@@ -49,7 +49,8 @@ impl Analyzer {
         // Truncate torn tails back to the intact prefix so post-recovery
         // appends — including the backfilled re-uploads of what the tear
         // lost — extend a clean segment instead of hiding behind
-        // unreachable bytes.
+        // unreachable bytes. A refused segment of another format version
+        // is not a torn tail: it stays byte-identical.
         if let Some(archive) = self.archive.as_mut() {
             archive.truncate_damage(&scan)?;
         }
@@ -75,6 +76,7 @@ impl Analyzer {
             mismatched: stats.mismatched,
             damaged_tails: scan.damaged_tails,
             torn_tails: scan.torn_tails,
+            refused_segments: scan.refused_segments,
         })
     }
 
@@ -92,77 +94,114 @@ impl Analyzer {
     pub fn add_reports(&mut self, reports: Vec<PeriodReport>) -> IngestStats {
         let mut batch = IngestStats::default();
         for r in reports {
-            if !fits_config(&r, &self.sketch_config) {
-                batch.mismatched += 1;
-                if self.quarantine.len() >= QUARANTINE_CAP {
-                    self.quarantine.pop_front();
-                }
-                self.quarantine.push_back(r);
-                continue;
-            }
-            let floors = self.floors.get(&r.host).copied().unwrap_or_default();
-            if r.period < floors.evict_floor {
-                // Below the eviction floor the report can never become
-                // resident, but with an archive the cold index *can* tell a
-                // stale first delivery from a redelivery of an evicted
-                // period: first deliveries are archived (immediately
-                // queryable from the cold tier), redeliveries are dropped.
-                // Without an archive the two are indistinguishable, so
-                // everything is dropped as before.
-                let first = (self.cold.as_ref()).is_some_and(|c| !c.contains(r.host, r.period));
-                if first && self.archive_report(&r) {
-                    self.retention_stats.stale_archived += 1;
-                    batch.accepted += 1;
-                } else {
-                    batch.duplicates += 1;
-                    self.retention_stats.stale_dropped += 1;
-                }
-                continue;
-            }
-            let host = r.host;
-            let store = self.reports.entry(host).or_default();
-            if store.contains_key(&r.period) {
-                batch.duplicates += 1;
-                continue;
-            }
-            // Write-ahead: archive before the report becomes queryable, so
-            // eviction never races a missing record. The archive record
-            // keeps full fidelity even when the lossy floor trims the
-            // resident copy below.
-            self.archive_report(&r);
-            let mut r = r;
-            if r.period >= floors.hot_floor {
-                self.index.index_report(host, &r, &self.sketch_config);
-            } else {
-                // Arrived already past the hot horizon: store it compacted
-                // (resident, never indexed).
-                self.index.ensure_host(host);
-                self.retention_stats.compacted_on_arrival += 1;
-                if let Some(keep) = self.retention.lossy_floor {
-                    self.retention_stats.lossy_trimmed_details += trim_details(&mut r.report, keep);
-                }
-            }
-            self.reports.entry(host).or_default().insert(r.period, r);
-            batch.accepted += 1;
-            self.enforce_retention(host);
+            self.ingest(r, None, &mut batch);
         }
+        self.finish_batch(batch)
+    }
+
+    /// [`Self::add_reports`] for one report the collector has verified:
+    /// `encoded` is its [`PeriodReport::encode`] bytes and `checksum` their
+    /// digest, which the archive writes as they are instead of encoding and
+    /// digesting the report again.
+    pub(crate) fn add_verified(
+        &mut self,
+        r: PeriodReport,
+        encoded: &[u8],
+        checksum: u64,
+    ) -> IngestStats {
+        let mut batch = IngestStats::default();
+        self.ingest(r, Some((encoded, checksum)), &mut batch);
+        self.finish_batch(batch)
+    }
+
+    /// Closes a batch: enforces the cached-bytes budget, then folds the
+    /// batch into the cumulative counters.
+    fn finish_batch(&mut self, batch: IngestStats) -> IngestStats {
         self.enforce_cached_budget();
         self.stats.absorb(batch);
         batch
     }
 
-    /// Appends `r` to the archive and files its location with the cold
-    /// tier. Returns whether it was archived: never while replaying the
-    /// archive itself, nor without one; a failed append is counted in
+    /// Files one report into `batch`: quarantine, stale or duplicate drop,
+    /// or archive-then-store. `encoded` is the report's verified encoding
+    /// and digest, when the caller has them.
+    fn ingest(
+        &mut self,
+        mut r: PeriodReport,
+        encoded: Option<(&[u8], u64)>,
+        batch: &mut IngestStats,
+    ) {
+        if !fits_config(&r, &self.sketch_config) {
+            batch.mismatched += 1;
+            if self.quarantine.len() >= QUARANTINE_CAP {
+                self.quarantine.pop_front();
+            }
+            self.quarantine.push_back(r);
+            return;
+        }
+        let floors = self.floors.get(&r.host).copied().unwrap_or_default();
+        if r.period < floors.evict_floor {
+            // Below the eviction floor the report can never become
+            // resident, but with an archive the cold index *can* tell a
+            // stale first delivery from a redelivery of an evicted
+            // period: first deliveries are archived (immediately
+            // queryable from the cold tier), redeliveries are dropped.
+            // Without an archive the two are indistinguishable, so
+            // everything is dropped as before.
+            let first = (self.cold.as_ref()).is_some_and(|c| !c.contains(r.host, r.period));
+            if first && self.archive_report(&r, encoded) {
+                self.retention_stats.stale_archived += 1;
+                batch.accepted += 1;
+            } else {
+                batch.duplicates += 1;
+                self.retention_stats.stale_dropped += 1;
+            }
+            return;
+        }
+        let host = r.host;
+        let store = self.reports.entry(host).or_default();
+        if store.contains_key(&r.period) {
+            batch.duplicates += 1;
+            return;
+        }
+        // Write-ahead: archive before the report becomes queryable, so
+        // eviction never races a missing record. The archive record
+        // keeps full fidelity even when the lossy floor trims the
+        // resident copy below.
+        self.archive_report(&r, encoded);
+        if r.period >= floors.hot_floor {
+            self.index.index_report(host, &r, &self.sketch_config);
+        } else {
+            // Arrived already past the hot horizon: store it compacted
+            // (resident, never indexed).
+            self.index.ensure_host(host);
+            self.retention_stats.compacted_on_arrival += 1;
+            if let Some(keep) = self.retention.lossy_floor {
+                self.retention_stats.lossy_trimmed_details += trim_details(&mut r.report, keep);
+            }
+        }
+        self.reports.entry(host).or_default().insert(r.period, r);
+        batch.accepted += 1;
+        self.enforce_retention(host);
+    }
+
+    /// Appends `r` to the archive — as `encoded`, its verified encoding and
+    /// digest, when given — and files its location with the cold tier.
+    /// Returns whether it was archived: never while replaying the archive
+    /// itself, nor without one; a failed append is counted in
     /// `archive_errors`.
-    fn archive_report(&mut self, r: &PeriodReport) -> bool {
+    fn archive_report(&mut self, r: &PeriodReport, encoded: Option<(&[u8], u64)>) -> bool {
         let Some(archive) = self.archive.as_mut() else {
             return false;
         };
         if self.recovering {
             return false;
         }
-        match archive.append(r) {
+        let appended = match encoded {
+            Some((bytes, checksum)) => archive.append_encoded(r.host, bytes, checksum),
+            None => archive.append(r),
+        };
+        match appended {
             Ok(loc) => {
                 if let Some(cold) = self.cold.as_mut() {
                     cold.record(r.host, r.period, loc);
@@ -750,6 +789,52 @@ mod tests {
         assert_eq!(s.accepted, 0);
         assert_eq!(s.duplicates, 1);
         assert_eq!(analyzer.retention_stats().stale_dropped, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A segment of the previous format (`UMONSEG1`, FNV-1a record
+    /// checksums) is refused, not mistaken for a torn tail: recovery leaves
+    /// it byte-identical and reads none of it, and a later append for its
+    /// host fails — counted, with the report kept resident — instead of
+    /// writing new records behind old ones.
+    #[test]
+    fn old_format_segment_is_refused_not_wiped() {
+        fn fnv1a64(bytes: &[u8]) -> u64 {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            h
+        }
+        let (cfg, reports) = contested_reports(2, 60);
+        let dir = std::env::temp_dir().join(format!("umon_v1_refused_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut v1 = b"UMONSEG1".to_vec();
+        for r in reports.iter().filter(|r| r.host == 1) {
+            let payload = r.encode();
+            v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            v1.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+            v1.extend_from_slice(&payload);
+        }
+        let seg = dir.join("host_1.seg");
+        std::fs::write(&seg, &v1).unwrap();
+
+        let policy = RetentionPolicy::default();
+        let mut revived = Analyzer::with_archive(cfg.sketch.clone(), policy, &dir).unwrap();
+        let rec = revived.recover_from_archive().unwrap();
+        assert_eq!(rec.refused_segments, vec![1]);
+        assert_eq!(rec.recovered, 0);
+        assert!(rec.damaged_tails.is_empty(), "refused, not torn");
+        assert_eq!(std::fs::read(&seg).unwrap(), v1, "left byte-identical");
+
+        let late = reports.iter().find(|r| r.host == 1).unwrap().clone();
+        let stats = revived.add_reports(vec![late.clone()]);
+        assert_eq!(stats.accepted, 1, "the report stays resident");
+        assert_eq!(revived.retention_stats().archive_errors, 1);
+        assert!(revived.host_coverage(1).covers(late.period));
+        assert_eq!(std::fs::read(&seg).unwrap(), v1, "never appended to");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -261,6 +261,11 @@ pub struct RecoveryStats {
     /// [`Analyzer::backfill_requests`] to ask the affected hosts to
     /// re-upload what the tear lost.
     pub torn_tails: Vec<TornTail>,
+    /// Hosts whose segment is of another format version: none of its
+    /// records were read, the file is left byte-identical, and appends for
+    /// the host fail (counted in `archive_errors`; the reports stay
+    /// resident).
+    pub refused_segments: Vec<usize>,
 }
 
 impl Analyzer {

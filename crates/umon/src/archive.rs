@@ -9,16 +9,27 @@
 //! Layout: one append-only segment file per host, `host_<id>.seg`, holding
 //!
 //! ```text
-//! [8-byte magic "UMONSEG1"]
-//! repeat: [payload_len: u32 LE] [fnv1a64(payload): u64 LE] [payload]
+//! [8-byte magic "UMONSEG2"]
+//! repeat: [payload_len: u32 LE] [digest(payload): u64 LE] [payload]
 //! ```
 //!
 //! where each payload is [`PeriodReport::encode`]'s compact binary encoding:
 //! period, host and config fingerprint as fixed LE u64s, then the varint
 //! [`SketchReport`](wavesketch::SketchReport) codec from
-//! `wavesketch::report`. The per-record checksum plays the same role as the
-//! collection plane's [`Envelope`](crate::collector::Envelope) seal: a
-//! record is either intact or detectably damaged, never silently wrong.
+//! `wavesketch::report`, and the checksum is
+//! [`wavesketch::report::digest`] of it — the same value as the collection
+//! plane's [`Envelope`](crate::collector::Envelope) seal over the same
+//! bytes. A record is either intact or detectably damaged, never silently
+//! wrong. A report that came through the [`Collector`](crate::Collector)
+//! is written as the very bytes the collector verified, under the digest
+//! it checked: nothing is encoded or digested again here.
+//!
+//! A segment that starts with another `UMONSEG` version (the FNV-1a
+//! records of `UMONSEG1`) is refused, not read: [`PeriodArchive::scan`]
+//! lists it in [`ArchiveScan::refused_segments`], recovery leaves it
+//! byte-identical, and [`PeriodArchive::append`] for its host fails (the
+//! analyzer counts the error and keeps the report resident). There is no
+//! second reader for the old format.
 //!
 //! Crash-recovery invariant: a crash mid-append can only damage the *tail*
 //! of one segment. [`PeriodArchive::scan`] reads each segment until the
@@ -37,27 +48,31 @@
 //! [`read_record_at`]: PeriodArchive::read_record_at
 
 use crate::host_agent::PeriodReport;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use wavesketch::report::digest;
 
 /// Leading magic of every segment file (8 bytes, versioned).
-const MAGIC: &[u8; 8] = b"UMONSEG1";
+const MAGIC: &[u8; 8] = b"UMONSEG2";
+
+/// What every version's magic starts with; the last byte is the version.
+const MAGIC_STEM: &[u8] = b"UMONSEG";
+
+/// Record header: `[payload_len: u32 LE] [digest: u64 LE]`.
+const HEADER: usize = 12;
 
 /// Per-record payload cap: a corrupt length prefix must fail the scan, not
 /// attempt a multi-gigabyte read.
 const MAX_RECORD_LEN: u32 = 1 << 28;
 
-/// FNV-1a over a record's bytes. Part of the on-disk format: changing it
-/// orphans every archive already written.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// True if a segment starting with `head` is of another format version:
+/// refused, never read, truncated or appended to. Bytes without the
+/// `UMONSEG` stem are not a segment at all, just a damaged tail.
+fn foreign_version(head: &[u8]) -> bool {
+    head.len() >= MAGIC.len() && head.starts_with(MAGIC_STEM) && !head.starts_with(MAGIC)
 }
 
 /// The byte location of one record inside its host's segment file.
@@ -112,6 +127,9 @@ pub struct ArchiveScan {
     /// Per-segment damage detail, parallel in host order to
     /// `damaged_tails`.
     pub torn_tails: Vec<TornTail>,
+    /// Hosts whose segment is of another format version (ascending): not
+    /// read, and left byte-identical by recovery.
+    pub refused_segments: Vec<usize>,
 }
 
 /// One host's open append handle plus its current file length (the offset
@@ -128,8 +146,8 @@ pub struct PeriodArchive {
     dir: PathBuf,
     /// Open append handles, one per host heard.
     files: HashMap<usize, Segment>,
-    /// [`Self::append`]'s record buffer, `[len][fnv1a64][payload]`, kept
-    /// between appends so a warm archive encodes without allocating.
+    /// The record buffer, `[len][digest][payload]`, kept between appends
+    /// so a warm archive writes without allocating.
     record: Vec<u8>,
 }
 
@@ -154,35 +172,82 @@ impl PeriodArchive {
         dir.join(format!("host_{host}.seg"))
     }
 
+    /// The open segment of `host`, opening it (and writing the magic into
+    /// a new one) on first use. Fails for a segment of another format
+    /// version, which is never appended to.
+    fn segment<'a>(
+        dir: &Path,
+        files: &'a mut HashMap<usize, Segment>,
+        host: usize,
+    ) -> std::io::Result<&'a mut Segment> {
+        let slot = match files.entry(host) {
+            Entry::Occupied(open) => return Ok(open.into_mut()),
+            Entry::Vacant(slot) => slot,
+        };
+        let path = Self::segment_path(dir, host);
+        let mut file = OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(&path)?;
+        let mut len = file.metadata()?.len();
+        if len == 0 {
+            file.write_all(MAGIC)?;
+            len = MAGIC.len() as u64;
+        } else if len >= MAGIC.len() as u64 {
+            let mut head = [0u8; MAGIC.len()];
+            file.read_exact(&mut head)?;
+            if foreign_version(&head) {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "{} is a segment of another format version; refusing to append",
+                        path.display()
+                    ),
+                ));
+            }
+        }
+        Ok(slot.insert(Segment { file, len }))
+    }
+
     /// Appends one accepted report to its host's segment, creating the
     /// segment (with magic) on first use. The record is flushed to the OS
     /// before this returns, so a later process crash cannot lose it.
     /// Returns the record's location for the cold-tier index.
     pub fn append(&mut self, report: &PeriodReport) -> std::io::Result<SegLoc> {
-        let host = report.host;
-        if !self.files.contains_key(&host) {
-            let path = Self::segment_path(&self.dir, host);
-            let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-            let mut len = file.metadata()?.len();
-            if len == 0 {
-                file.write_all(MAGIC)?;
-                len = MAGIC.len() as u64;
-            }
-            self.files.insert(host, Segment { file, len });
-        }
-        let seg = self.files.get_mut(&host).expect("just inserted");
-        // The payload is encoded straight behind a reserved header, then the
-        // header is filled in: one buffer, reused across appends, and one
-        // write per record, which keeps a crash from interleaving
-        // half-records from different appends.
+        // The payload is encoded straight behind a reserved header, then
+        // digested in place: one buffer, reused across appends.
+        self.record.clear();
+        self.record.resize(HEADER, 0);
+        report.encode_into(&mut self.record);
+        let checksum = digest(&self.record[HEADER..]);
+        self.write_record(report.host, checksum)
+    }
+
+    /// [`Self::append`] for a report whose encoding and its digest the
+    /// caller already holds — the collector's verified bytes — so neither
+    /// is computed again.
+    pub(crate) fn append_encoded(
+        &mut self,
+        host: usize,
+        payload: &[u8],
+        checksum: u64,
+    ) -> std::io::Result<SegLoc> {
+        self.record.clear();
+        self.record.resize(HEADER, 0);
+        self.record.extend_from_slice(payload);
+        self.write_record(host, checksum)
+    }
+
+    /// The one record writer: fills the header reserved at the front of the
+    /// record buffer and writes the whole record with one call, which keeps
+    /// a crash from interleaving half-records from different appends.
+    fn write_record(&mut self, host: usize, checksum: u64) -> std::io::Result<SegLoc> {
+        let seg = Self::segment(&self.dir, &mut self.files, host)?;
         let record = &mut self.record;
-        record.clear();
-        record.resize(12, 0);
-        report.encode_into(record);
-        let payload_len = record.len() - 12;
-        let checksum = fnv1a64(&record[12..]);
+        let payload_len = record.len() - HEADER;
         record[0..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-        record[4..12].copy_from_slice(&checksum.to_le_bytes());
+        record[4..HEADER].copy_from_slice(&checksum.to_le_bytes());
         seg.file.write_all(record)?;
         seg.file.flush()?;
         let loc = SegLoc {
@@ -210,16 +275,16 @@ impl PeriodArchive {
         if file.read_exact(&mut record).is_err() {
             return Ok(None);
         }
-        if record.len() < 12 {
+        if record.len() < HEADER {
             return Ok(None);
         }
         let len = u32::from_le_bytes(record[0..4].try_into().expect("4 bytes"));
-        if len as usize != record.len() - 12 {
+        if len as usize != record.len() - HEADER {
             return Ok(None);
         }
-        let want = u64::from_le_bytes(record[4..12].try_into().expect("8 bytes"));
-        let payload = &record[12..];
-        if fnv1a64(payload) != want {
+        let want = u64::from_le_bytes(record[4..HEADER].try_into().expect("8 bytes"));
+        let payload = &record[HEADER..];
+        if digest(payload) != want {
             return Ok(None);
         }
         Ok(PeriodReport::decode(payload))
@@ -242,7 +307,9 @@ impl PeriodArchive {
     /// Reads every segment under `dir`, keeping each segment's intact record
     /// prefix. Tolerates a damaged or truncated tail per segment (the
     /// expected shape after a crash mid-append) — and, conservatively, any
-    /// other trailing garbage — without panicking.
+    /// other trailing garbage — without panicking. A segment of another
+    /// format version is not read: it is listed in
+    /// [`ArchiveScan::refused_segments`].
     pub fn scan(dir: impl AsRef<Path>) -> std::io::Result<ArchiveScan> {
         let dir = dir.as_ref();
         let mut out = ArchiveScan::default();
@@ -263,6 +330,10 @@ impl PeriodArchive {
             };
             let mut bytes = Vec::new();
             File::open(&path)?.read_to_end(&mut bytes)?;
+            if foreign_version(&bytes) {
+                out.refused_segments.push(host);
+                continue;
+            }
             if let Some(tail) = Self::scan_segment(host, &bytes, &mut out.reports, &mut out.locs) {
                 out.damaged_tails.push(host);
                 out.torn_tails.push(tail);
@@ -277,6 +348,7 @@ impl PeriodArchive {
         }
         out.damaged_tails.sort_unstable();
         out.torn_tails.sort_unstable_by_key(|t| t.host);
+        out.refused_segments.sort_unstable();
         Ok(out)
     }
 
@@ -305,10 +377,10 @@ impl PeriodArchive {
             let Some((len, want)) = Self::read_header(body, pos) else {
                 break;
             };
-            let Some(payload) = body.get(pos + 12..pos + 12 + len) else {
+            let Some(payload) = body.get(pos + HEADER..pos + HEADER + len) else {
                 break;
             };
-            if fnv1a64(payload) != want {
+            if digest(payload) != want {
                 break;
             }
             let Some(report) = PeriodReport::decode(payload) else {
@@ -317,9 +389,9 @@ impl PeriodArchive {
             reports.push(report);
             locs.push(SegLoc {
                 offset: (magic + pos) as u64,
-                len: (12 + len) as u32,
+                len: (HEADER + len) as u32,
             });
-            pos += 12 + len;
+            pos += HEADER + len;
         }
         if pos >= body.len() {
             return None;
@@ -331,7 +403,7 @@ impl PeriodArchive {
         while pos < body.len() {
             lost += 1;
             match Self::read_header(body, pos) {
-                Some((len, _)) if pos + 12 + len <= body.len() => pos += 12 + len,
+                Some((len, _)) if pos + HEADER + len <= body.len() => pos += HEADER + len,
                 _ => break,
             }
         }
@@ -346,12 +418,12 @@ impl PeriodArchive {
     /// Reads the `[len][checksum]` record header at `pos`, rejecting
     /// truncated headers and implausible lengths.
     fn read_header(body: &[u8], pos: usize) -> Option<(usize, u64)> {
-        let header = body.get(pos..pos + 12)?;
+        let header = body.get(pos..pos + HEADER)?;
         let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
         if len > MAX_RECORD_LEN {
             return None;
         }
-        let want = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
+        let want = u64::from_le_bytes(header[4..HEADER].try_into().expect("8 bytes"));
         Some((len as usize, want))
     }
 }
@@ -423,12 +495,12 @@ mod tests {
         // record's bytes.
         let mut reports = sample_reports(1);
         reports.sort_by_key(|r| std::cmp::Reverse(r.encode().len()));
-        let mut want = MAGIC.to_vec();
+        let mut want = b"UMONSEG2".to_vec();
         for r in &reports {
             archive.append(r).unwrap();
             let payload = r.encode();
             want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            want.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+            want.extend_from_slice(&digest(&payload).to_le_bytes());
             want.extend_from_slice(&payload);
         }
         drop(archive);
@@ -587,7 +659,7 @@ mod tests {
         // that record on is quarantined, but framing still counts them.
         let path = dir.join("host_0.seg");
         let mut bytes = std::fs::read(&path).unwrap();
-        let hit = locs[1].offset as usize + 12 + 3;
+        let hit = locs[1].offset as usize + HEADER + 3;
         bytes[hit] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
 

@@ -8,7 +8,9 @@
 //!
 //! * [`Envelope`] — a sequence-numbered, checksummed wrapper around one
 //!   [`PeriodReport`], sealed by the sender so the collector can detect
-//!   truncation and tampering without trusting the transport.
+//!   truncation and tampering without trusting the transport. The seal is
+//!   [`digest`] over the report's whole [`PeriodReport::encode`] bytes, so
+//!   it covers period, host and config fingerprint as well as the sketch.
 //! * [`Transport`] — the uplink abstraction: report envelopes flow up,
 //!   per-sequence ACKs flow back down. [`PerfectTransport`] is the lossless
 //!   reference; [`FaultyTransport`] injects seeded, per-host drop /
@@ -24,6 +26,10 @@
 //!   dedups by `(host, seq)`, detects sequence gaps, quarantines damage
 //!   behind counters instead of panicking, and keeps the analyzer's
 //!   [`known-lost`](crate::Analyzer::set_known_lost) coverage in sync.
+//!   Verifying encodes the received report into one reused buffer; those
+//!   verified bytes, under the digest just checked, are what the archive
+//!   writes, so a report crosses the plane with one encode and one digest
+//!   on each side.
 //!
 //! Degradation contract: whatever the transport does, the collector never
 //! panics, never double-counts a report, and every accepted curve is built
@@ -36,6 +42,7 @@ use std::sync::Arc;
 use crate::analyzer::Analyzer;
 use crate::host_agent::PeriodReport;
 use crate::seqwin::SeqWindow;
+use wavesketch::report::digest;
 
 /// A sequence-numbered, checksummed report in flight.
 ///
@@ -49,8 +56,8 @@ pub struct Envelope {
     pub seq: u64,
     /// Epoch count of the payload at seal time.
     pub declared_epochs: usize,
-    /// [`SketchReport::integrity`](wavesketch::SketchReport::integrity) of
-    /// the payload at seal time.
+    /// [`digest`] of the report's [`PeriodReport::encode`] bytes at seal
+    /// time — the same value the archive stores as the record checksum.
     pub checksum: u64,
     /// `Some(n)`: this envelope is an end-of-stream sentinel declaring that
     /// the sender has assigned sequence numbers `0..n`. Without it a
@@ -64,12 +71,13 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// Seals `report` under sequence number `seq`.
+    /// Seals `report` under sequence number `seq`: encodes it and digests
+    /// the encoding. (The uplink digests the encoding it already holds.)
     pub fn seal(seq: u64, report: PeriodReport) -> Self {
         Self {
             seq,
             declared_epochs: report.report.epoch_count(),
-            checksum: report.report.integrity(),
+            checksum: digest(&report.encode()),
             fin: None,
             report,
         }
@@ -91,10 +99,17 @@ impl Envelope {
         env
     }
 
-    /// True if the payload still matches what the sender sealed.
-    pub fn verify(&self) -> bool {
-        self.report.report.epoch_count() == self.declared_epochs
-            && self.report.report.integrity() == self.checksum
+    /// True if the payload still matches what the sender sealed. Encodes
+    /// the report into `buf` (cleared first; a warm buffer makes this
+    /// allocation-free) and compares its digest with the seal; on `true`,
+    /// `buf` holds the verified [`PeriodReport::encode`] bytes.
+    pub fn verify(&self, buf: &mut Vec<u8>) -> bool {
+        if self.report.report.epoch_count() != self.declared_epochs {
+            return false;
+        }
+        buf.clear();
+        self.report.encode_into(buf);
+        digest(buf) == self.checksum
     }
 
     /// The reporting host (shorthand for `self.report.host`).
@@ -482,9 +497,9 @@ impl HostUplink {
         }
     }
 
-    /// Seals one report under a fresh sequence number and queues it with
-    /// its encoding, evicting the oldest unacknowledged report when the
-    /// buffer is full.
+    /// Seals one report under a fresh sequence number — the digest of its
+    /// encoding `bytes` — and queues it with them, evicting the oldest
+    /// unacknowledged report when the buffer is full.
     fn enqueue(&mut self, report: PeriodReport, bytes: Arc<[u8]>) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -495,7 +510,7 @@ impl HostUplink {
         self.pending.push_back(Pending {
             seq,
             declared_epochs: report.report.epoch_count(),
-            checksum: report.report.integrity(),
+            checksum: digest(&bytes),
             first: Some(report),
             bytes,
             attempts: 0,
@@ -635,6 +650,9 @@ pub struct Collector {
     /// Per-host sequence bookkeeping, memory-bounded per host.
     hosts: HashMap<usize, HostSeqState>,
     stats: CollectorStats,
+    /// [`Envelope::verify`]'s encode buffer, reused across envelopes; after
+    /// a successful verify it holds the bytes the archive writes.
+    verified: Vec<u8>,
 }
 
 /// Out-of-order horizon for the per-host dedup window. An intact copy
@@ -714,7 +732,7 @@ impl Collector {
         Self::default()
     }
 
-    /// Drains the transport once: verify → dedup → ingest → ACK. Updates the
+    /// Drains the transport once: dedup → verify → ingest → ACK. Updates the
     /// analyzer's per-host known-loss counts afterward so coverage
     /// annotations stay current. Returns the counter deltas of this pump.
     pub fn pump(
@@ -731,7 +749,7 @@ impl Collector {
                 // End-of-stream declaration: fold the high-water mark into
                 // gap tracking. No ACK, no counters — a damaged sentinel is
                 // dropped silently (the next tick sends a fresh one).
-                if env.verify() {
+                if env.verify(&mut self.verified) {
                     state.declared = state.declared.max(declared);
                 }
                 continue;
@@ -743,7 +761,7 @@ impl Collector {
                 transport.ack(host, seq);
                 continue;
             }
-            if !env.verify() {
+            if !env.verify(&mut self.verified) {
                 // Damaged in flight. No ACK: the sender's retransmission is
                 // our only chance at the intact payload.
                 self.stats.corrupt += 1;
@@ -753,7 +771,7 @@ impl Collector {
                 }
                 continue;
             }
-            let ingest = analyzer.add_reports(vec![env.report]);
+            let ingest = analyzer.add_verified(env.report, &self.verified, env.checksum);
             if ingest.mismatched > 0 {
                 self.stats.mismatched += 1;
             } else {
@@ -1174,7 +1192,8 @@ mod tests {
         // The first send moved the report: only its encoding stays behind.
         assert!(uplink.pending.iter().all(|p| p.first.is_none()));
         assert_eq!(first[0].report, reports[1]);
-        assert!(first[0].verify());
+        let mut buf = Vec::new();
+        assert!(first[0].verify(&mut buf));
 
         // No ACK: the retransmission decodes the kept encoding into a report
         // equal to the original, under the same seal.
@@ -1187,7 +1206,7 @@ mod tests {
             (again[0].seq, again[0].declared_epochs, again[0].checksum),
             (first[0].seq, first[0].declared_epochs, first[0].checksum)
         );
-        assert!(again[0].verify());
+        assert!(again[0].verify(&mut buf));
     }
 
     #[test]
@@ -1425,9 +1444,73 @@ mod tests {
         let cfg = agent_config();
         let reports = make_reports(0, &cfg);
         let env = Envelope::seal(0, reports[0].clone());
-        assert!(env.verify());
+        let mut buf = Vec::new();
+        assert!(env.verify(&mut buf));
+        assert_eq!(buf, reports[0].encode(), "verify leaves the verified bytes");
         let mut bad = env.clone();
         FaultyTransport::truncate_payload(&mut bad);
-        assert!(!bad.verify(), "truncation must break the seal");
+        assert!(!bad.verify(&mut buf), "truncation must break the seal");
+    }
+
+    /// The seal is the digest of the whole `PeriodReport` encoding, so a
+    /// report re-addressed in flight — another period, host or
+    /// configuration — fails verification like a damaged sketch does.
+    #[test]
+    fn seal_covers_period_host_and_fingerprint() {
+        let cfg = agent_config();
+        let env = Envelope::seal(0, make_reports(0, &cfg).remove(0));
+        let mut buf = Vec::new();
+        assert!(env.verify(&mut buf));
+        let damages: [fn(&mut PeriodReport); 3] = [
+            |r| r.period += 1,
+            |r| r.host ^= 1,
+            |r| r.config_fingerprint ^= 1 << 40,
+        ];
+        for damage in damages {
+            let mut bad = env.clone();
+            damage(&mut bad.report);
+            assert!(!bad.verify(&mut buf), "re-addressed report verified");
+        }
+        // The uplink's seal, over the encoding it keeps, is the same value.
+        let mut uplink = HostUplink::new(0, RetransmitPolicy::default());
+        uplink.submit(vec![env.report.clone()]);
+        assert_eq!(uplink.pending[0].checksum, env.checksum);
+    }
+
+    /// Both ways into the archive end in the same record writer: reports
+    /// that crossed the collector (written as the bytes it verified) and
+    /// the same reports handed to `add_reports` (encoded by the archive)
+    /// leave byte-identical segment files.
+    #[test]
+    fn collector_and_add_reports_write_identical_segments() {
+        let cfg = agent_config();
+        let reports = make_reports(0, &cfg);
+        let dir = std::env::temp_dir().join(format!("umon_collector_seg_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let policy = crate::RetentionPolicy::UNBOUNDED;
+
+        let mut direct =
+            Analyzer::with_archive(cfg.sketch.clone(), policy, dir.join("direct")).unwrap();
+        direct.add_reports(reports.clone());
+        let mut collected =
+            Analyzer::with_archive(cfg.sketch.clone(), policy, dir.join("collected")).unwrap();
+        let mut transport = PerfectTransport::new();
+        let mut uplink = HostUplink::new(0, RetransmitPolicy::default());
+        let mut collector = Collector::new();
+        uplink.submit(reports.clone());
+        run_rounds(
+            &mut uplink,
+            &mut transport,
+            &mut collector,
+            &mut collected,
+            10,
+        );
+        assert_eq!(collector.stats().accepted, reports.len() as u64);
+
+        let direct_seg = std::fs::read(dir.join("direct/host_0.seg")).unwrap();
+        let collected_seg = std::fs::read(dir.join("collected/host_0.seg")).unwrap();
+        assert!(direct_seg.len() > reports[0].encode().len());
+        assert_eq!(collected_seg, direct_seg);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

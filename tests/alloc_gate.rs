@@ -6,7 +6,8 @@
 //! query path (`flow_curve_with` / `host_rate_curve_with` through a warm
 //! `QueryScratch`) touches the heap — and, off the hot path, that a report
 //! decoder allocates nothing for a length prefix its input cannot back and
-//! that an uplink's first send moves a report instead of copying it.  A
+//! that an uplink's first send moves a report instead of copying it, and
+//! that the collector's envelope verify reuses its encode buffer.  A
 //! counting `#[global_allocator]` wraps the system allocator; this file
 //! contains a single `#[test]` so no sibling test thread can contribute
 //! spurious counts (each integration-test file is its own binary).
@@ -75,6 +76,37 @@ fn steady_state_hot_paths_do_not_allocate() {
     analyzer_query_path_is_allocation_free();
     lying_length_prefix_allocates_nothing();
     uplink_tick_moves_the_report();
+    envelope_verify_with_a_warm_buffer_allocates_nothing();
+}
+
+/// The collector verifies every envelope by encoding its report into one
+/// buffer it keeps and digesting that: once the buffer has held a report's
+/// encoding, verifying it again — intact or damaged — touches the heap not
+/// at all (an `encode()` per verify would allocate and grow a fresh `Vec`).
+fn envelope_verify_with_a_warm_buffer_allocates_nothing() {
+    use umon::{Envelope, HostAgent, HostAgentConfig};
+
+    let mut agent = HostAgent::new(0, HostAgentConfig::default());
+    for w in 0..64u64 {
+        for flow in 0..100u64 {
+            agent.observe(flow, (w << 13) + flow, 1000);
+        }
+    }
+    let env = Envelope::seal(0, agent.finish().remove(0));
+    let mut damaged = env.clone();
+    damaged.checksum ^= 1;
+    let mut buf = Vec::new();
+    assert!(env.verify(&mut buf), "warm-up verify");
+
+    let before = heap_ops();
+    let intact = env.verify(&mut buf);
+    let broken = damaged.verify(&mut buf);
+    let measured = heap_ops() - before;
+    assert!(intact && !broken);
+    assert_eq!(
+        measured, 0,
+        "a warm-buffer Envelope::verify performed {measured} heap operations"
+    );
 }
 
 /// Off the packet path too: a report's first send moves it onto the wire.
