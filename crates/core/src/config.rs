@@ -47,6 +47,14 @@ pub struct Placement {
     prehashed_rows: u8,
 }
 
+impl Placement {
+    /// The packed key this placement was computed for.
+    #[inline]
+    pub fn packed(&self) -> &[u8; 13] {
+        &self.packed
+    }
+}
+
 /// Parameters of a WaveSketch (basic or full).
 ///
 /// Paper defaults (§7.1): `rows = 3`, `width = 256`, `levels = 8`, `topk` set
@@ -139,7 +147,14 @@ impl SketchConfig {
     /// [`Self::heavy_slot_placed`].
     #[inline]
     pub fn place(&self, flow: &FlowKey) -> Placement {
-        let packed = flow.pack();
+        self.place_packed(&flow.pack())
+    }
+
+    /// [`Self::place`] of an already packed key ([`FlowKey::pack`]'s 13
+    /// bytes, the form heavy keys travel in), without unpacking it first.
+    #[inline]
+    pub fn place_packed(&self, packed: &[u8; 13]) -> Placement {
+        let packed = *packed;
         let mut row_hashes = [0u64; MAX_PREHASH_ROWS];
         let (heavy_hash, prehashed_rows) = match self.rows {
             1 => {
@@ -368,8 +383,9 @@ mod tests {
 
     /// Placement is the paper's Count-Min layout — each row and the heavy
     /// part hash the flow on their own, nothing routes it first — for
-    /// power-of-two and other widths alike, and through `place()`'s
-    /// prehashed and lazily hashed rows alike.
+    /// power-of-two and other widths alike, through `place()`'s prehashed
+    /// and lazily hashed rows alike, and from a packed key
+    /// (`place_packed`) as from a `FlowKey`.
     #[test]
     fn placement_is_the_count_min_layout() {
         for width in [256usize, 12, 10, 1] {
@@ -383,18 +399,23 @@ mod tests {
                         .build();
                     for id in 0..500u64 {
                         let f = FlowKey::from_id(id);
+                        let packed = c.place_packed(&f.pack());
                         for r in 0..rows {
+                            let want = f.hash(r as u64, c.seed) % width as u64;
                             assert_eq!(
                                 c.light_col(&f, r) as u64,
-                                f.hash(r as u64, c.seed) % width as u64,
+                                want,
                                 "width {width}, row {r}, flow {id}"
                             );
+                            assert_eq!(c.light_col_placed(&packed, r) as u64, want);
                         }
+                        let want = f.hash(HEAVY_TAG, c.seed) % heavy_rows as u64;
                         assert_eq!(
                             c.heavy_slot(&f) as u64,
-                            f.hash(HEAVY_TAG, c.seed) % heavy_rows as u64,
+                            want,
                             "heavy_rows {heavy_rows}, flow {id}"
                         );
+                        assert_eq!(c.heavy_slot_placed(&packed) as u64, want);
                     }
                 }
             }

@@ -8,7 +8,9 @@
 //! the current implementation's outputs against the checked-in fixtures
 //! instead of overwriting them and exits nonzero on any mismatch — the same
 //! assertions the drain-fixture and query-equivalence test suites make,
-//! usable standalone.
+//! usable standalone. `--check` answers every query fixture twice: from
+//! the all-hot analyzer that wrote it, and from an archive-backed
+//! `bounded(1, 2)` one whose curves cross the hot, compacted and cold tiers.
 //!
 //! Drain fixtures pin *content*: which coefficients every epoch retains,
 //! with every other field exact. Both sides of the comparison go through
@@ -24,7 +26,9 @@
 
 use std::path::PathBuf;
 use umon_testkit::golden::{canonical, golden_drain, golden_fixture_name, GOLDEN_SEEDS};
-use umon_testkit::golden_query::{query_fixture, query_fixture_name, QueryFixture, QUERY_SEEDS};
+use umon_testkit::golden_query::{
+    query_fixture, query_fixture_name, query_fixture_tiered, QueryFixture, QUERY_SEEDS,
+};
 use wavesketch::SketchReport;
 
 fn fixture_dir() -> PathBuf {
@@ -81,11 +85,19 @@ fn main() {
             let raw = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
             let frozen: QueryFixture = serde_json::from_str(&raw).expect("parse query fixture");
-            if frozen == fixture {
-                println!("query seed {seed:2}: OK ({curves} curves)");
-            } else {
-                println!("query seed {seed:2}: MISMATCH vs {}", path.display());
-                failures += 1;
+            let dir = std::env::temp_dir()
+                .join(format!("umon_golden_tiered_{seed}_{}", std::process::id()));
+            let tiered = query_fixture_tiered(seed, &dir);
+            for (what, got) in [("all-hot", &fixture), ("tiered", &tiered)] {
+                if *got == frozen {
+                    println!("query seed {seed:2}: OK ({curves} curves, {what})");
+                } else {
+                    println!(
+                        "query seed {seed:2}: MISMATCH ({what}) vs {}",
+                        path.display()
+                    );
+                    failures += 1;
+                }
             }
         } else {
             let json = serde_json::to_string(&fixture).expect("serialize query fixture");

@@ -22,7 +22,8 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use umon::{Analyzer, HostAgent, HostAgentConfig, PeriodReport};
+use std::path::Path;
+use umon::{Analyzer, HostAgent, HostAgentConfig, PeriodReport, RetentionPolicy};
 use wavesketch::basic::WindowSeries;
 use wavesketch::{SelectorKind, SketchConfig};
 
@@ -107,7 +108,11 @@ pub fn query_reports(seed: u64) -> (HostAgentConfig, Vec<PeriodReport>) {
 /// ingest plane's dedup and reorder handling.
 pub fn query_analyzer(seed: u64) -> Analyzer {
     let (cfg, reports) = query_reports(seed);
-    let mut analyzer = Analyzer::new(cfg.sketch.clone());
+    ingest_hostile(Analyzer::new(cfg.sketch), reports)
+}
+
+/// Reversed delivery, then a full redelivery (see [`query_analyzer`]).
+fn ingest_hostile(mut analyzer: Analyzer, reports: Vec<PeriodReport>) -> Analyzer {
     let reversed: Vec<PeriodReport> = reports.iter().rev().cloned().collect();
     let accepted = analyzer.add_reports(reversed).accepted;
     let redelivered = analyzer.add_reports(reports);
@@ -157,7 +162,33 @@ pub struct QueryFixture {
 
 /// Runs the seed's workload end to end and freezes every query output.
 pub fn query_fixture(seed: u64) -> QueryFixture {
-    let analyzer = query_analyzer(seed);
+    freeze(seed, &query_analyzer(seed))
+}
+
+/// [`query_fixture`] answered by an analyzer with an archive in `dir`
+/// (emptied first, removed after) and `RetentionPolicy::bounded(1, 2)`,
+/// fed the same hostile ingest: each host's newest period stays hot, the
+/// next is compacted and the two oldest are answered from the archive, so
+/// its curves cross every tier — and must still be the fixture's bits.
+pub fn query_fixture_tiered(seed: u64, dir: &Path) -> QueryFixture {
+    let (cfg, reports) = query_reports(seed);
+    let _ = std::fs::remove_dir_all(dir);
+    let analyzer = Analyzer::with_archive(cfg.sketch, RetentionPolicy::bounded(1, 2), dir)
+        .expect("open fixture archive");
+    let analyzer = ingest_hostile(analyzer, reports);
+    let s = analyzer.retention_stats();
+    assert!(
+        s.compacted_on_arrival > 0 && s.stale_archived > 0 && s.archive_errors == 0,
+        "every tier must hold periods: {s:?}"
+    );
+    let fixture = freeze(seed, &analyzer);
+    drop(analyzer);
+    let _ = std::fs::remove_dir_all(dir);
+    fixture
+}
+
+/// Every query output of `analyzer`, frozen.
+fn freeze(seed: u64, analyzer: &Analyzer) -> QueryFixture {
     let hosts = (0..QUERY_HOSTS)
         .map(|host| HostCurves {
             host,
@@ -200,6 +231,13 @@ mod tests {
         for &seed in &QUERY_SEEDS[..2] {
             assert_eq!(query_fixture(seed), query_fixture(seed), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn tiered_analyzer_answers_the_fixture_bits() {
+        let seed = QUERY_SEEDS[0];
+        let dir = std::env::temp_dir().join(format!("umon_golden_tiered_{}", std::process::id()));
+        assert_eq!(query_fixture_tiered(seed, &dir), query_fixture(seed));
     }
 
     #[test]

@@ -23,6 +23,8 @@ mod ingest;
 mod mirrors;
 mod query;
 
+pub(crate) use query::Selected;
+
 use crate::archive::{PeriodArchive, TornTail};
 use crate::cold::ColdStore;
 use crate::collector::BackfillRequest;

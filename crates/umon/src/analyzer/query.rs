@@ -9,20 +9,26 @@
 //! and drain order within a period. That is the order the pre-index rescan
 //! summed `f64` reconstructions in; float addition is order-sensitive, so
 //! keeping it keeps every curve bit-identical whatever the tier placement.
+//!
+//! The index resolved every pick to ordered refs into the hot tier at
+//! ingest. The cold and compacted tiers have no index, so each query makes
+//! its own, once: [`HostView::select`] scans every unindexed period a
+//! single time and records each entry one of the query's picks reads
+//! ([`Selected`]); the query's walks filter that record.
 
 use super::{Analyzer, AnnotatedCurve};
 use crate::host_agent::PeriodReport;
-use crate::query_index::{unpack_key, HostIndex, Memo, QueryScratch};
+use crate::query_index::{HostIndex, Memo, QueryScratch};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use wavesketch::basic::WindowSeries;
 use wavesketch::reconstruct::ReconstructScratch;
-use wavesketch::{BucketReport, FlowKey, SketchConfig};
+use wavesketch::{BucketReport, FlowKey, Placement, SketchConfig};
 
 /// Which stored entries a curve sums.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pick {
+pub(crate) enum Pick {
     /// A flow's own heavy-part records, by packed key.
     Heavy([u8; 13]),
     /// Light bucket `(row, col)`.
@@ -35,6 +41,22 @@ enum Pick {
     /// and heavy flows are counted in the light part too, so their sum is
     /// the host's traffic.
     Row0,
+}
+
+/// One cold or compacted entry a query reads: the period's ordinal in the
+/// walk's unindexed order (cold, then compacted, each ascending), the
+/// entry's index in that period's `heavy` list (for `Heavy` and
+/// `Colliding`) or `light` list, and the pick that reads it. A query's
+/// selection lists them in walk order, so each pick's entries come out
+/// periods ascending and in list order within a period.
+pub(crate) type Selected = (u32, u32, Pick);
+
+/// What one query reads: one flow's curve, whose placement gives its key
+/// and its column in every row, or the host's rate.
+#[derive(Clone, Copy)]
+enum Target<'p> {
+    Flow(&'p Placement),
+    HostRate,
 }
 
 /// One epoch the walk yields, from either storage tier: a hot epoch, whose
@@ -63,68 +85,98 @@ impl<'a> Epoch<'a> {
     }
 }
 
+/// The epochs of entry `i` of `pr` that `pick` reads: a light bucket's for
+/// `Light` and `Row0`, a heavy key's for `Heavy` and `Colliding`.
+fn entry(pr: &PeriodReport, pick: Pick, i: usize) -> &[BucketReport] {
+    match pick {
+        Pick::Light(..) | Pick::Row0 => &pr.report.light[i].2,
+        Pick::Heavy(_) | Pick::Colliding(..) => &pr.report.heavy[i].1,
+    }
+}
+
 /// One host's stored periods as one query sees them: the cold reports
 /// fetched for it, the resident store (compacted below `hot_floor`, hot
-/// from it on) and the index over the hot part.
+/// from it on), the index over the hot part and the query's selection over
+/// the rest.
 struct HostView<'a> {
     cfg: &'a SketchConfig,
     cold: &'a [Rc<PeriodReport>],
     store: Option<&'a BTreeMap<u64, PeriodReport>>,
     hot_floor: u64,
     hidx: Option<&'a HostIndex>,
+    /// What [`Self::select`] recorded for the query.
+    selected: &'a [Selected],
     /// The index's count of memos filled by queries.
     built: &'a Cell<u64>,
 }
 
 impl<'a> HostView<'a> {
-    /// Yields every stored epoch `pick` selects, in the module's visit
-    /// order: cold periods, then compacted ones, then hot refs.
-    fn walk(&self, pick: Pick, f: &mut dyn FnMut(Epoch<'a>)) {
-        let cfg = self.cfg;
+    /// The unindexed periods in visit order: cold, then compacted.
+    fn unindexed(&self) -> impl Iterator<Item = &'a PeriodReport> + 'a {
         let hot_floor = self.hot_floor;
         let compacted =
-            (self.store.into_iter()).flat_map(|s| s.range(..hot_floor).map(|(_, pr)| pr));
-        for pr in self.cold.iter().map(|rc| &**rc).chain(compacted) {
-            // Unindexed: test each stored entry, a collision re-derived from
-            // its key (stack-only work — the fallback trades speed, not
-            // memory). Plain loops per pick: this scan runs over every light
-            // entry of every unindexed period, and iterator adaptors or one
-            // fused test per entry measured 4–7 % slower compacted-tier flow
-            // queries (DESIGN.md §11).
-            let mut raw = |brs: &'a Vec<_>| brs.iter().for_each(|b| f(Epoch::Raw(b)));
-            match pick {
-                Pick::Heavy(key) => {
-                    for (k, brs) in &pr.report.heavy {
-                        if k.as_slice() == key.as_slice() {
-                            raw(brs);
-                        }
-                    }
+            (self.store.into_iter()).flat_map(move |s| s.range(..hot_floor).map(|(_, pr)| pr));
+        self.cold.iter().map(|rc| &**rc).chain(compacted)
+    }
+
+    /// The selection pass: records into `out`, in walk order, every
+    /// unindexed entry one of `target`'s picks reads. Each period's heavy
+    /// list is scanned once — the flow's own key is `Heavy`, any other key
+    /// is placed once and is `Colliding` at every row whose column it
+    /// shares with the flow — and so is its light list: the flow's column
+    /// of each row is `Light`, or for the host rate every row-0 bucket is
+    /// `Row0`.
+    fn select(&self, target: Target, out: &mut Vec<Selected>) {
+        out.clear();
+        let cfg = self.cfg;
+        for (period, pr) in (0u32..).zip(self.unindexed()) {
+            let light = (0u32..).zip(&pr.report.light);
+            let Target::Flow(at) = target else {
+                let row0 = light.filter(|(_, (row, _, _))| *row == 0);
+                out.extend(row0.map(|(i, _)| (period, i, Pick::Row0)));
+                continue;
+            };
+            let packed = *at.packed();
+            for (i, (key, _)) in (0u32..).zip(&pr.report.heavy) {
+                let key: &[u8; 13] =
+                    (key.as_slice().try_into()).expect("ingest admits 13-byte keys");
+                if *key == packed {
+                    out.push((period, i, Pick::Heavy(packed)));
+                    continue;
                 }
-                Pick::Light(row, col) => {
-                    for (r, c, brs) in &pr.report.light {
-                        if *r == row && *c == col {
-                            raw(brs);
-                        }
-                    }
-                }
-                Pick::Colliding(row, col, except) => {
-                    for (k, brs) in &pr.report.heavy {
-                        if k.as_slice() == except.as_slice() {
-                            continue;
-                        }
-                        if cfg.light_col(&unpack_key(k), row as usize) as u32 == col {
-                            raw(brs);
-                        }
-                    }
-                }
-                Pick::Row0 => {
-                    for (r, _, brs) in &pr.report.light {
-                        if *r == 0 {
-                            raw(brs);
-                        }
+                let other = cfg.place_packed(key);
+                for row in 0..cfg.rows {
+                    let col = cfg.light_col_placed(at, row);
+                    if cfg.light_col_placed(&other, row) == col {
+                        out.push((period, i, Pick::Colliding(row as u32, col as u32, packed)));
                     }
                 }
             }
+            for (i, &(row, col, _)) in light {
+                if cfg.light_col_placed(at, row as usize) as u32 == col {
+                    out.push((period, i, Pick::Light(row, col)));
+                }
+            }
+        }
+    }
+
+    /// Yields every stored epoch `pick` selects, in the module's visit
+    /// order: the selection's cold and compacted entries, then hot refs.
+    /// `pick` must be one of the picks of the target the selection was
+    /// made for; any other finds nothing in the unindexed tiers.
+    fn walk(&self, pick: Pick, f: &mut dyn FnMut(Epoch<'a>)) {
+        let mut selected = self.selected;
+        for (period, pr) in (0u32..).zip(self.unindexed()) {
+            if selected.is_empty() {
+                break;
+            }
+            let here = selected.partition_point(|s| s.0 <= period);
+            for &(_, i, _) in selected[..here].iter().filter(|s| s.2 == pick) {
+                entry(pr, pick, i as usize)
+                    .iter()
+                    .for_each(|b| f(Epoch::Raw(b)));
+            }
+            selected = &selected[here..];
         }
         let (Some(store), Some(hidx)) = (self.store, self.hidx) else {
             return;
@@ -141,13 +193,13 @@ impl<'a> HostView<'a> {
                 continue;
             };
             let i = i as usize;
-            let (brs, memos) = match pick {
-                Pick::Light(..) | Pick::Row0 => (&pr.report.light[i].2, &curves.light[i]),
+            let memos = match pick {
+                Pick::Light(..) | Pick::Row0 => &curves.light[i],
                 // The subtraction refs still hold the queried flow's own key.
                 Pick::Colliding(.., except) if pr.report.heavy[i].0 == except => continue,
-                Pick::Heavy(_) | Pick::Colliding(..) => (&pr.report.heavy[i].1, &curves.heavy[i]),
+                Pick::Heavy(_) | Pick::Colliding(..) => &curves.heavy[i],
             };
-            for (report, memo) in brs.iter().zip(memos.iter()) {
+            for (report, memo) in entry(pr, pick, i).iter().zip(memos.iter()) {
                 f(Epoch::Hot { report, memo });
             }
         }
@@ -189,11 +241,14 @@ impl<'a> HostView<'a> {
 impl Analyzer {
     /// `host`'s periods for one query, or `None` if the analyzer holds
     /// nothing for the host. Fetches the host's cold reports into `cold`
-    /// once, so every walk of the query sees identical epochs.
+    /// once, so every walk of the query sees identical epochs, then records
+    /// into `selected` the unindexed entries `target` reads.
     fn host_view<'a>(
         &'a self,
         host: usize,
+        target: Target,
         cold: &'a mut Vec<Rc<PeriodReport>>,
+        selected: &'a mut Vec<Selected>,
     ) -> Option<HostView<'a>> {
         let floors = self.floors.get(&host).copied().unwrap_or_default();
         match &self.cold {
@@ -205,14 +260,18 @@ impl Analyzer {
         if store.is_none() && hidx.is_none() && cold.is_empty() {
             return None;
         }
-        Some(HostView {
+        let mut view = HostView {
             cfg: &self.sketch_config,
             cold,
             store,
             hot_floor: floors.hot_floor,
             hidx,
+            selected: &[],
             built: self.index.epochs_built(),
-        })
+        };
+        view.select(target, selected);
+        view.selected = selected;
+        Some(view)
     }
 
     /// Reconstructs the rate curve of `flow_id` as measured at `host`.
@@ -247,11 +306,12 @@ impl Analyzer {
             starts,
             recon,
             cold,
+            selected,
             ..
         } = scratch;
-        let view = self.host_view(host, cold)?;
-        let key = FlowKey::from_id(flow_id);
-        let packed = key.pack();
+        let at = self.sketch_config.place(&FlowKey::from_id(flow_id));
+        let view = self.host_view(host, Target::Flow(&at), cold, selected)?;
+        let packed = *at.packed();
         // The heavy part is exact within its epochs but misses any history
         // from before the flow's election, so it is overlaid onto the
         // light-part estimate rather than used alone.
@@ -260,7 +320,7 @@ impl Analyzer {
         // that share it, keeping the minimum-total row.
         let mut has_light = false;
         for row in 0..self.sketch_config.rows {
-            let col = self.sketch_config.light_col(&key, row) as u32;
+            let col = self.sketch_config.light_col_placed(&at, row) as u32;
             let row = row as u32;
             if !view.series(Pick::Light(row, col), light_cand, recon) {
                 continue;
@@ -330,9 +390,13 @@ impl Analyzer {
         scratch: &'a mut QueryScratch,
     ) -> Option<&'a WindowSeries> {
         let QueryScratch {
-            rate, recon, cold, ..
+            rate,
+            recon,
+            cold,
+            selected,
+            ..
         } = scratch;
-        let view = self.host_view(host, cold)?;
+        let view = self.host_view(host, Target::HostRate, cold, selected)?;
         // Accumulation sums overlapping epochs — exactly what aggregating
         // different buckets over the same timeline needs.
         view.series(Pick::Row0, rate, recon).then_some(rate)
@@ -344,6 +408,7 @@ mod tests {
     use super::super::tests::{agent_config, contested_reports};
     use super::*;
     use crate::host_agent::HostAgent;
+    use crate::query_index::unpack_key;
     use crate::retention::RetentionPolicy;
 
     /// Reference implementation of the pre-index query paths: linear rescans
@@ -602,14 +667,27 @@ mod tests {
         assert_eq!(analyzer.ingest_stats().duplicates, reports.len() as u64);
     }
 
-    /// The walk's visit order, per pick, across all three tiers. Comparing
-    /// curves by `f64` bits cannot see an ordering bug: reconstructions of
-    /// integer byte counts are dyadic rationals, and summing them is exact
-    /// in any order. So this compares the epoch sequence itself with the
-    /// rescan reference's selection over an unbounded twin.
+    /// The walk's visit order, per pick, across all three tiers, through the
+    /// selection each real query builds. Comparing curves by `f64` bits
+    /// cannot see an ordering bug: reconstructions of integer byte counts
+    /// are dyadic rationals, and summing them is exact in any order. So this
+    /// compares the epoch sequence itself with the rescan reference's
+    /// selection over an unbounded twin. Every period of host 0 also holds
+    /// two shapes `fits_config` admits but no drain produces: a light
+    /// bucket listed twice and a heavy key listed twice.
     #[test]
     fn walk_visits_cold_then_compacted_then_hot_for_every_pick() {
-        let (cfg, reports) = contested_reports(2, 250);
+        let (cfg, mut reports) = contested_reports(2, 250);
+        for r in reports.iter_mut().filter(|r| r.host == 0) {
+            let (light, heavy) = (&mut r.report.light, &mut r.report.heavy);
+            assert!(
+                !light.is_empty() && !heavy.is_empty(),
+                "period {}",
+                r.period
+            );
+            light.push(light[0].clone());
+            heavy.push(heavy[0].clone());
+        }
         let dir = std::env::temp_dir().join(format!("umon_walk_order_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut unbounded = Analyzer::new(cfg.sketch.clone());
@@ -618,10 +696,37 @@ mod tests {
             Analyzer::with_archive(cfg.sketch.clone(), RetentionPolicy::bounded(1, 3), &dir)
                 .expect("open archive");
         tiered.add_reports(reports);
+        assert_eq!(tiered.ingest_stats().mismatched, 0);
 
-        let mut cold = Vec::new();
+        // Each pick's walk against the reference; returns how many of the
+        // unindexed entries it read repeat their list's first tag (only a
+        // doubled entry does: a drain lists each bucket and key once).
+        let check = |view: &HostView, host: usize, pick: Pick| -> usize {
+            let mut got = Vec::new();
+            view.walk(pick, &mut |e| got.push(e.report().clone()));
+            assert_eq!(
+                got,
+                rescan_reference::select(&unbounded, host, pick),
+                "host {host} {pick:?}"
+            );
+            let periods: Vec<&PeriodReport> = view.unindexed().collect();
+            (view.selected.iter().filter(|s| s.2 == pick))
+                .filter(|&&(p, i, _)| {
+                    let (i, r) = (i as usize, &periods[p as usize].report);
+                    i > 0
+                        && match pick {
+                            Pick::Light(..) | Pick::Row0 => {
+                                r.light[i].0 == r.light[0].0 && r.light[i].1 == r.light[0].1
+                            }
+                            Pick::Heavy(_) | Pick::Colliding(..) => r.heavy[i].0 == r.heavy[0].0,
+                        }
+                })
+                .count()
+        };
+        let (mut cold, mut selected) = (Vec::new(), Vec::new());
         for host in 0..2 {
-            let view = tiered.host_view(host, &mut cold).expect("host measured");
+            let view = (tiered.host_view(host, Target::HostRate, &mut cold, &mut selected))
+                .expect("host measured");
             let store = view.store.expect("resident periods");
             assert!(!view.cold.is_empty(), "host {host} has cold periods");
             assert!(
@@ -629,22 +734,24 @@ mod tests {
                 "and compacted"
             );
             assert!(store.range(view.hot_floor..).next().is_some(), "and hot");
-            let mut picks = vec![Pick::Row0];
+            let mut doubled = check(&view, host, Pick::Row0);
             for flow in 0..24u64 {
-                let key = FlowKey::from_id(flow);
-                picks.push(Pick::Heavy(key.pack()));
+                let at = cfg.sketch.place(&FlowKey::from_id(flow));
+                let view = (tiered.host_view(host, Target::Flow(&at), &mut cold, &mut selected))
+                    .expect("host measured");
+                let packed = *at.packed();
+                doubled += check(&view, host, Pick::Heavy(packed));
                 for row in 0..cfg.sketch.rows {
-                    let col = cfg.sketch.light_col(&key, row) as u32;
-                    picks.push(Pick::Light(row as u32, col));
-                    picks.push(Pick::Colliding(row as u32, col, key.pack()));
+                    let col = cfg.sketch.light_col_placed(&at, row) as u32;
+                    doubled += check(&view, host, Pick::Light(row as u32, col));
+                    doubled += check(&view, host, Pick::Colliding(row as u32, col, packed));
                 }
             }
-            for pick in picks {
-                let mut got = Vec::new();
-                view.walk(pick, &mut |e| got.push(e.report().clone()));
-                let want = rescan_reference::select(&unbounded, host, pick);
-                assert_eq!(got, want, "host {host} {pick:?}");
-            }
+            assert_eq!(
+                doubled > 0,
+                host == 0,
+                "host {host} read {doubled} doubled entries"
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -18,7 +18,8 @@
 //!   §4.2 full-version query,
 //!
 //! plus one config-wide `packed key → light columns per row` table so each
-//! distinct heavy key is unpacked and hashed exactly once ever.
+//! distinct heavy key is placed (one batch of hash chains) exactly once
+//! ever.
 //!
 //! Indexing alone only removes the scan; the remaining query time was
 //! dominated by re-running the inverse wavelet transform on the same stored
@@ -46,7 +47,7 @@ use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 use wavesketch::basic::WindowSeries;
 use wavesketch::reconstruct::ReconstructScratch;
-use wavesketch::{BucketReport, FlowKey, SketchConfig};
+use wavesketch::{BucketReport, SketchConfig};
 
 /// A reference to one entry of a stored period report: `(period, position)`
 /// in either the period's `light` or `heavy` list (which one is fixed by the
@@ -86,13 +87,13 @@ pub(crate) struct HostIndex {
 }
 
 /// The analyzer-wide query index: one [`HostIndex`] per host plus the
-/// config-global key-unpacking cache.
+/// config-global key-placement cache.
 #[derive(Debug, Default)]
 pub(crate) struct QueryIndex {
     hosts: HashMap<usize, HostIndex>,
     /// Packed heavy key → its light column per row. Columns depend only on
     /// the key and the sketch config, so the cache is shared across hosts
-    /// and each key is unpacked + row-hashed exactly once at first sight.
+    /// and each key is placed exactly once at first sight.
     /// Bounded at [`KEY_COLS_CAP`]: it is a pure cache, so overflowing it
     /// (a very long run meeting ever-fresh flows) just clears and refills.
     key_cols: HashMap<[u8; 13], Vec<u32>>,
@@ -128,8 +129,8 @@ impl CachedCurves {
     }
 }
 
-/// The light column per row of a packed heavy key, unpacked and hashed once
-/// and then served from `key_cols`.
+/// The light column per row of a packed heavy key, placed once (one batch
+/// of hash chains for all rows) and then served from `key_cols`.
 fn cols_of<'c>(
     key_cols: &'c mut HashMap<[u8; 13], Vec<u32>>,
     packed: [u8; 13],
@@ -139,9 +140,9 @@ fn cols_of<'c>(
         key_cols.clear();
     }
     key_cols.entry(packed).or_insert_with(|| {
-        let key = unpack_key(&packed);
+        let at = cfg.place_packed(&packed);
         (0..cfg.rows)
-            .map(|row| cfg.light_col(&key, row) as u32)
+            .map(|row| cfg.light_col_placed(&at, row) as u32)
             .collect()
     })
 }
@@ -308,10 +309,12 @@ impl QueryIndex {
     }
 }
 
-/// Unpacks a 13-byte packed key back into a [`FlowKey`].
-pub(crate) fn unpack_key(bytes: &[u8]) -> FlowKey {
+/// Unpacks a 13-byte packed key back into a `FlowKey`: the tests' way
+/// to re-derive a heavy key's columns independently of `place_packed`.
+#[cfg(test)]
+pub(crate) fn unpack_key(bytes: &[u8]) -> wavesketch::FlowKey {
     assert_eq!(bytes.len(), 13, "packed flow keys are 13 bytes");
-    FlowKey {
+    wavesketch::FlowKey {
         src_ip: [bytes[0], bytes[1], bytes[2], bytes[3]],
         dst_ip: [bytes[4], bytes[5], bytes[6], bytes[7]],
         src_port: u16::from_be_bytes([bytes[8], bytes[9]]),
@@ -323,7 +326,10 @@ pub(crate) fn unpack_key(bytes: &[u8]) -> FlowKey {
 /// Reusable buffers for the analyzer's query paths. Create one, keep it, and
 /// pass it to `Analyzer::flow_curve_with` / `Analyzer::host_rate_curve_with`:
 /// after one warm-up query per curve shape, subsequent queries perform zero
-/// heap allocations (enforced by `tests/alloc_gate.rs`).
+/// heap allocations (enforced by `tests/alloc_gate.rs`, for an all-hot
+/// analyzer and for one with compacted and cold periods). The promise is
+/// for a warm scratch plus cold-cache *hits*: a cold *miss* still allocates,
+/// since it decodes the period's archive record into a fresh report.
 ///
 /// The returned `&WindowSeries` borrows the scratch and is valid until the
 /// next query through it; clone it (or copy what you need) to keep a curve.
@@ -352,6 +358,10 @@ pub struct QueryScratch {
     /// epochs; the `Rc`s keep the reports alive for the whole query even if
     /// the cold cache's byte budget evicts them mid-fetch.
     pub(crate) cold: Vec<std::rc::Rc<crate::host_agent::PeriodReport>>,
+    /// The unindexed (cold and compacted) entries the current query reads,
+    /// recorded by one selection pass after the cold fetch; every walk of
+    /// the query filters this instead of rescanning the periods.
+    pub(crate) selected: Vec<crate::analyzer::Selected>,
 }
 
 impl QueryScratch {
@@ -364,6 +374,7 @@ impl QueryScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavesketch::FlowKey;
 
     #[test]
     fn insert_ordered_keeps_period_then_position_order() {

@@ -12,9 +12,10 @@
 //!   accumulation.
 //! * **compacted** — periods aging past the hot horizon stay resident (the
 //!   raw [`PeriodReport`](crate::PeriodReport) is kept) but are deindexed:
-//!   their memoised curves and per-column collision refs are dropped, and
-//!   queries fall back to a linear period scan with on-demand inverse-Haar
-//!   reconstruction. The two paths are bit-identical (`WindowSeries::accumulate_report` vs
+//!   their memoised curves and per-column collision refs are dropped. Each
+//!   query selects the entries it reads from these periods (and from cold
+//!   ones) in one pass of its own, and reconstructs them on demand. The two
+//!   paths are bit-identical (`WindowSeries::accumulate_report` vs
 //!   `accumulate_curve`), so compaction never changes a curve — it trades
 //!   query throughput for memory.
 //! * **evicted** — periods aging past [`RetentionPolicy::resident_periods`]

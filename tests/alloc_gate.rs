@@ -2,9 +2,10 @@
 //!
 //! The perf tentpole's contract is that after warm-up neither the sketch
 //! packet path (`FullWaveSketch::update`, including heavy-part evictions),
-//! nor the netsim event queue's push/pop cycle, nor the analyzer's indexed
-//! query path (`flow_curve_with` / `host_rate_curve_with` through a warm
-//! `QueryScratch`) touches the heap — and, off the hot path, that a report
+//! nor the netsim event queue's push/pop cycle, nor the analyzer's query
+//! path (`flow_curve_with` / `host_rate_curve_with` through a warm
+//! `QueryScratch`, over hot periods and over compacted and cache-hit cold
+//! ones) touches the heap — and, off the hot path, that a report
 //! decoder allocates nothing for a length prefix its input cannot back and
 //! that an uplink's first send moves a report instead of copying it, and
 //! that the collector's envelope verify reuses its encode buffer.  A
@@ -263,7 +264,7 @@ fn sketch_packet_path_is_allocation_free() {
 }
 
 fn analyzer_query_path_is_allocation_free() {
-    use umon::{Analyzer, HostAgent, HostAgentConfig, QueryScratch};
+    use umon::{Analyzer, HostAgent, HostAgentConfig, QueryScratch, RetentionPolicy};
     use wavesketch::SketchConfig;
 
     const HOSTS: usize = 3;
@@ -284,7 +285,16 @@ fn analyzer_query_path_is_allocation_free() {
         period_ns: 128 << 13,
         window_shift: 13,
     };
+    // The same reports into an all-hot analyzer and into an archive-backed
+    // one that keeps one period hot and three resident: its queries read
+    // compacted periods, cold periods served from a segment cache large
+    // enough to hit after warm-up, and the selection over both.
+    let dir = std::env::temp_dir().join(format!("umon_alloc_gate_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let mut analyzer = Analyzer::new(cfg.sketch.clone());
+    let policy = RetentionPolicy::bounded(1, 3).with_cold_cache_bytes(64 << 20);
+    let mut tiered =
+        Analyzer::with_archive(cfg.sketch.clone(), policy, &dir).expect("open archive");
     for host in 0..HOSTS {
         let mut rng = Rng(0xBEEF ^ (host as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut agent = HostAgent::new(host, cfg.clone());
@@ -296,7 +306,21 @@ fn analyzer_query_path_is_allocation_free() {
         }
         let mut reports = agent.finish();
         reports.reverse();
-        analyzer.add_reports(reports);
+        analyzer.add_reports(reports.clone());
+        tiered.add_reports(reports);
+    }
+    // Reversed delivery: each host's newest period sets the floors, so the
+    // older ones arrive compacted, or below the eviction floor (archived).
+    let r = tiered.residency();
+    assert!(
+        r.resident_periods > r.hot_periods,
+        "compacted periods: {r:?}"
+    );
+    for host in 0..HOSTS {
+        assert!(
+            !tiered.host_coverage(host).archived.is_empty(),
+            "host {host} has cold periods"
+        );
     }
 
     let sweep = |analyzer: &Analyzer, scratch: &mut QueryScratch| -> u64 {
@@ -320,20 +344,37 @@ fn analyzer_query_path_is_allocation_free() {
     // runs the same reset-size sequence against the flipped arrangement,
     // growing both allocations to every size either role needs; the third
     // (measured) sweep then repeats one of the two warmed parities exactly.
-    let mut scratch = QueryScratch::new();
-    let warm = sweep(&analyzer, &mut scratch);
-    assert_eq!(warm, sweep(&analyzer, &mut scratch), "sweeps must repeat");
+    for (what, analyzer) in [("all-hot", &analyzer), ("tiered", &tiered)] {
+        let mut scratch = QueryScratch::new();
+        let warm = sweep(analyzer, &mut scratch);
+        assert_eq!(warm, sweep(analyzer, &mut scratch), "sweeps must repeat");
 
-    let before = heap_ops();
-    let measured_sum = sweep(&analyzer, &mut scratch);
-    let measured = heap_ops() - before;
+        let cold_before = analyzer.retention_stats();
+        let before = heap_ops();
+        let measured_sum = sweep(analyzer, &mut scratch);
+        let measured = heap_ops() - before;
 
-    assert_eq!(warm, measured_sum, "measured sweep must do identical work");
-    assert_ne!(warm, 0, "workload must produce non-empty curves");
-    assert_eq!(
-        measured, 0,
-        "analyzer query path performed {measured} heap operations after warm-up"
-    );
+        assert_eq!(warm, measured_sum, "measured sweep must do identical work");
+        assert_ne!(warm, 0, "workload must produce non-empty curves");
+        assert_eq!(
+            measured, 0,
+            "{what} analyzer query path performed {measured} heap operations after warm-up"
+        );
+        if what == "tiered" {
+            let s = analyzer.retention_stats();
+            assert!(
+                s.cold_hits > cold_before.cold_hits,
+                "the sweep must read cold periods"
+            );
+            assert_eq!(
+                s.cold_misses, cold_before.cold_misses,
+                "and hit the cache only"
+            );
+            assert_eq!(s.cold_read_errors, 0);
+        }
+    }
+    drop(tiered);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn event_queue_cycle_is_allocation_free() {
