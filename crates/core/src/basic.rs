@@ -44,19 +44,26 @@ impl WindowSeries {
     }
 
     /// In-place [`Self::from_reports`]: resets this series to the reports'
-    /// union span and accumulates every report through `scratch`. Returns
-    /// `false` (leaving the series empty) when `reports` is empty.
-    pub fn assign_from_reports(
+    /// union span and accumulates every report, in iteration order, through
+    /// `scratch`. Returns `false` (leaving the series empty) when `reports`
+    /// is empty. The iterator is walked twice (span, then sums), so it must
+    /// be cloneable; a slice or a filtered view of one both are.
+    pub fn assign_from_reports<'r, I>(
         &mut self,
-        reports: &[BucketReport],
+        reports: I,
         scratch: &mut ReconstructScratch,
-    ) -> bool {
-        let Some(start) = reports.iter().map(|r| r.w0).min() else {
+    ) -> bool
+    where
+        I: IntoIterator<Item = &'r BucketReport>,
+        I::IntoIter: Clone,
+    {
+        let reports = reports.into_iter();
+        let Some(start) = reports.clone().map(|r| r.w0).min() else {
             self.reset(0, 0);
             return false;
         };
         let end = reports
-            .iter()
+            .clone()
             .map(|r| r.w0 + r.padded_len as u64)
             .max()
             .expect("non-empty");

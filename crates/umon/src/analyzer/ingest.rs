@@ -4,6 +4,7 @@
 use super::{Analyzer, IngestStats, RecoveryStats};
 use crate::archive::PeriodArchive;
 use crate::host_agent::PeriodReport;
+use crate::query_index::StoredPeriod;
 use wavesketch::{BucketReport, SketchConfig, SketchReport};
 
 /// Mismatched reports retained for inspection before old ones are evicted.
@@ -180,7 +181,8 @@ impl Analyzer {
                 self.retention_stats.lossy_trimmed_details += trim_details(&mut r.report, keep);
             }
         }
-        self.reports.entry(host).or_default().insert(r.period, r);
+        let store = self.reports.entry(host).or_default();
+        store.insert(r.period, StoredPeriod::new(r));
         batch.accepted += 1;
         self.enforce_retention(host);
     }
@@ -235,10 +237,12 @@ impl Analyzer {
                 .map(|(&p, _)| p)
                 .collect();
             for p in doomed {
-                let r = store.remove(&p).expect("just enumerated");
+                let sp = store.remove(&p).expect("just enumerated");
                 // The period may still be hot (small resident horizons);
-                // deindexing is a no-op if it was already compacted.
-                self.index.deindex_period(host, &r, &self.sketch_config);
+                // deindexing is a no-op if it was already compacted. Its
+                // row-0 series, if built, goes with it.
+                self.index
+                    .deindex_period(host, &sp.report, &self.sketch_config);
                 self.retention_stats.evicted_periods += 1;
             }
         }
@@ -251,17 +255,26 @@ impl Analyzer {
                 .collect();
             let mut compacted = 0u64;
             for p in doomed {
-                let r = store.get_mut(&p).expect("just enumerated");
+                let sp = store.get_mut(&p).expect("just enumerated");
                 // Deindex against the untrimmed report (the index entries
                 // were built from it), then trim the resident copy if the
                 // lossy floor is on — the archive already holds the full
                 // record, so this trades resident memory for compacted-tier
-                // accuracy, never data.
-                if self.index.deindex_period(host, r, &self.sketch_config) {
+                // accuracy, never data. A trim changes the epochs the row-0
+                // series was summed from, so it drops the series; otherwise
+                // the series stays with the compacted period.
+                if self
+                    .index
+                    .deindex_period(host, &sp.report, &self.sketch_config)
+                {
                     compacted += 1;
                 }
                 if let Some(keep) = self.retention.lossy_floor {
-                    self.retention_stats.lossy_trimmed_details += trim_details(&mut r.report, keep);
+                    let trimmed = trim_details(&mut sp.report.report, keep);
+                    if trimmed > 0 {
+                        sp.forget_row0();
+                    }
+                    self.retention_stats.lossy_trimmed_details += trimmed;
                 }
             }
             self.retention_stats.compacted_periods += compacted;
@@ -279,12 +292,13 @@ impl Analyzer {
             let Some((p, h)) = self.index.oldest_indexed() else {
                 break;
             };
-            let r = self
+            let sp = self
                 .reports
                 .get(&h)
                 .and_then(|m| m.get(&p))
                 .expect("indexed periods are resident");
-            self.index.deindex_period(h, r, &self.sketch_config);
+            self.index
+                .deindex_period(h, &sp.report, &self.sketch_config);
             let floors = self.floors.entry(h).or_default();
             floors.hot_floor = floors.hot_floor.max(p + 1);
             self.retention_stats.compacted_periods += 1;

@@ -29,7 +29,7 @@ use crate::archive::{PeriodArchive, TornTail};
 use crate::cold::ColdStore;
 use crate::collector::BackfillRequest;
 use crate::host_agent::PeriodReport;
-use crate::query_index::QueryIndex;
+use crate::query_index::{QueryIndex, StoredPeriod};
 use crate::retention::{ResidencySnapshot, RetentionPolicy, RetentionStats, TierFloors};
 use crate::seqwin::SeqWindow;
 use crate::switch_agent::MirroredPacket;
@@ -188,8 +188,9 @@ pub struct Analyzer {
     /// redelivered periods and keeps reconstruction inputs period-ordered no
     /// matter how the collection plane reordered arrivals. Under a bounded
     /// [`RetentionPolicy`] this is the resident set only (hot + compacted);
-    /// evicted periods live in the archive, if any.
-    reports: HashMap<usize, BTreeMap<u64, PeriodReport>>,
+    /// evicted periods live in the archive, if any. Each report carries its
+    /// row-0 series once a host-rate query has built it.
+    reports: HashMap<usize, BTreeMap<u64, StoredPeriod>>,
     /// Ingest-time query index over `reports`; updated exactly when a report
     /// is accepted, so it stays coherent under dedup, quarantine and
     /// out-of-order delivery. Only hot-tier periods are indexed; compacted
@@ -345,6 +346,7 @@ impl Analyzer {
         }
         s.curve_epochs_indexed = self.index.epochs_indexed();
         s.curve_epochs_built = self.index.epochs_built().get();
+        s.row0_series_built = self.index.row0_series_built().get();
         s
     }
 
@@ -352,16 +354,13 @@ impl Analyzer {
     /// asserts stays bounded. Walks the resident set (`O(resident)`), so
     /// call it at checkpoints, not per query.
     pub fn residency(&self) -> ResidencySnapshot {
+        let resident = || self.reports.values().flat_map(|m| m.values());
         ResidencySnapshot {
             resident_periods: self.reports.values().map(|m| m.len()).sum(),
             hot_periods: self.index.indexed_periods(),
             cached_bytes: self.index.cached_bytes(),
-            resident_report_bytes: self
-                .reports
-                .values()
-                .flat_map(|m| m.values())
-                .map(|r| r.report.wire_bytes())
-                .sum(),
+            resident_report_bytes: resident().map(|sp| sp.report.report.wire_bytes()).sum(),
+            row0_series_bytes: resident().map(StoredPeriod::row0_bytes).sum(),
         }
     }
 

@@ -1,24 +1,34 @@
-//! Curve queries: §4.2's full-version flow query and §6's host rate, each a
-//! sum of the stored epochs one [`Pick`] selects.
+//! Curve queries: §4.2's full-version flow query and §6's host rate.
 //!
 //! A host's periods sit in three tiers: cold (evicted, read back from the
 //! archive), compacted (resident, not indexed) and hot (indexed, curves
-//! memoised on first read). [`HostView::walk`] is the one place that visits
-//! them, and it visits in one order: periods ascending — so cold before
-//! compacted before hot, every tier being strictly older than the next —
-//! and drain order within a period. That is the order the pre-index rescan
-//! summed `f64` reconstructions in; float addition is order-sensitive, so
-//! keeping it keeps every curve bit-identical whatever the tier placement.
+//! memoised on first read). Both queries visit them in one order: periods
+//! ascending — so cold before compacted before hot, every tier being
+//! strictly older than the next — and drain order within a period. That is
+//! the order the pre-index rescan summed `f64` reconstructions in.
 //!
-//! The index resolved every pick to ordered refs into the hot tier at
-//! ingest. The cold and compacted tiers have no index, so each query makes
-//! its own, once: [`HostView::select`] scans every unindexed period a
-//! single time and records each entry one of the query's picks reads
-//! ([`Selected`]); the query's walks filter that record.
+//! A flow curve is a sum of the stored epochs one [`Pick`] selects, and
+//! [`HostView::walk`] is the one place that visits them. The index resolved
+//! every pick to ordered refs into the hot tier at ingest. The cold and
+//! compacted tiers have no index, so each flow query makes its own, once:
+//! [`HostView::select`] scans every unindexed period a single time and
+//! records each entry one of the query's picks reads ([`Selected`]); the
+//! query's walks filter that record.
+//!
+//! The host rate sums every row-0 bucket of every period, so its memo is
+//! one series per period: the period's row-0 epochs summed in list order,
+//! built on the first host-rate read and kept beside the report for as long
+//! as the report stays decoded in memory (in the resident store, or in the
+//! cold tier's cache entry). [`Analyzer::host_rate_curve_with`] sizes the
+//! union span and adds one series per period. This regroups the additions
+//! — per period first, then across periods — and still changes no bit:
+//! reconstructions of integer byte counts are dyadic rationals, and summing
+//! them is exact in any order, even where a padded epoch spills into the
+//! next period's windows. The rescan reference, which sums every row-0
+//! epoch into one series, pins that.
 
 use super::{Analyzer, AnnotatedCurve};
-use crate::host_agent::PeriodReport;
-use crate::query_index::{HostIndex, Memo, QueryScratch};
+use crate::query_index::{HostIndex, Memo, QueryScratch, StoredPeriod};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -26,7 +36,7 @@ use wavesketch::basic::WindowSeries;
 use wavesketch::reconstruct::ReconstructScratch;
 use wavesketch::{BucketReport, FlowKey, Placement, SketchConfig};
 
-/// Which stored entries a curve sums.
+/// Which stored entries a flow curve sums.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Pick {
     /// A flow's own heavy-part records, by packed key.
@@ -37,27 +47,15 @@ pub(crate) enum Pick {
     /// column at `row` is `col`: what inflated light bucket `(row, col)`
     /// besides the queried flow, the §4.2 subtraction set.
     Colliding(u32, u32, [u8; 13]),
-    /// Every row-0 light bucket. Each packet lands in row 0 exactly once,
-    /// and heavy flows are counted in the light part too, so their sum is
-    /// the host's traffic.
-    Row0,
 }
 
-/// One cold or compacted entry a query reads: the period's ordinal in the
-/// walk's unindexed order (cold, then compacted, each ascending), the
+/// One cold or compacted entry a flow query reads: the period's ordinal in
+/// the walk's unindexed order (cold, then compacted, each ascending), the
 /// entry's index in that period's `heavy` list (for `Heavy` and
 /// `Colliding`) or `light` list, and the pick that reads it. A query's
 /// selection lists them in walk order, so each pick's entries come out
 /// periods ascending and in list order within a period.
 pub(crate) type Selected = (u32, u32, Pick);
-
-/// What one query reads: one flow's curve, whose placement gives its key
-/// and its column in every row, or the host's rate.
-#[derive(Clone, Copy)]
-enum Target<'p> {
-    Flow(&'p Placement),
-    HostRate,
-}
 
 /// One epoch the walk yields, from either storage tier: a hot epoch, whose
 /// curve is memoised on first read, or a raw wire report whose curve is
@@ -85,23 +83,23 @@ impl<'a> Epoch<'a> {
     }
 }
 
-/// The epochs of entry `i` of `pr` that `pick` reads: a light bucket's for
-/// `Light` and `Row0`, a heavy key's for `Heavy` and `Colliding`.
-fn entry(pr: &PeriodReport, pick: Pick, i: usize) -> &[BucketReport] {
+/// The epochs of entry `i` of `sp` that `pick` reads: a light bucket's for
+/// `Light`, a heavy key's for `Heavy` and `Colliding`.
+fn entry(sp: &StoredPeriod, pick: Pick, i: usize) -> &[BucketReport] {
     match pick {
-        Pick::Light(..) | Pick::Row0 => &pr.report.light[i].2,
-        Pick::Heavy(_) | Pick::Colliding(..) => &pr.report.heavy[i].1,
+        Pick::Light(..) => &sp.report.report.light[i].2,
+        Pick::Heavy(_) | Pick::Colliding(..) => &sp.report.report.heavy[i].1,
     }
 }
 
 /// One host's stored periods as one query sees them: the cold reports
 /// fetched for it, the resident store (compacted below `hot_floor`, hot
-/// from it on), the index over the hot part and the query's selection over
-/// the rest.
+/// from it on), the index over the hot part and a flow query's selection
+/// over the rest.
 struct HostView<'a> {
     cfg: &'a SketchConfig,
-    cold: &'a [Rc<PeriodReport>],
-    store: Option<&'a BTreeMap<u64, PeriodReport>>,
+    cold: &'a [Rc<StoredPeriod>],
+    store: Option<&'a BTreeMap<u64, StoredPeriod>>,
     hot_floor: u64,
     hidx: Option<&'a HostIndex>,
     /// What [`Self::select`] recorded for the query.
@@ -112,32 +110,33 @@ struct HostView<'a> {
 
 impl<'a> HostView<'a> {
     /// The unindexed periods in visit order: cold, then compacted.
-    fn unindexed(&self) -> impl Iterator<Item = &'a PeriodReport> + 'a {
+    fn unindexed(&self) -> impl Iterator<Item = &'a StoredPeriod> + 'a {
         let hot_floor = self.hot_floor;
         let compacted =
-            (self.store.into_iter()).flat_map(move |s| s.range(..hot_floor).map(|(_, pr)| pr));
+            (self.store.into_iter()).flat_map(move |s| s.range(..hot_floor).map(|(_, sp)| sp));
         self.cold.iter().map(|rc| &**rc).chain(compacted)
     }
 
-    /// The selection pass: records into `out`, in walk order, every
-    /// unindexed entry one of `target`'s picks reads. Each period's heavy
-    /// list is scanned once — the flow's own key is `Heavy`, any other key
-    /// is placed once and is `Colliding` at every row whose column it
-    /// shares with the flow — and so is its light list: the flow's column
-    /// of each row is `Light`, or for the host rate every row-0 bucket is
-    /// `Row0`.
-    fn select(&self, target: Target, out: &mut Vec<Selected>) {
+    /// Every period in visit order: cold, then compacted, then hot.
+    fn periods(&self) -> impl Iterator<Item = &'a StoredPeriod> + 'a {
+        let resident = self.store.into_iter().flat_map(BTreeMap::values);
+        self.cold.iter().map(|rc| &**rc).chain(resident)
+    }
+
+    /// The selection pass for the flow placed at `at`: records into `out`,
+    /// in walk order, every unindexed entry one of its picks reads, and
+    /// makes that record the one [`Self::walk`] filters. Each
+    /// period's heavy list is scanned once — the flow's own key is `Heavy`,
+    /// any other key is placed once and is `Colliding` at every row whose
+    /// column it shares with the flow — and so is its light list, where the
+    /// flow's column of each row is `Light`.
+    fn select(&mut self, at: &Placement, out: &'a mut Vec<Selected>) {
         out.clear();
         let cfg = self.cfg;
-        for (period, pr) in (0u32..).zip(self.unindexed()) {
-            let light = (0u32..).zip(&pr.report.light);
-            let Target::Flow(at) = target else {
-                let row0 = light.filter(|(_, (row, _, _))| *row == 0);
-                out.extend(row0.map(|(i, _)| (period, i, Pick::Row0)));
-                continue;
-            };
-            let packed = *at.packed();
-            for (i, (key, _)) in (0u32..).zip(&pr.report.heavy) {
+        let packed = *at.packed();
+        for (period, sp) in (0u32..).zip(self.unindexed()) {
+            let report = &sp.report.report;
+            for (i, (key, _)) in (0u32..).zip(&report.heavy) {
                 let key: &[u8; 13] =
                     (key.as_slice().try_into()).expect("ingest admits 13-byte keys");
                 if *key == packed {
@@ -152,27 +151,28 @@ impl<'a> HostView<'a> {
                     }
                 }
             }
-            for (i, &(row, col, _)) in light {
+            for (i, &(row, col, _)) in (0u32..).zip(&report.light) {
                 if cfg.light_col_placed(at, row as usize) as u32 == col {
                     out.push((period, i, Pick::Light(row, col)));
                 }
             }
         }
+        self.selected = out;
     }
 
     /// Yields every stored epoch `pick` selects, in the module's visit
     /// order: the selection's cold and compacted entries, then hot refs.
-    /// `pick` must be one of the picks of the target the selection was
-    /// made for; any other finds nothing in the unindexed tiers.
+    /// `pick` must be one of the picks of the flow the selection was made
+    /// for; any other finds nothing in the unindexed tiers.
     fn walk(&self, pick: Pick, f: &mut dyn FnMut(Epoch<'a>)) {
         let mut selected = self.selected;
-        for (period, pr) in (0u32..).zip(self.unindexed()) {
+        for (period, sp) in (0u32..).zip(self.unindexed()) {
             if selected.is_empty() {
                 break;
             }
             let here = selected.partition_point(|s| s.0 <= period);
             for &(_, i, _) in selected[..here].iter().filter(|s| s.2 == pick) {
-                entry(pr, pick, i as usize)
+                entry(sp, pick, i as usize)
                     .iter()
                     .for_each(|b| f(Epoch::Raw(b)));
             }
@@ -186,20 +186,19 @@ impl<'a> HostView<'a> {
             Pick::Heavy(key) => hidx.heavy.get(&key),
             Pick::Light(row, col) => hidx.light.get(&(row, col)),
             Pick::Colliding(row, col, _) => hidx.heavy_by_col.get(&(row, col)),
-            Pick::Row0 => Some(&hidx.row0),
         };
         for &(period, i) in refs.map_or(&[][..], Vec::as_slice) {
-            let (Some(pr), Some(curves)) = (store.get(&period), hidx.curves.get(&period)) else {
+            let (Some(sp), Some(curves)) = (store.get(&period), hidx.curves.get(&period)) else {
                 continue;
             };
             let i = i as usize;
             let memos = match pick {
-                Pick::Light(..) | Pick::Row0 => &curves.light[i],
+                Pick::Light(..) => &curves.light[i],
                 // The subtraction refs still hold the queried flow's own key.
-                Pick::Colliding(.., except) if pr.report.heavy[i].0 == except => continue,
+                Pick::Colliding(.., except) if sp.report.report.heavy[i].0 == except => continue,
                 Pick::Heavy(_) | Pick::Colliding(..) => &curves.heavy[i],
             };
-            for (report, memo) in entry(pr, pick, i).iter().zip(memos.iter()) {
+            for (report, memo) in entry(sp, pick, i).iter().zip(memos.iter()) {
                 f(Epoch::Hot { report, memo });
             }
         }
@@ -241,14 +240,12 @@ impl<'a> HostView<'a> {
 impl Analyzer {
     /// `host`'s periods for one query, or `None` if the analyzer holds
     /// nothing for the host. Fetches the host's cold reports into `cold`
-    /// once, so every walk of the query sees identical epochs, then records
-    /// into `selected` the unindexed entries `target` reads.
+    /// once, so every walk of the query sees identical epochs. A flow query
+    /// then makes its selection ([`HostView::select`]).
     fn host_view<'a>(
         &'a self,
         host: usize,
-        target: Target,
-        cold: &'a mut Vec<Rc<PeriodReport>>,
-        selected: &'a mut Vec<Selected>,
+        cold: &'a mut Vec<Rc<StoredPeriod>>,
     ) -> Option<HostView<'a>> {
         let floors = self.floors.get(&host).copied().unwrap_or_default();
         match &self.cold {
@@ -260,7 +257,7 @@ impl Analyzer {
         if store.is_none() && hidx.is_none() && cold.is_empty() {
             return None;
         }
-        let mut view = HostView {
+        Some(HostView {
             cfg: &self.sketch_config,
             cold,
             store,
@@ -268,12 +265,8 @@ impl Analyzer {
             hidx,
             selected: &[],
             built: self.index.epochs_built(),
-        };
-        view.select(target, selected);
-        view.selected = selected;
-        Some(view)
+        })
     }
-
     /// Reconstructs the rate curve of `flow_id` as measured at `host`.
     ///
     /// Heavy-part records are collision-free and used directly; otherwise
@@ -310,7 +303,8 @@ impl Analyzer {
             ..
         } = scratch;
         let at = self.sketch_config.place(&FlowKey::from_id(flow_id));
-        let view = self.host_view(host, Target::Flow(&at), cold, selected)?;
+        let mut view = self.host_view(host, cold)?;
+        view.select(&at, selected);
         let packed = *at.packed();
         // The heavy part is exact within its epochs but misses any history
         // from before the flow's election, so it is overlaid onto the
@@ -383,23 +377,58 @@ impl Analyzer {
     }
 
     /// [`Self::host_rate_curve`] through a reusable [`QueryScratch`]; see
-    /// [`Self::flow_curve_with`] for the borrowing rules.
+    /// [`Self::flow_curve_with`] for the borrowing rules. Sums one row-0
+    /// series per stored period (see the module docs), building each on the
+    /// period's first host-rate read.
     pub fn host_rate_curve_with<'a>(
         &self,
         host: usize,
         scratch: &'a mut QueryScratch,
     ) -> Option<&'a WindowSeries> {
         let QueryScratch {
-            rate,
-            recon,
-            cold,
-            selected,
-            ..
+            rate, recon, cold, ..
         } = scratch;
-        let view = self.host_view(host, Target::HostRate, cold, selected)?;
-        // Accumulation sums overlapping epochs — exactly what aggregating
-        // different buckets over the same timeline needs.
-        view.series(Pick::Row0, rate, recon).then_some(rate)
+        let view = self.host_view(host, cold)?;
+        // First pass: every period's series, built if this is its first
+        // read, and their union span. A cold period's new series is charged
+        // to the cold cache that holds its report.
+        let (mut start, mut end, mut any) = (u64::MAX, 0u64, false);
+        let mut read = |sp: &StoredPeriod| {
+            let (series, built) = sp.row0(recon);
+            if let Some(s) = series {
+                any = true;
+                start = start.min(s.start_window);
+                end = end.max(s.end_window());
+            }
+            if built {
+                let n = self.index.row0_series_built();
+                n.set(n.get() + 1);
+            }
+            built
+        };
+        let cold_store = self.cold.as_ref();
+        for rc in view.cold {
+            if read(rc) {
+                cold_store
+                    .expect("cold periods come from the cold store")
+                    .charge_row0(host, rc);
+            }
+        }
+        for sp in view.store.into_iter().flat_map(BTreeMap::values) {
+            read(sp);
+        }
+        if !any {
+            rate.reset(0, 0);
+            return None;
+        }
+        // Second pass: accumulate the series in visit order. Accumulation
+        // sums overlapping series — exactly what aggregating different
+        // buckets over the same timeline needs.
+        rate.reset(start, (end - start) as usize);
+        for s in view.periods().filter_map(StoredPeriod::row0_built) {
+            rate.accumulate_curve(s.start_window, &s.values);
+        }
+        Some(rate)
     }
 }
 
@@ -407,7 +436,7 @@ impl Analyzer {
 mod tests {
     use super::super::tests::{agent_config, contested_reports};
     use super::*;
-    use crate::host_agent::HostAgent;
+    use crate::host_agent::{HostAgent, PeriodReport};
     use crate::query_index::unpack_key;
     use crate::retention::RetentionPolicy;
 
@@ -423,8 +452,9 @@ mod tests {
         pub fn select(a: &Analyzer, host: usize, pick: Pick) -> Vec<BucketReport> {
             let cfg = &a.sketch_config;
             let mut out = Vec::new();
-            for pr in a.reports.get(&host).into_iter().flat_map(BTreeMap::values) {
-                let (light, heavy) = (pr.report.light.iter(), pr.report.heavy.iter());
+            for sp in a.reports.get(&host).into_iter().flat_map(BTreeMap::values) {
+                let report = &sp.report.report;
+                let (light, heavy) = (report.light.iter(), report.heavy.iter());
                 let picked: Vec<&Vec<BucketReport>> = match pick {
                     Pick::Heavy(key) => heavy.filter(|(k, _)| *k == key).map(|e| &e.1).collect(),
                     Pick::Colliding(row, col, except) => (heavy.filter(|(k, _)| *k != except))
@@ -434,7 +464,6 @@ mod tests {
                     Pick::Light(row, col) => (light.filter(|(r, c, _)| *r == row && *c == col))
                         .map(|e| &e.2)
                         .collect(),
-                    Pick::Row0 => light.filter(|(r, _, _)| *r == 0).map(|e| &e.2).collect(),
                 };
                 out.extend(picked.into_iter().flatten().cloned());
             }
@@ -495,9 +524,21 @@ mod tests {
             best
         }
 
+        /// Every row-0 light epoch of `report`, in list order.
+        pub fn row0(report: &PeriodReport) -> Vec<BucketReport> {
+            let light = report.report.light.iter();
+            (light.filter(|(r, _, _)| *r == 0))
+                .flat_map(|e| e.2.iter().cloned())
+                .collect()
+        }
+
+        /// The host rate as one series over every row-0 epoch of every
+        /// stored period, periods ascending.
         pub fn host_rate_curve(a: &Analyzer, host: usize) -> Option<WindowSeries> {
-            a.reports.get(&host)?;
-            WindowSeries::from_reports(&select(a, host, Pick::Row0))
+            let store = a.reports.get(&host)?;
+            let epochs: Vec<BucketReport> =
+                (store.values()).flat_map(|sp| row0(&sp.report)).collect();
+            WindowSeries::from_reports(&epochs)
         }
     }
 
@@ -630,7 +671,23 @@ mod tests {
     /// Tentpole equivalence: the indexed query engine is bit-identical to a
     /// linear rescan of the stores, including under out-of-order delivery,
     /// redelivered duplicates and interleaved ingest/query (the index must
-    /// be coherent after every batch, not just at the end).
+    /// be coherent after every batch, not just at the end). Two schedules,
+    /// each on a fresh all-hot analyzer and a fresh archive-backed
+    /// `bounded(1, 2)` twin whose host rates are checked too:
+    ///
+    /// * the first delivers every report reversed, in two batches, then
+    ///   redelivers everything. Reports are listed host by host, so the
+    ///   first batch gives host 1 its periods 3 and 2 only, and its periods
+    ///   1 and 0 arrive after those were queried: an older period reaching
+    ///   an index whose newer periods were already read and memoised (on
+    ///   the twin, below the eviction floor, so straight into the cold
+    ///   tier, whose next read must see them);
+    /// * the second delivers three waves of periods ({1, 0}, {2}, {3}), each
+    ///   reversed, then redelivers everything. Between waves the twin's
+    ///   floors advance, so a row-0 series built while its period was hot is
+    ///   read next while the period is compacted, then from the cold tier,
+    ///   which decodes the period afresh and must rebuild its series, never
+    ///   reuse the one eviction dropped.
     #[test]
     fn indexed_queries_match_rescan_reference_under_hostile_ingest() {
         let (cfg, reports) = contested_reports(3, 150);
@@ -638,43 +695,88 @@ mod tests {
             reports.iter().any(|r| !r.report.heavy.is_empty()),
             "workload must contest the heavy part"
         );
-        let mut analyzer = Analyzer::new(cfg.sketch.clone());
-        let mut scratch = QueryScratch::new();
-        // Deliver reversed, in two batches, then redeliver everything; query
-        // and compare after every step.
+        assert_eq!(reports.iter().map(|r| r.period).max(), Some(3));
         let reversed: Vec<PeriodReport> = reports.iter().rev().cloned().collect();
         let mid = reversed.len() / 2;
-        let batches = [
-            reversed[..mid].to_vec(),
-            reversed[mid..].to_vec(),
-            reports.clone(),
+        let wave = |periods: std::ops::Range<u64>| -> Vec<PeriodReport> {
+            let mut w = reversed.clone();
+            w.retain(|r| periods.contains(&r.period));
+            w
+        };
+        // Each schedule's batches, and the row-0 series the twin's queries
+        // build after each batch (over all three hosts). Split: the first
+        // batch builds host 2's four and host 1's periods 3 and 2; the
+        // second host 1's late periods 1 and 0 and host 0's four; the
+        // redelivery none. Waves, per host: wave {1, 0} builds hot 1 and
+        // compacted 0; wave {2} builds 2 and rebuilds 0 from the cold tier,
+        // reusing compacted 1's; wave {3} builds 3 and rebuilds 1, reusing
+        // 0's (cached) and 2's; the redelivery builds none.
+        let schedules = [
+            (
+                "split",
+                vec![
+                    reversed[..mid].to_vec(),
+                    reversed[mid..].to_vec(),
+                    reports.clone(),
+                ],
+                vec![6, 6, 0],
+            ),
+            (
+                "waves",
+                vec![wave(0..2), wave(2..3), wave(3..4), reports.clone()],
+                vec![6, 6, 6, 0],
+            ),
         ];
-        for batch in batches {
-            analyzer.add_reports(batch);
-            for host in 0..3 {
-                for flow in 0..24u64 {
-                    let want = rescan_reference::flow_curve(&analyzer, host, flow);
-                    let got = analyzer.flow_curve_with(host, flow, &mut scratch).cloned();
-                    assert_eq!(got, want, "host {host} flow {flow}");
+        let mut scratch = QueryScratch::new();
+        for (name, batches, builds) in schedules {
+            let mut analyzer = Analyzer::new(cfg.sketch.clone());
+            let dir = std::env::temp_dir()
+                .join(format!("umon_hostile_twin_{name}_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut tiered =
+                Analyzer::with_archive(cfg.sketch.clone(), RetentionPolicy::bounded(1, 2), &dir)
+                    .expect("open archive");
+            for (b, batch) in batches.into_iter().enumerate() {
+                analyzer.add_reports(batch.clone());
+                tiered.add_reports(batch);
+                let built = tiered.retention_stats().row0_series_built;
+                for host in 0..3 {
+                    for flow in 0..24u64 {
+                        let want = rescan_reference::flow_curve(&analyzer, host, flow);
+                        let got = analyzer.flow_curve_with(host, flow, &mut scratch).cloned();
+                        assert_eq!(got, want, "{name} batch {b} host {host} flow {flow}");
+                    }
+                    let want = rescan_reference::host_rate_curve(&analyzer, host);
+                    let what = format!("{name} batch {b} host {host} rate");
+                    let got = analyzer.host_rate_curve_with(host, &mut scratch).cloned();
+                    assert_bits_eq(got.as_ref(), want.as_ref(), &what);
+                    let got = tiered.host_rate_curve_with(host, &mut scratch).cloned();
+                    assert_bits_eq(got.as_ref(), want.as_ref(), &format!("twin: {what}"));
                 }
-                assert_eq!(
-                    analyzer.host_rate_curve_with(host, &mut scratch).cloned(),
-                    rescan_reference::host_rate_curve(&analyzer, host),
-                    "host {host} rate"
-                );
+                let s = tiered.retention_stats();
+                assert_eq!(s.row0_series_built - built, builds[b], "{name} batch {b}");
+                assert_eq!(s.cold_read_errors, 0);
             }
+            assert_eq!(analyzer.ingest_stats().duplicates, reports.len() as u64);
+            assert_eq!(tiered.ingest_stats().duplicates, reports.len() as u64);
+            let s = tiered.retention_stats();
+            assert!(s.compacted_periods + s.compacted_on_arrival > 0, "{name}");
+            assert!(s.evicted_periods + s.stale_archived > 0, "{name}");
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        assert_eq!(analyzer.ingest_stats().duplicates, reports.len() as u64);
     }
 
-    /// The walk's visit order, per pick, across all three tiers, through the
-    /// selection each real query builds. Comparing curves by `f64` bits
-    /// cannot see an ordering bug: reconstructions of integer byte counts
-    /// are dyadic rationals, and summing them is exact in any order. So this
-    /// compares the epoch sequence itself with the rescan reference's
-    /// selection over an unbounded twin. Every period of host 0 also holds
-    /// two shapes `fits_config` admits but no drain produces: a light
-    /// bucket listed twice and a heavy key listed twice.
+    /// The visit order, across all three tiers. Comparing curves by `f64`
+    /// bits cannot see an ordering bug: reconstructions of integer byte
+    /// counts are dyadic rationals, and summing them is exact in any order.
+    /// So for each flow pick this compares the epoch sequence its walk
+    /// yields, through the selection each real flow query builds, with the
+    /// rescan reference's selection over an unbounded twin; and for the host
+    /// rate it compares every cold, compacted and hot period's row-0 series
+    /// with one built from that period's row-0 entries in list order. Every
+    /// period of host 0 also holds two shapes `fits_config` admits but no
+    /// drain produces: a row-0 light bucket listed twice and a heavy key
+    /// listed twice.
     #[test]
     fn walk_visits_cold_then_compacted_then_hot_for_every_pick() {
         let (cfg, mut reports) = contested_reports(2, 250);
@@ -685,6 +787,7 @@ mod tests {
                 "period {}",
                 r.period
             );
+            assert_eq!(light[0].0, 0, "the doubled light bucket is in row 0");
             light.push(light[0].clone());
             heavy.push(heavy[0].clone());
         }
@@ -698,9 +801,19 @@ mod tests {
         tiered.add_reports(reports);
         assert_eq!(tiered.ingest_stats().mismatched, 0);
 
+        // Whether entry `i` of a light or heavy list repeats its list's
+        // first tag (only a doubled entry does: a drain lists each bucket
+        // and key once).
+        let repeats_first = |r: &wavesketch::SketchReport, light: bool, i: usize| {
+            i > 0
+                && if light {
+                    (r.light[i].0, r.light[i].1) == (r.light[0].0, r.light[0].1)
+                } else {
+                    r.heavy[i].0 == r.heavy[0].0
+                }
+        };
         // Each pick's walk against the reference; returns how many of the
-        // unindexed entries it read repeat their list's first tag (only a
-        // doubled entry does: a drain lists each bucket and key once).
+        // unindexed entries it read repeat their list's first tag.
         let check = |view: &HostView, host: usize, pick: Pick| -> usize {
             let mut got = Vec::new();
             view.walk(pick, &mut |e| got.push(e.report().clone()));
@@ -709,24 +822,18 @@ mod tests {
                 rescan_reference::select(&unbounded, host, pick),
                 "host {host} {pick:?}"
             );
-            let periods: Vec<&PeriodReport> = view.unindexed().collect();
+            let periods: Vec<&StoredPeriod> = view.unindexed().collect();
             (view.selected.iter().filter(|s| s.2 == pick))
                 .filter(|&&(p, i, _)| {
-                    let (i, r) = (i as usize, &periods[p as usize].report);
-                    i > 0
-                        && match pick {
-                            Pick::Light(..) | Pick::Row0 => {
-                                r.light[i].0 == r.light[0].0 && r.light[i].1 == r.light[0].1
-                            }
-                            Pick::Heavy(_) | Pick::Colliding(..) => r.heavy[i].0 == r.heavy[0].0,
-                        }
+                    let r = &periods[p as usize].report.report;
+                    repeats_first(r, matches!(pick, Pick::Light(..)), i as usize)
                 })
                 .count()
         };
         let (mut cold, mut selected) = (Vec::new(), Vec::new());
+        let mut recon = ReconstructScratch::new();
         for host in 0..2 {
-            let view = (tiered.host_view(host, Target::HostRate, &mut cold, &mut selected))
-                .expect("host measured");
+            let view = tiered.host_view(host, &mut cold).expect("host measured");
             let store = view.store.expect("resident periods");
             assert!(!view.cold.is_empty(), "host {host} has cold periods");
             assert!(
@@ -734,11 +841,20 @@ mod tests {
                 "and compacted"
             );
             assert!(store.range(view.hot_floor..).next().is_some(), "and hot");
-            let mut doubled = check(&view, host, Pick::Row0);
+            let mut doubled = 0;
+            for sp in view.periods() {
+                let r = &sp.report;
+                let want = WindowSeries::from_reports(&rescan_reference::row0(r));
+                let what = format!("host {host} period {} row-0 series", r.period);
+                assert_bits_eq(sp.row0(&mut recon).0, want.as_ref(), &what);
+                doubled += (0..r.report.light.len())
+                    .filter(|&i| r.report.light[i].0 == 0 && repeats_first(&r.report, true, i))
+                    .count();
+            }
             for flow in 0..24u64 {
                 let at = cfg.sketch.place(&FlowKey::from_id(flow));
-                let view = (tiered.host_view(host, Target::Flow(&at), &mut cold, &mut selected))
-                    .expect("host measured");
+                let mut view = tiered.host_view(host, &mut cold).expect("host measured");
+                view.select(&at, &mut selected);
                 let packed = *at.packed();
                 doubled += check(&view, host, Pick::Heavy(packed));
                 for row in 0..cfg.sketch.rows {
@@ -966,15 +1082,153 @@ mod tests {
         thrashing.add_reports(reports.clone());
         assert!(thrashing.retention_stats().evicted_periods > 0);
 
-        for _ in 0..3 {
+        // Every host-rate call decodes each cold period afresh, so it builds
+        // each cold period's series again; resident periods keep theirs.
+        let (cold, resident) = {
+            let cov = thrashing.host_coverage(0);
+            (cov.archived.len() as u64, cov.periods.len() as u64)
+        };
+        assert!(cold > 0);
+        let want = unbounded.host_rate_curve(0);
+        let mut scratch = QueryScratch::new();
+        for call in 0..3 {
             for flow in 0..24u64 {
                 assert_eq!(thrashing.flow_curve(0, flow), unbounded.flow_curve(0, flow));
             }
+            let built = thrashing.retention_stats().row0_series_built;
+            let got = thrashing.host_rate_curve_with(0, &mut scratch);
+            assert_bits_eq(got, want.as_ref(), &format!("call {call}"));
+            let rebuilt = thrashing.retention_stats().row0_series_built - built;
+            assert_eq!(rebuilt, cold + if call == 0 { resident } else { 0 });
         }
         let s = thrashing.retention_stats();
         assert_eq!(s.cold_hits, 0, "nothing fits, nothing can hit");
         assert!(s.cold_misses > 0);
         assert_eq!(s.cold_read_errors, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Heap bytes of the row-0 series of `r`, from the reference.
+    fn row0_bytes(r: &PeriodReport) -> usize {
+        let series = WindowSeries::from_reports(&rescan_reference::row0(r));
+        series.map_or(0, |s| s.values.len() * std::mem::size_of::<f64>())
+    }
+
+    /// A host-rate query builds one row-0 series per stored period and
+    /// fills no per-bucket memo. A series lives exactly as long as its
+    /// period's decoded report: compaction keeps it, eviction drops it, the
+    /// cold tier rebuilds it beside the record it decodes and charges it to
+    /// the cache budget, and resident series are counted in their own
+    /// residency figure.
+    #[test]
+    fn host_rate_builds_one_series_per_period_that_lives_with_its_report() {
+        let (cfg, reports) = contested_reports(2, 250);
+        let mut scratch = QueryScratch::new();
+
+        // All hot: one series per period, no memo, nothing on a repeat.
+        let mut hot = Analyzer::new(cfg.sketch.clone());
+        hot.add_reports(reports.clone());
+        let reserved = hot.residency().cached_bytes;
+        for host in 0..2 {
+            let periods = reports.iter().filter(|r| r.host == host).count() as u64;
+            let before = hot.retention_stats();
+            let first = hot.host_rate_curve_with(host, &mut scratch).cloned();
+            let after = hot.retention_stats();
+            assert_eq!(after.row0_series_built - before.row0_series_built, periods);
+            assert_eq!(after.curve_epochs_built, before.curve_epochs_built);
+            let again = hot.host_rate_curve_with(host, &mut scratch).cloned();
+            assert_eq!(hot.retention_stats(), after, "a repeat builds nothing");
+            let want = rescan_reference::host_rate_curve(&hot, host);
+            assert_bits_eq(first.as_ref(), want.as_ref(), "first read");
+            assert_bits_eq(again.as_ref(), want.as_ref(), "memoised read");
+        }
+        assert_eq!(memoised(&hot, 2).values().sum::<usize>(), 0);
+        let r = hot.residency();
+        assert_eq!(r.cached_bytes, reserved, "series are not index bytes");
+        assert_eq!(r.row0_series_bytes, reports.iter().map(row0_bytes).sum());
+
+        // Tiered, one period at a time, against an all-hot twin fed alike.
+        let dir = std::env::temp_dir().join(format!("umon_row0_life_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut tiered =
+            Analyzer::with_archive(cfg.sketch.clone(), RetentionPolicy::bounded(1, 2), &dir)
+                .expect("open archive");
+        let mut twin = Analyzer::new(cfg.sketch.clone());
+        let mut by_period: BTreeMap<u64, Vec<PeriodReport>> = BTreeMap::new();
+        for r in &reports {
+            by_period.entry(r.period).or_default().push(r.clone());
+        }
+        assert!(by_period.len() >= 4, "workload must outlast the horizons");
+        for (&p, batch) in &by_period {
+            tiered.add_reports(batch.clone());
+            twin.add_reports(batch.clone());
+            for host in 0..2 {
+                let store = &tiered.reports[&host];
+                // Compaction kept the series of the period the last query
+                // read while hot; eviction took the older one's along.
+                let built: Vec<(u64, bool)> = (store.iter())
+                    .map(|(&q, sp)| (q, sp.row0_built().is_some()))
+                    .collect();
+                let want: Vec<(u64, bool)> = match p {
+                    0 => vec![(0, false)],
+                    p => vec![(p - 1, true), (p, false)],
+                };
+                assert_eq!(built, want, "host {host} after period {p}");
+
+                // A flow query decodes the newly cold period without its
+                // series; the host rate builds it and charges it to the
+                // cache that holds the record.
+                tiered.flow_curve_with(host, 0, &mut scratch);
+                let cold = tiered.cold.as_ref().expect("archive-backed");
+                let (bytes, count) = (cold.cached_bytes(), tiered.retention_stats());
+                let got = tiered.host_rate_curve_with(host, &mut scratch).cloned();
+                let want = twin.host_rate_curve(host);
+                assert_bits_eq(got.as_ref(), want.as_ref(), &format!("host {host} {p}"));
+                let newly_cold = (p >= 2).then(|| {
+                    let r = reports.iter().find(|r| (r.host, r.period) == (host, p - 2));
+                    r.expect("every host reports every period")
+                });
+                let builds = tiered.retention_stats().row0_series_built - count.row0_series_built;
+                assert_eq!(builds, 1 + u64::from(newly_cold.is_some()));
+                assert_eq!(
+                    cold.cached_bytes() - bytes,
+                    newly_cold.map_or(0, row0_bytes)
+                );
+            }
+            let resident = reports.iter().filter(|r| r.period + 2 > p && r.period <= p);
+            let r = tiered.residency();
+            assert_eq!(r.row0_series_bytes, resident.map(row0_bytes).sum::<usize>());
+        }
+        assert_eq!(tiered.retention_stats().cold_read_errors, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The lossy floor trims a period's epochs as it leaves the hot tier;
+    /// the row-0 series summed from the untrimmed epochs goes with them, so
+    /// the compacted period answers from what it now holds, exactly like a
+    /// twin that never read it while hot.
+    #[test]
+    fn lossy_trim_drops_the_series_it_invalidates() {
+        let (cfg, reports) = contested_reports(1, 250);
+        let policy = RetentionPolicy::bounded(1, u64::MAX).with_lossy_floor(1);
+        let mut read_while_hot = Analyzer::with_retention(cfg.sketch.clone(), policy);
+        let mut scratch = QueryScratch::new();
+        for r in &reports {
+            read_while_hot.add_reports(vec![r.clone()]);
+            read_while_hot.host_rate_curve_with(0, &mut scratch);
+        }
+        assert!(read_while_hot.retention_stats().lossy_trimmed_details > 0);
+        let mut never_read = Analyzer::with_retention(cfg.sketch.clone(), policy);
+        for r in &reports {
+            never_read.add_reports(vec![r.clone()]);
+        }
+        let got = read_while_hot
+            .host_rate_curve_with(0, &mut scratch)
+            .cloned();
+        let want = never_read.host_rate_curve(0);
+        assert_bits_eq(got.as_ref(), want.as_ref(), "trimmed periods");
+        let mut exact = Analyzer::new(cfg.sketch);
+        exact.add_reports(reports);
+        assert_ne!(want, exact.host_rate_curve(0), "the trim moves the rate");
     }
 }

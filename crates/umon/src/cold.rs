@@ -21,9 +21,13 @@
 //!   `cold_read_errors` and that period is omitted from the answer — the
 //!   same visible degradation as an eviction without an archive, but now
 //!   counted instead of silent.
+//! * **A cached record carries its row-0 series.** A host-rate query builds
+//!   a cold period's series beside the cached record and charges its bytes
+//!   to the same budget; evicting the entry drops both, and the next read of
+//!   that period builds the series again.
 
 use crate::archive::{PeriodArchive, SegLoc};
-use crate::host_agent::PeriodReport;
+use crate::query_index::StoredPeriod;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
@@ -49,9 +53,10 @@ pub(crate) struct ColdReadStats {
 /// One cached decoded record. `Rc` so an in-progress query keeps its
 /// epochs alive even if the budget evicts the entry mid-fetch.
 struct CacheEntry {
-    report: Rc<PeriodReport>,
+    report: Rc<StoredPeriod>,
     /// Charged bytes: the on-disk record span (stable and already known,
-    /// unlike the decoded heap size).
+    /// unlike the decoded heap size), plus the row-0 series once a query
+    /// builds it.
     bytes: usize,
     last_used: u64,
 }
@@ -143,7 +148,7 @@ impl ColdStore {
     /// the resident tiers. Called once per query, before the two-pass
     /// epoch walk, so both passes see identical epochs. Unreadable records
     /// are counted and skipped.
-    pub(crate) fn fetch_below(&self, host: usize, floor: u64, out: &mut Vec<Rc<PeriodReport>>) {
+    pub(crate) fn fetch_below(&self, host: usize, floor: u64, out: &mut Vec<Rc<StoredPeriod>>) {
         out.clear();
         let Some(periods) = self.index.get(&host) else {
             return;
@@ -166,7 +171,7 @@ impl ColdStore {
             match read {
                 Ok(Some(report)) => {
                     cache.stats.bytes_read += u64::from(loc.len);
-                    let report = Rc::new(report);
+                    let report = Rc::new(StoredPeriod::new(report));
                     out.push(Rc::clone(&report));
                     cache.entries.insert(
                         (host, period),
@@ -182,5 +187,27 @@ impl ColdStore {
                 Ok(None) | Err(_) => cache.stats.errors += 1,
             }
         }
+    }
+
+    /// Charges the row-0 series a query just built for `sp`, one of
+    /// `host`'s fetched periods, to the cache budget, then enforces it.
+    /// Nothing is charged when the entry has already left the cache (the
+    /// budget evicted it mid-fetch): the series then lives only as long as
+    /// the query's own `Rc`.
+    pub(crate) fn charge_row0(&self, host: usize, sp: &Rc<StoredPeriod>) {
+        let mut cache = self.cache.borrow_mut();
+        let bytes = sp.row0_bytes();
+        match cache.entries.get_mut(&(host, sp.report.period)) {
+            Some(e) if Rc::ptr_eq(&e.report, sp) => e.bytes += bytes,
+            _ => return,
+        }
+        cache.bytes += bytes;
+        cache.enforce(self.budget);
+    }
+
+    /// Bytes the cache charges against its budget.
+    #[cfg(test)]
+    pub(crate) fn cached_bytes(&self) -> usize {
+        self.cache.borrow().bytes
     }
 }

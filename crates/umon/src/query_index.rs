@@ -41,6 +41,10 @@
 //! store, kept sorted by binary-search insertion: reports may arrive out of
 //! order, and the walk's visit-order contract (`analyzer/query.rs`) needs
 //! hot refs periods ascending, drain order within a period.
+//!
+//! The host rate needs no ref map: it reads every row-0 bucket of every
+//! period, so its memo is one series per period ([`StoredPeriod`]), kept
+//! beside the report in whichever tier holds it.
 
 use crate::host_agent::PeriodReport;
 use std::cell::{Cell, OnceCell};
@@ -69,6 +73,62 @@ pub(crate) struct CachedCurves {
     bytes: usize,
 }
 
+/// One period report held in memory — resident (hot or compacted) in the
+/// analyzer's store, or decoded into the cold tier's cache — with its row-0
+/// series, which lives exactly as long as the report does: compaction keeps
+/// it, eviction (or a cold-cache eviction) drops it, and the next host-rate
+/// query that reads the period builds it again.
+#[derive(Debug)]
+pub(crate) struct StoredPeriod {
+    pub(crate) report: PeriodReport,
+    /// The period's row-0 light epochs summed in list order, built by the
+    /// first host-rate query that reads the period; `None` inside when the
+    /// period has no row-0 epoch.
+    row0: OnceCell<Option<WindowSeries>>,
+}
+
+impl StoredPeriod {
+    pub(crate) fn new(report: PeriodReport) -> Self {
+        Self {
+            report,
+            row0: OnceCell::new(),
+        }
+    }
+
+    /// The row-0 series, building it through `recon` on first read, and
+    /// whether this call built it: `WindowSeries::assign_from_reports` over
+    /// the period's row-0 epochs in list order.
+    pub(crate) fn row0(&self, recon: &mut ReconstructScratch) -> (Option<&WindowSeries>, bool) {
+        let mut built = false;
+        let series = self.row0.get_or_init(|| {
+            built = true;
+            let epochs = (self.report.report.light.iter())
+                .filter(|(row, _, _)| *row == 0)
+                .flat_map(|(_, _, brs)| brs);
+            let mut s = WindowSeries::new();
+            s.assign_from_reports(epochs, recon).then_some(s)
+        });
+        (series.as_ref(), built)
+    }
+
+    /// The row-0 series if a query has built it.
+    pub(crate) fn row0_built(&self) -> Option<&WindowSeries> {
+        self.row0.get().and_then(Option::as_ref)
+    }
+
+    /// Heap bytes the built row-0 series holds (0 until built).
+    pub(crate) fn row0_bytes(&self) -> usize {
+        self.row0_built()
+            .map_or(0, |s| s.values.len() * std::mem::size_of::<f64>())
+    }
+
+    /// Drops the row-0 series: the report's epochs changed (a lossy trim),
+    /// so the next read rebuilds it from what the report now holds.
+    pub(crate) fn forget_row0(&mut self) {
+        self.row0.take();
+    }
+}
+
 /// Per-host query index; see the module docs.
 #[derive(Debug, Default)]
 pub(crate) struct HostIndex {
@@ -79,9 +139,6 @@ pub(crate) struct HostIndex {
     /// `(row, col)` → refs into `report.heavy` for heavy keys whose light
     /// column at `row` is `col`, ordered. The subtraction set.
     pub(crate) heavy_by_col: HashMap<(u32, u32), Vec<EntryRef>>,
-    /// Row-0 light refs (every packet lands in row 0 exactly once — the
-    /// host-rate aggregation set), ordered.
-    pub(crate) row0: Vec<EntryRef>,
     /// Period → that period's memo cells.
     pub(crate) curves: HashMap<u64, CachedCurves>,
 }
@@ -107,6 +164,8 @@ pub(crate) struct QueryIndex {
     /// Memo cells filled by a query, cumulative. A `Cell` because queries
     /// take `&self`.
     epochs_built: Cell<u64>,
+    /// Row-0 series built by host-rate queries, in any tier, cumulative.
+    row0_series_built: Cell<u64>,
 }
 
 /// Cap on distinct heavy keys in the column-resolution cache (~4 MB at 3
@@ -192,6 +251,11 @@ impl QueryIndex {
         &self.epochs_built
     }
 
+    /// The count of row-0 series built by host-rate queries, cumulative.
+    pub(crate) fn row0_series_built(&self) -> &Cell<u64> {
+        &self.row0_series_built
+    }
+
     /// The oldest `(period, host)` still indexed, if any —
     /// the next victim of a cached-bytes budget.
     pub(crate) fn oldest_indexed(&self) -> Option<(u64, usize)> {
@@ -238,9 +302,6 @@ impl QueryIndex {
                     hidx.light.remove(&(*row, *col));
                 }
             }
-            if *row == 0 {
-                remove_period(&mut hidx.row0, period);
-            }
         }
         for (k, _) in &r.report.heavy {
             let packed: [u8; 13] = k.as_slice().try_into().expect("packed keys are 13 bytes");
@@ -284,9 +345,6 @@ impl QueryIndex {
             let memos = cached.empty_memos(brs);
             cached.light.push(memos);
             insert_ordered(hidx.light.entry((*row, *col)).or_default(), entry);
-            if *row == 0 {
-                insert_ordered(&mut hidx.row0, entry);
-            }
         }
         for (i, (k, brs)) in r.report.heavy.iter().enumerate() {
             let packed: [u8; 13] = k.as_slice().try_into().expect("packed keys are 13 bytes");
@@ -349,18 +407,19 @@ pub struct QueryScratch {
     /// Heavy epoch opening windows (`w0` per heavy report, in order), each
     /// with the light estimate there, captured before the overlay.
     pub(crate) starts: Vec<(u64, f64)>,
-    /// Reconstruction scratch: fills a hot epoch's memo on its first read
-    /// and reconstructs compacted and cold epochs on every read.
+    /// Reconstruction scratch: fills a hot epoch's memo or a period's row-0
+    /// series on its first read, and reconstructs compacted and cold epochs
+    /// on every read.
     pub(crate) recon: ReconstructScratch,
     /// Cold-tier reports fetched for the current query (evicted periods
     /// read back from the archive), period-ascending. Filled once per query
     /// *before* any epoch walk so every walk of the query sees identical
     /// epochs; the `Rc`s keep the reports alive for the whole query even if
     /// the cold cache's byte budget evicts them mid-fetch.
-    pub(crate) cold: Vec<std::rc::Rc<crate::host_agent::PeriodReport>>,
-    /// The unindexed (cold and compacted) entries the current query reads,
-    /// recorded by one selection pass after the cold fetch; every walk of
-    /// the query filters this instead of rescanning the periods.
+    pub(crate) cold: Vec<std::rc::Rc<StoredPeriod>>,
+    /// The unindexed (cold and compacted) entries the current flow query
+    /// reads, recorded by one selection pass after the cold fetch; every
+    /// walk of the query filters this instead of rescanning the periods.
     pub(crate) selected: Vec<crate::analyzer::Selected>,
 }
 

@@ -42,6 +42,17 @@
 //! eviction is a latency budget instead of a data-loss budget. The cold
 //! read path's cost is surfaced in the `cold_*` fields of
 //! [`RetentionStats`].
+//!
+//! A host-rate query memoises one row-0 series per period it reads, in
+//! every tier, beside the period's report: a resident period keeps its
+//! series through compaction and loses it on eviction (or when the lossy
+//! floor trims the report it was summed from); a cold period's series lives
+//! in its cache entry and is charged to [`RetentionPolicy::cold_cache_bytes`]
+//! with it. Resident series are counted in
+//! [`ResidencySnapshot::row0_series_bytes`], a figure of their own outside
+//! [`ResidencySnapshot::cached_bytes`]: [`RetentionPolicy::max_cached_bytes`]
+//! compacts hot periods, and compaction keeps a period's series, so
+//! charging series there would compact without freeing them.
 
 /// The analyzer's explicit memory budget. The default is fully unbounded —
 /// identical behavior to the pre-retention analyzer.
@@ -60,7 +71,8 @@ pub struct RetentionPolicy {
     /// hot horizon.
     pub max_cached_bytes: Option<usize>,
     /// Byte budget for the cold tier's in-memory segment cache (decoded
-    /// archive records retained across queries). Only consulted when the
+    /// archive records retained across queries, each charged its record
+    /// size plus its row-0 series once a host-rate query builds it). Only consulted when the
     /// analyzer has an archive. A budget smaller than one record still
     /// yields correct answers — every cold query simply re-reads from disk.
     pub cold_cache_bytes: usize,
@@ -201,7 +213,12 @@ pub struct RetentionStats {
     pub curve_epochs_indexed: u64,
     /// Hot epoch curves reconstructed by a query (memos filled). Divided
     /// by [`Self::curve_epochs_indexed`] it is the hot tier's read rate.
+    /// Host-rate queries fill none; they build [`Self::row0_series_built`].
     pub curve_epochs_built: u64,
+    /// Per-period row-0 series built by host-rate queries, in any tier: one
+    /// per period the first time a query reads it, and again after the
+    /// period is re-read from the archive.
+    pub row0_series_built: u64,
 }
 
 /// A point-in-time snapshot of what the analyzer holds resident — the
@@ -218,6 +235,12 @@ pub struct ResidencySnapshot {
     /// Nominal wire bytes of all resident reports (the compacted tier's
     /// dominant cost).
     pub resident_report_bytes: usize,
+    /// Heap bytes of the row-0 series host-rate queries have built for
+    /// resident (hot and compacted) periods. Not part of `cached_bytes`, so
+    /// the cached-bytes budget does not compact against it; it shrinks only
+    /// as periods are evicted. Depends on the queries run, so two analyzers
+    /// fed the same reports compare equal only after the same queries.
+    pub row0_series_bytes: usize,
 }
 
 #[cfg(test)]
