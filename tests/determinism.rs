@@ -60,6 +60,104 @@ fn different_seeds_differ() {
     assert_ne!(a.1, b.1);
 }
 
+mod pinned_trace {
+    //! One sequential netsim run whose full trace is pinned by digest: a
+    //! change to the simulator's event order that moves any record, any
+    //! timestamp or any counter changes these bytes. `sim_equivalence`
+    //! compares parallel runs with the sequential one of the same build, so
+    //! it cannot see an order change that moves both alike; this can.
+
+    use umon_repro::umon_netsim::trace::write_full_trace;
+    use umon_repro::umon_netsim::{
+        CongestionControl, FailureEvent, FailureSchedule, FlowId, FlowSpec, PfcConfig, SimConfig,
+        SimResult, Simulator, Topology,
+    };
+
+    /// A k = 4 fat-tree carrying DCQCN and DCTCP flows (every third one
+    /// into an incast on host 15), PFC on with low thresholds, one flap of
+    /// the edge(0, 0) ↔ agg(0, 0) link, drop deflection and burst capture.
+    fn pinned_run() -> SimResult {
+        let topo = Topology::fat_tree(4, 100.0, 1000);
+        let flows: Vec<FlowSpec> = (0..64u64)
+            .map(|i| {
+                let src = (i % 16) as usize;
+                let dst = match (i % 3, src) {
+                    (0, 15) => 14,
+                    (0, _) => 15,
+                    _ => (src + 5 + i as usize / 16) % 16,
+                };
+                FlowSpec {
+                    id: FlowId(i),
+                    src,
+                    dst,
+                    size_bytes: 20_000 + (i * 7_919) % 150_000,
+                    start_ns: i * 500,
+                    cc: if i % 2 == 0 {
+                        CongestionControl::Dcqcn
+                    } else {
+                        CongestionControl::Dctcp
+                    },
+                }
+            })
+            .collect();
+        let mut failures = FailureSchedule::none();
+        failures.events.push(FailureEvent::LinkFlap {
+            node: 16,
+            port: 2,
+            down_ns: 30_000,
+            up_ns: 130_000,
+        });
+        let config = SimConfig {
+            pfc: Some(PfcConfig {
+                xoff_bytes: 100_000,
+                xon_bytes: 60_000,
+            }),
+            deflect_on_drop: true,
+            burst_capture_threshold: Some(30_000),
+            end_ns: 3_000_000,
+            seed: 11,
+            failures,
+            ..SimConfig::default()
+        };
+        Simulator::new(topo, flows, config).run()
+    }
+
+    /// FNV-1a 64: fixed by its definition, unlike std's hasher.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn sequential_fat_tree_trace_matches_its_pinned_digest() {
+        let r = pinned_run();
+        let t = &r.telemetry;
+        let mut bytes = Vec::new();
+        write_full_trace(&mut bytes, t).expect("Vec<u8> writes are infallible");
+        let counts = [
+            r.events_processed as usize,
+            t.tx_records.len(),
+            t.mirror_candidates.len(),
+            t.pause_records.len(),
+            t.link_records.len(),
+            t.drop_records.len(),
+            t.burst_records.len(),
+            t.episodes.len(),
+        ];
+        assert_eq!(
+            counts,
+            [97_875, 5_576, 16, 198, 4, 0, 7_111, 53],
+            "events, tx, ce, pause, link, drop, burst, episodes"
+        );
+        let digest = fnv1a64(&bytes);
+        assert_eq!(
+            digest, 0x28c8_d303_85dc_42a1,
+            "full-trace digest {digest:#018x}"
+        );
+    }
+}
+
 mod scenario_generators {
     //! Property tests for the adversarial scenario layer: conservation,
     //! permutation validity, failure non-overlap and bit-identical reruns,
