@@ -34,7 +34,7 @@ pub enum PacketKind {
 }
 
 /// A simulated packet.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Flow this packet belongs to.
     pub flow: FlowId,

@@ -218,10 +218,11 @@ pub(crate) enum Event {
         node: NodeId,
         port: PortId,
     },
-    /// A packet arrives at a node after propagation.
+    /// A packet arrives at (node, port) after propagation.
     Arrival {
         node: NodeId,
-        packet: PacketBox,
+        port: PortId,
+        packet: Packet,
     },
     AlphaTimer {
         flow: usize,
@@ -245,11 +246,6 @@ pub(crate) enum Event {
         up: bool,
     },
 }
-
-/// `Packet` wrapped for the event queue (needs `Eq` for the heap tuple).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct PacketBox(Packet);
-impl Eq for PacketBox {}
 
 /// Partition-mode context: which logical process this simulator instance
 /// is, buffered outbound cross-partition events, and the `(time, prio)`
@@ -323,7 +319,11 @@ pub struct Simulator {
     /// pushes in partition mode).
     cur_prio: u64,
     events_processed: u64,
+    /// One lane per (node, port) ingress: the `Arrival`s and `Pause`s its
+    /// link delivers.
     events: EventQueue<Event>,
+    /// `lane_base[node] + port` = the lane of (node, port).
+    lane_base: Vec<usize>,
     /// `ports[node][port]`.
     ports: Vec<Vec<OutPort>>,
     flows: Vec<FlowRt>,
@@ -441,6 +441,12 @@ impl Simulator {
         if let Err(msg) = config.failures.validate(&topo) {
             panic!("invalid failure schedule: {msg}");
         }
+        let mut lane_base = Vec::with_capacity(ports.len());
+        let mut lanes = 0;
+        for node_ports in &ports {
+            lane_base.push(lanes);
+            lanes += node_ports.len();
+        }
         Self {
             config,
             clocks,
@@ -450,7 +456,8 @@ impl Simulator {
             cur_node: 0,
             cur_prio: 0,
             events_processed: 0,
-            events: EventQueue::new(),
+            events: EventQueue::new(lanes),
+            lane_base,
             pfc_asserting: ports.iter().map(|ps| vec![false; ps.len()]).collect(),
             link_down: ports.iter().map(|ps| vec![false; ps.len()]).collect(),
             ports,
@@ -511,7 +518,22 @@ impl Simulator {
                 return;
             }
         }
-        self.events.push(time, prio, event);
+        self.queue(time, prio, event);
+    }
+
+    /// Queues a scheduled or delivered event. A link-delayed event joins the
+    /// lane of the ingress it lands on: its creator is the link's sender,
+    /// whose counter numbers the lane's events in dispatch order and whose
+    /// clock never runs back, and the link's latency is fixed, so the lane's
+    /// `(time, prio)` strictly increases.
+    fn queue(&mut self, time: u64, prio: u64, event: Event) {
+        match event {
+            Event::Arrival { node, port, .. } | Event::Pause { node, port, .. } => {
+                let lane = self.lane_base[node] + port;
+                self.events.push_lane(lane, time, prio, event);
+            }
+            _ => self.events.push(time, prio, event),
+        }
     }
 
     /// Schedules an event during initialization (failure expansion, flow
@@ -526,7 +548,7 @@ impl Simulator {
                 return;
             }
         }
-        self.events.push(time, prio, event);
+        self.events.push_init(time, prio, event);
     }
 
     /// True if this instance owns `node` (always, outside partition mode).
@@ -538,13 +560,14 @@ impl Simulator {
     }
 
     /// Seeds the initial event population: expanded failure schedule plus
-    /// one `FlowStart` per flow.
+    /// one `FlowStart` per flow, sorted once into the queue's initial run.
     pub(crate) fn seed_initial_events(&mut self) {
         self.schedule_failures();
         for f in 0..self.flows.len() {
             let start = self.flows[f].spec.start_ns;
             self.schedule_init(start, Event::FlowStart { flow: f });
         }
+        self.events.seal_init();
     }
 
     /// Runs to completion (event queue empty or `end_ns` reached) and
@@ -609,7 +632,7 @@ impl Simulator {
     /// into exactly the sequential order.
     pub(crate) fn deliver(&mut self, batch: &mut Vec<OutboundEvent>) {
         for (time, prio, event) in batch.drain(..) {
-            self.events.push(time, prio, event);
+            self.queue(time, prio, event);
         }
     }
 
@@ -626,7 +649,7 @@ impl Simulator {
             Event::FlowStart { flow } => self.on_flow_start(flow),
             Event::FlowSend { flow } => self.on_flow_send(flow),
             Event::Departure { node, port } => self.on_departure(node, port),
-            Event::Arrival { node, packet } => self.on_arrival(node, packet.0),
+            Event::Arrival { node, packet, .. } => self.on_arrival(node, packet),
             Event::AlphaTimer { flow, generation } => self.on_alpha_timer(flow, generation),
             Event::RateTimer { flow, generation } => self.on_rate_timer(flow, generation),
             Event::Pause {
@@ -997,12 +1020,13 @@ impl Simulator {
         }
 
         let link = *self.topo.link_at(node, port);
-        let (peer, _) = link.peer(node);
+        let (peer, peer_port) = link.peer(node);
         self.schedule(
             self.now + link.latency_ns,
             Event::Arrival {
                 node: peer,
-                packet: PacketBox(pkt),
+                port: peer_port,
+                packet: pkt,
             },
         );
 
