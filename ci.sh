@@ -102,16 +102,18 @@ timeout 300 cargo run --release -q -p umon-testkit --bin golden_gen -- --check
 echo "==> perf gate: umon_bench --smoke"
 timeout 300 cargo run --release -q -p umon-bench --bin umon_bench -- --smoke
 
-# Frontier reproduction gate (DESIGN.md §13): the committed
-# results/frontier_*.json must be exactly what HEAD writes. The record run
-# validates every scenario x budget x scheme point (finite, in range, full
-# scheme set) before writing and fails on an invalid one; reruns are
-# byte-identical, so any diff is a change in what a drain contains that
-# nobody re-recorded (~11 s). There are no accuracy thresholds: the numbers
-# are deterministic, any drift is a diff for review.
-echo "==> frontier reproduction: umon_bench --record --only frontier"
-timeout 300 cargo run --release -q -p umon-bench --bin umon_bench -- --record --only frontier
-git diff --exit-code -- 'results/frontier_*.json'
+# Results reproduction gate (DESIGN.md §4, §13): every committed
+# results/*.json must be exactly what HEAD writes. The record run writes the
+# frontier (validating every scenario x budget x scheme point — finite, in
+# range, full scheme set — before writing, and failing on an invalid one),
+# then every figure and table of `umon_bench::figures` (~2.5 min in all;
+# a figure whose shape assertion breaks aborts the run). Reruns are
+# byte-identical, so any diff is a change in what the code computes that
+# nobody re-recorded. There are no accuracy thresholds: the numbers are
+# deterministic, any drift is a diff for review.
+echo "==> results reproduction: umon_bench --record --only results"
+timeout 600 cargo run --release -q -p umon-bench --bin umon_bench -- --record --only results
+git diff --exit-code -- results/
 
 # Pipeline benchmark gate (BENCHMARK.json, benchmark/README.md): the
 # stand-alone `benchmark/` package path-depends on the workspace crates but

@@ -1,8 +1,8 @@
 //! The accuracy-sweep engine behind Figures 11, 12, 17 and 18: all schemes
 //! at equal memory over one simulated workload.
 
-use crate::{by_flow_length, evaluate_scheme, fmt_metrics, PERIOD_WINDOWS, WINDOW_SHIFT};
-use std::collections::HashMap;
+use crate::{by_flow_length, evaluate_scheme, PERIOD_WINDOWS, WINDOW_SHIFT};
+use std::collections::BTreeMap;
 use umon_baselines::budget::SweepLayout;
 use umon_baselines::CurveSketch;
 use umon_metrics::MetricSummary;
@@ -43,7 +43,7 @@ pub fn calibrate_hw(records: &[TxRecord], k: usize) -> SelectorKind {
     // Assign every record of host 0's traffic to its row-0 bucket under the
     // sweep layout's hash, building per-bucket window series.
     let sample_host = records.first().map(|r| r.host).unwrap_or(0);
-    let mut buckets: HashMap<u64, Vec<(u32, i64)>> = HashMap::new();
+    let mut buckets: BTreeMap<u64, Vec<(u32, i64)>> = BTreeMap::new();
     for r in records {
         if r.host != sample_host {
             continue;
@@ -128,34 +128,21 @@ pub fn sweep(records: &[TxRecord], num_hosts: usize, budgets_kb: &[usize]) -> Ve
     out
 }
 
-/// Prints a figure-11-style table and returns the JSON value.
+/// The JSON of a Figure 11/12 sweep: one row per (scheme, budget).
 pub fn report(kind: WorkloadKind, load: f64, points: &[AccuracyPoint]) -> serde_json::Value {
-    println!(
-        "\nAccuracy on the {:.0}%-load {} workload (window = 8.192 us)",
-        load * 100.0,
-        kind.name()
-    );
-    println!(
-        "{:<18} {:>9}  metrics (workload average over flows)",
-        "scheme", "memory"
-    );
-    let mut rows = Vec::new();
-    for p in points {
-        println!(
-            "{:<18} {:>6} KB  {}",
-            p.scheme,
-            p.memory_bytes / 1024,
-            fmt_metrics(&p.summary)
-        );
-        rows.push(serde_json::json!({
-            "scheme": p.scheme,
-            "memory_kb": p.memory_bytes / 1024,
-            "euclidean": p.summary.euclidean,
-            "are": p.summary.are,
-            "cosine": p.summary.cosine,
-            "energy": p.summary.energy,
-        }));
-    }
+    let rows: Vec<serde_json::Value> = points
+        .iter()
+        .map(|p| {
+            serde_json::json!({
+                "scheme": p.scheme,
+                "memory_kb": p.memory_bytes / 1024,
+                "euclidean": p.summary.euclidean,
+                "are": p.summary.are,
+                "cosine": p.summary.cosine,
+                "energy": p.summary.energy,
+            })
+        })
+        .collect();
     serde_json::json!({
         "workload": kind.name(),
         "load": load,
@@ -163,22 +150,12 @@ pub fn report(kind: WorkloadKind, load: f64, points: &[AccuracyPoint]) -> serde_
     })
 }
 
-/// Prints the flow-size breakdown (Figures 17/18) for one memory budget.
+/// The JSON of a Figure 17/18 breakdown: one row per (scheme, flow-length
+/// bucket) at `memory_bytes`.
 pub fn report_by_flow_size(points: &[AccuracyPoint], memory_bytes: usize) -> serde_json::Value {
     let mut rows = Vec::new();
-    println!(
-        "\nAccuracy by flow length (memory = {} KB)",
-        memory_bytes / 1024
-    );
     for p in points.iter().filter(|p| p.memory_bytes == memory_bytes) {
-        println!("  {}", p.scheme);
         for (bucket, m, n) in by_flow_length(&p.per_flow, 1000.0) {
-            println!(
-                "    flows ≤ {:>6} pkts ({:>5} flows): {}",
-                bucket,
-                n,
-                fmt_metrics(&m)
-            );
             rows.push(serde_json::json!({
                 "scheme": p.scheme,
                 "flow_length_bucket": bucket,

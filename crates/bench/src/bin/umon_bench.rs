@@ -1,5 +1,5 @@
 //! The wall-clock records the pipeline benchmark (`benchmark/`) does not
-//! take, and the memory–accuracy frontier.
+//! take, and every `results/*.json`.
 //!
 //! * `BENCH_core.json` — `wide`: per-record `update` and `update_batch` in
 //!   bursts of 8 / 32 / 256 on a deployment-scale sketch (3 × 16 384 light
@@ -9,8 +9,11 @@
 //!   as one number.
 //! * `BENCH_netsim.json` — `scaling`: `run_parallel` on k = 4 / 8 / 16
 //!   fat-trees at 1 / 2 / 4 partitions, each point with its own peak RSS.
-//! * `results/frontier_*.json` — the memory–accuracy frontier
-//!   (`umon_bench::frontier`), deterministic and byte-identical across reruns.
+//! * `results/*.json` — the memory–accuracy frontier
+//!   (`umon_bench::frontier`, one `frontier_<scenario>.json` per matrix
+//!   scenario) and the paper's figures and tables (`umon_bench::figures`, one
+//!   file per entry of its table), deterministic and byte-identical across
+//!   reruns.
 //!
 //! Every recorded number is a [`Reading`]: the minimum over the reps of a
 //! time per unit of work (min, not mean: noise on a shared box only ever
@@ -21,10 +24,10 @@
 //!
 //! Modes:
 //!
-//! * `--record [--only core|netsim|frontier] [--as-reference]` — measure and
+//! * `--record [--only core|netsim|results] [--as-reference]` — measure and
 //!   rewrite the records at the root of the checkout this binary was built
-//!   from. The frontier runs only under `--only frontier`: it is an accuracy
-//!   record, not a wall-clock one.
+//!   from. The results run only under `--only results` (~2.5 min): they are
+//!   accuracy records, not wall-clock ones.
 //! * `--smoke` — check that both committed records have this schema, every
 //!   point and finite positive readings, then take one fresh `paced`
 //!   reading and print its delta against the committed one. No timing is
@@ -36,13 +39,13 @@ use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use umon_bench::frontier;
+use umon_bench::{figures, frontier};
 use umon_netsim::{run_parallel, FlowSpec, SimConfig, Topology};
 use umon_workloads::{WorkloadKind, WorkloadParams};
 use wavesketch::{FlowKey, FullWaveSketch, SketchConfig};
 
 const USAGE: &str =
-    "usage: umon_bench --smoke | --record [--only core|netsim|frontier] [--as-reference]";
+    "usage: umon_bench --smoke | --record [--only core|netsim|results] [--as-reference]";
 /// Schema of both records; a record of another schema is not read back.
 const SCHEMA: u32 = 3;
 const SEED: u64 = 0xBE9C;
@@ -664,13 +667,18 @@ fn record_netsim(root: &Path, as_reference: bool) {
     println!("wrote {}", path.display());
 }
 
-/// Records the memory–accuracy frontier: one `results/frontier_*.json` per
-/// matrix scenario, every point validated before it is written. Deterministic
-/// end to end (seeded scenarios, seeded sim, no wall clock), so reruns are
-/// byte-identical.
-fn record_frontier(root: &Path) {
-    let results_dir = root.join("results");
-    std::fs::create_dir_all(&results_dir).expect("create results dir");
+fn results_dir(root: &Path) -> PathBuf {
+    root.join("results")
+}
+
+/// Records every result file: the memory–accuracy frontier (one
+/// `frontier_<scenario>.json` per matrix scenario, every point validated
+/// before it is written), then each entry of [`figures::FIGURES`].
+/// Deterministic end to end (fixed seeds, no wall clock in any file), so
+/// reruns are byte-identical.
+fn record_results(root: &Path) {
+    let dir = results_dir(root);
+    std::fs::create_dir_all(&dir).expect("create results dir");
     println!(
         "frontier: scenario matrix x {} budgets x {} schemes ...",
         frontier::budgets(false).len(),
@@ -681,7 +689,7 @@ fn record_frontier(root: &Path) {
             eprintln!("FAIL frontier sweep produced an invalid point: {e}");
             std::process::exit(1);
         });
-        let path = results_dir.join(format!("frontier_{}.json", f.scenario));
+        let path = dir.join(format!("frontier_{}.json", f.scenario));
         store(&path, &f);
         let last = f.budgets.last().expect("validated non-empty");
         let ws = last
@@ -700,6 +708,16 @@ fn record_frontier(root: &Path) {
             ws.heavy_hitter_f1
         );
         println!("wrote {}", path.display());
+    }
+    for (name, figure) in figures::FIGURES {
+        let start = Instant::now();
+        let path = dir.join(format!("{name}.json"));
+        store(&path, &figure());
+        println!(
+            "wrote {} ({:.1} s)",
+            path.display(),
+            start.elapsed().as_secs_f64()
+        );
     }
 }
 
@@ -746,7 +764,7 @@ fn main() {
         match arg.as_str() {
             "--smoke" | "--record" if mode.is_none() => mode = Some(arg),
             "--only" if only.is_none() => match args.next() {
-                Some(s) if matches!(s.as_str(), "core" | "netsim" | "frontier") => only = Some(s),
+                Some(s) if matches!(s.as_str(), "core" | "netsim" | "results") => only = Some(s),
                 _ => usage(),
             },
             "--as-reference" if !as_reference => as_reference = true,
@@ -756,7 +774,7 @@ fn main() {
     let root = repo_root();
     match (mode.as_deref(), only.as_deref(), as_reference) {
         (Some("--smoke"), None, false) => smoke(),
-        (Some("--record"), Some("frontier"), false) => record_frontier(&root),
+        (Some("--record"), Some("results"), false) => record_results(&root),
         (Some("--record"), Some("core") | None, _) => {
             record_core(&root, as_reference);
             if only.is_none() {
@@ -771,12 +789,34 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+    use umon_workloads::scenario_matrix;
 
     #[test]
     fn spread_is_relative_to_the_fastest_rep() {
         assert_eq!(spread(&[120, 100, 110, 105]), 0.2);
         assert_eq!(spread(&[40, 50]), 0.25);
         assert_eq!(spread(&[7]), 0.0);
+    }
+
+    #[test]
+    fn every_result_file_has_a_writer_and_every_writer_a_file() {
+        let scenarios = scenario_matrix(frontier::FRONTIER_SEED, false);
+        let written: BTreeSet<String> = scenarios
+            .iter()
+            .map(|s| format!("frontier_{}.json", s.name))
+            .chain(
+                figures::FIGURES
+                    .iter()
+                    .map(|(name, _)| format!("{name}.json")),
+            )
+            .collect();
+        let committed: BTreeSet<String> = std::fs::read_dir(results_dir(&repo_root()))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(written.len(), scenarios.len() + figures::FIGURES.len());
+        assert_eq!(committed, written);
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! # umon-bench — the experiment harness
 //!
-//! Shared plumbing for the per-figure/table binaries (see `src/bin/`): it
-//! runs the paper's simulation workloads, builds ground-truth rate curves
-//! from the simulator's egress tap, sweeps measurement schemes at equal
-//! memory, and evaluates the Appendix-E accuracy metrics per flow.
-//!
-//! Every binary prints the same rows/series its figure or table reports and
-//! emits a machine-readable JSON block consumed by EXPERIMENTS.md updates.
+//! Shared plumbing for the paper's figures and tables ([`figures`]) and the
+//! memory–accuracy frontier ([`frontier`]): it runs the paper's simulation
+//! workloads, builds ground-truth rate curves from the simulator's egress
+//! tap, sweeps measurement schemes at equal memory, and evaluates the
+//! Appendix-E accuracy metrics per flow. `umon_bench --record --only
+//! results` writes every `results/*.json` from here.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use umon_baselines::CurveSketch;
 use umon_metrics::{all_metrics, MetricSummary, WorkloadAccuracy};
 use umon_netsim::{FlowSpec, SimConfig, SimResult, Simulator, Topology, TxRecord};
@@ -38,12 +37,12 @@ pub fn run_paper_workload(kind: WorkloadKind, load: f64, seed: u64) -> (Vec<Flow
 }
 
 /// Ground-truth per-flow window series measured at the flow's source host:
-/// `(host, flow) → bytes per absolute window`.
+/// `(host, flow) → bytes per absolute window`, in key order.
 pub fn ground_truth(
     records: &[TxRecord],
     window_shift: u32,
-) -> HashMap<(usize, u64), HashMap<u64, f64>> {
-    let mut truth: HashMap<(usize, u64), HashMap<u64, f64>> = HashMap::new();
+) -> BTreeMap<(usize, u64), BTreeMap<u64, f64>> {
+    let mut truth: BTreeMap<(usize, u64), BTreeMap<u64, f64>> = BTreeMap::new();
     for r in records {
         let w = r.ts_ns >> window_shift;
         *truth
@@ -56,7 +55,7 @@ pub fn ground_truth(
 }
 
 /// Dense truth curve over `[start, end)` from a sparse window map.
-pub fn dense_curve(windows: &HashMap<u64, f64>, start: u64, end: u64) -> Vec<f64> {
+pub fn dense_curve(windows: &BTreeMap<u64, f64>, start: u64, end: u64) -> Vec<f64> {
     (start..end)
         .map(|w| windows.get(&w).copied().unwrap_or(0.0))
         .collect()
@@ -65,7 +64,8 @@ pub fn dense_curve(windows: &HashMap<u64, f64>, start: u64, end: u64) -> Vec<f64
 /// Feeds each host's egress records into its own instance of a scheme
 /// (`make` is called once per host), queries every flow at its source host
 /// and averages the four metrics over flows — one data point of
-/// Figures 11/12.
+/// Figures 11/12. Hosts and flows are visited in ascending id order, so the
+/// float sums behind the averages are the same in every process.
 ///
 /// Returns `(summary, per_flow)` where `per_flow` maps flow id to
 /// `(flow_bytes, metrics)` for the flow-size breakdowns (Figures 17/18).
@@ -95,20 +95,14 @@ where
             sketch.update(&FlowKey::from_id(r.flow.0), w, r.bytes as i64);
         }
         // Every flow sourced at this host.
-        let flows: Vec<u64> = truth
-            .keys()
-            .filter(|(h, _)| *h == host)
-            .map(|(_, f)| *f)
-            .collect();
-        for flow in flows {
-            let tw = &truth[&(host, flow)];
+        for (&(_, flow), tw) in truth.range((host, 0)..=(host, u64::MAX)) {
             // Evaluate over the flow's active span padded by 8 windows on
             // each side: schemes that smear a burst beyond its true windows
             // must be charged for it (a 1-window flow would otherwise score
             // a trivially perfect cosine on a 1-sample vector).
             let pad = 8u64;
-            let start = tw.keys().min().expect("non-empty").saturating_sub(pad);
-            let end = *tw.keys().max().expect("non-empty") + 1 + pad;
+            let start = tw.keys().next().expect("non-empty").saturating_sub(pad);
+            let end = *tw.keys().next_back().expect("non-empty") + 1 + pad;
             let t = dense_curve(tw, start, end);
             let est = match sketch.query(&FlowKey::from_id(flow)) {
                 Some(series) => (start..end).map(|w| series.at(w)).collect::<Vec<f64>>(),
@@ -130,8 +124,7 @@ pub fn by_flow_length(
     per_flow: &[(u64, f64, MetricSummary)],
     mtu: f64,
 ) -> Vec<(u64, MetricSummary, usize)> {
-    let mut buckets: std::collections::BTreeMap<u64, WorkloadAccuracy> =
-        std::collections::BTreeMap::new();
+    let mut buckets: BTreeMap<u64, WorkloadAccuracy> = BTreeMap::new();
     for &(_, bytes, m) in per_flow {
         let packets = (bytes / mtu).ceil().max(1.0) as u64;
         // Log10 buckets: 10, 100, 1000, 10000, ...
@@ -145,30 +138,6 @@ pub fn by_flow_length(
             (b, acc.mean(), n)
         })
         .collect()
-}
-
-/// Pretty-prints a metric row.
-pub fn fmt_metrics(m: &MetricSummary) -> String {
-    format!(
-        "euclidean={:>10.2}  are={:>7.4}  cosine={:>7.4}  energy={:>7.4}",
-        m.euclidean, m.are, m.cosine, m.energy
-    )
-}
-
-/// Writes a JSON results blob under `results/` so EXPERIMENTS.md can quote
-/// it; also returns the serialized string. Panics with the path when the
-/// file cannot be written: a figure binary that wrote nothing must not
-/// succeed.
-pub fn save_results(name: &str, value: &serde_json::Value) -> String {
-    let s = serde_json::to_string_pretty(value).expect("serializable");
-    write_results(std::path::Path::new("results"), name, &s);
-    s
-}
-
-fn write_results(dir: &std::path::Path, name: &str, json: &str) {
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
-    let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
 }
 
 #[cfg(test)]
@@ -257,6 +226,42 @@ mod tests {
     }
 
     #[test]
+    fn evaluate_scheme_is_bit_identical_across_calls() {
+        // 240 flows of mixed sizes on three hosts, through a sketch small
+        // enough that every flow scores differently: the averages then
+        // depend on the order the flows are summed in.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(44);
+        let mut recs: Vec<TxRecord> = (0..240u64)
+            .flat_map(|flow| {
+                let start = rng.gen_range(0..2_000_000u64);
+                let packets = rng.gen_range(1..60u64);
+                let gap = rng.gen_range(1_000..40_000u64);
+                (0..packets).map(move |i| TxRecord {
+                    host: (flow % 3) as usize,
+                    flow: FlowId(flow),
+                    ts_ns: start + i * gap,
+                    bytes: 1000,
+                })
+            })
+            .collect();
+        recs.sort_by_key(|r| r.ts_ns);
+        let layout = SweepLayout::paper(0, PERIOD_WINDOWS);
+        let run = || evaluate_scheme(&recs, 3, || Box::new(layout.omniwindow(16 * 1024)));
+        let bits = |m: &MetricSummary| [m.euclidean, m.are, m.cosine, m.energy].map(f64::to_bits);
+        let (a, a_flows) = run();
+        let (b, b_flows) = run();
+        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(a_flows.len(), 240);
+        for (x, y) in a_flows.iter().zip(&b_flows) {
+            assert_eq!(
+                (x.0, x.1.to_bits(), bits(&x.2)),
+                (y.0, y.1.to_bits(), bits(&y.2))
+            );
+        }
+    }
+
+    #[test]
     fn flow_length_buckets_are_logarithmic() {
         let m = MetricSummary {
             euclidean: 1.0,
@@ -275,16 +280,7 @@ mod tests {
         assert_eq!(buckets, vec![10, 100, 10_000]);
         assert_eq!(rows[1].2, 2);
     }
-
-    #[test]
-    #[should_panic(expected = "cannot create")]
-    fn write_results_panics_when_the_directory_cannot_be_created() {
-        // A directory under a regular file can never be created.
-        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("Cargo.toml")
-            .join("results");
-        write_results(&dir, "unwritable", "{}");
-    }
 }
 pub mod accuracy;
+pub mod figures;
 pub mod frontier;
