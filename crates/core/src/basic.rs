@@ -8,7 +8,7 @@ use crate::batch::{active_kernel, BatchKernel, BatchScratch, CHUNK};
 use crate::config::{Placement, SketchConfig};
 use crate::flow::FlowKey;
 use crate::reconstruct::ReconstructScratch;
-use crate::report::BucketReport;
+use crate::report::{BucketReport, EpochSource};
 
 /// A reconstructed flow-rate curve: per-window values anchored at an
 /// absolute window id. Mirrors `umon_metrics::RateCurve` but lives here so
@@ -43,30 +43,30 @@ impl WindowSeries {
             .then_some(series)
     }
 
-    /// In-place [`Self::from_reports`]: resets this series to the reports'
-    /// union span and accumulates every report, in iteration order, through
+    /// In-place [`Self::from_reports`]: resets this series to the epochs'
+    /// union span and accumulates every epoch, in iteration order, through
     /// `scratch`. Returns `false` (leaving the series empty) when `reports`
     /// is empty. The iterator is walked twice (span, then sums), so it must
-    /// be cloneable; a slice or a filtered view of one both are.
-    pub fn assign_from_reports<'r, I>(
-        &mut self,
-        reports: I,
-        scratch: &mut ReconstructScratch,
-    ) -> bool
+    /// be cloneable; a slice or a filtered view of one both are. Decoded
+    /// and encoded epochs ([`EpochSource`]) sum to the same bits.
+    pub fn assign_from_reports<I>(&mut self, reports: I, scratch: &mut ReconstructScratch) -> bool
     where
-        I: IntoIterator<Item = &'r BucketReport>,
+        I: IntoIterator,
+        I::Item: EpochSource,
         I::IntoIter: Clone,
     {
         let reports = reports.into_iter();
-        let Some(start) = reports.clone().map(|r| r.w0).min() else {
+        let span = reports
+            .clone()
+            .map(|r| r.span())
+            .fold(None, |acc, (w0, len)| {
+                let end = w0 + len as u64;
+                Some(acc.map_or((w0, end), |(s, e): (u64, u64)| (s.min(w0), e.max(end))))
+            });
+        let Some((start, end)) = span else {
             self.reset(0, 0);
             return false;
         };
-        let end = reports
-            .clone()
-            .map(|r| r.w0 + r.padded_len as u64)
-            .max()
-            .expect("non-empty");
         self.reset(start, (end - start) as usize);
         for r in reports {
             self.accumulate_report(r, scratch);
@@ -92,9 +92,9 @@ impl WindowSeries {
     /// Adds one epoch's (clamped) reconstruction into the series. The epoch
     /// must lie inside the current span — callers size the span first (as
     /// [`Self::assign_from_reports`] does).
-    pub fn accumulate_report(&mut self, r: &BucketReport, scratch: &mut ReconstructScratch) {
+    pub fn accumulate_report(&mut self, r: impl EpochSource, scratch: &mut ReconstructScratch) {
         let rec = r.reconstruct_with(scratch);
-        let base = (r.w0 - self.start_window) as usize;
+        let base = (r.span().0 - self.start_window) as usize;
         for (i, &v) in rec.iter().enumerate() {
             self.values[base + i] += v;
         }
@@ -559,7 +559,7 @@ mod tests {
         assert!(series.assign_from_reports(&reports, &mut scratch));
         assert_eq!(series, fresh);
         // And an empty report set resets to empty and reports false.
-        assert!(!series.assign_from_reports(&[], &mut scratch));
+        assert!(!series.assign_from_reports(&[] as &[BucketReport], &mut scratch));
         assert!(series.values.is_empty());
     }
 

@@ -81,7 +81,9 @@ pub use flow::FlowKey;
 pub use full::FullWaveSketch;
 pub use hw::{HwSelectorConfig, PipelineBudget, ResourceUsage};
 pub use reconstruct::ReconstructScratch;
-pub use report::{BucketReport, DetailRecord, SketchReport};
+pub use report::{
+    BucketReport, DetailRecord, EncodedEpoch, EpochSource, ReportTable, SketchReport,
+};
 pub use select::{CoeffSelector, HwThresholdSelector, IdealTopK, Selector, SelectorKind};
 
 /// The paper's reference window length: 8.192 μs, chosen so the window id is

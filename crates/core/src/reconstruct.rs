@@ -94,7 +94,10 @@ pub struct ReconstructScratch {
     /// Half a block: the ping-pong partner of a block's slice of `out`.
     tile: Vec<f64>,
     /// The reconstruction itself; borrowed out by [`reconstruct_into`].
-    out: Vec<f64>,
+    pub(crate) out: Vec<f64>,
+    /// An encoded epoch's approximation coefficients, parsed here for the
+    /// kernel (`report::EncodedEpoch`); the kernel itself never reads it.
+    pub(crate) approx: Vec<i64>,
 }
 
 impl ReconstructScratch {
@@ -176,6 +179,7 @@ pub fn reconstruct_sparse_into<'a>(
         has_detail,
         tile,
         out,
+        ..
     } = scratch;
     // No pre-zeroing: every block below overwrites its whole slice.
     out.resize(padded_len, 0.0);

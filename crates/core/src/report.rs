@@ -172,8 +172,7 @@ fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
 
 /// Reads one zigzag varint at `*pos`.
 fn get_varint_i64(buf: &[u8], pos: &mut usize) -> Option<i64> {
-    let z = get_varint(buf, pos)?;
-    Some(((z >> 1) as i64) ^ -((z & 1) as i64))
+    get_varint(buf, pos).map(unzigzag)
 }
 
 /// Hard cap on decoded list lengths: a corrupt length prefix must fail the
@@ -395,6 +394,381 @@ impl SketchReport {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Random access into an encoding
+//
+// A reader that needs a few epochs of a stored report should not decode all
+// of them into owned vectors. [`ReportTable::build`] makes one validating
+// pass over a `SketchReport` encoding and records where each heavy key,
+// light tag and epoch starts; an [`EncodedEpoch`] then parses one epoch
+// straight into the reconstruction kernel. The pass skips coefficient lists
+// eight bytes at a time by counting varint terminator bytes, and falls back
+// to the exact byte loop wherever that cannot prove a list valid, so it
+// accepts exactly the bytes `SketchReport::decode` accepts.
+// ---------------------------------------------------------------------------
+
+/// One stored epoch, decoded ([`BucketReport`]) or still encoded
+/// ([`EncodedEpoch`]): its span and its clamped reconstruction. Both forms
+/// hand the kernel the same operands, so a series summed from either is
+/// bit-identical.
+pub trait EpochSource {
+    /// `(w0, padded_len)`: the first window and the padded epoch length.
+    fn span(&self) -> (u64, usize);
+    /// The clamped per-window reconstruction, in `scratch`.
+    fn reconstruct_with<'s>(
+        &self,
+        scratch: &'s mut crate::reconstruct::ReconstructScratch,
+    ) -> &'s [f64];
+}
+
+impl EpochSource for BucketReport {
+    fn span(&self) -> (u64, usize) {
+        (self.w0, self.padded_len)
+    }
+    fn reconstruct_with<'s>(
+        &self,
+        scratch: &'s mut crate::reconstruct::ReconstructScratch,
+    ) -> &'s [f64] {
+        BucketReport::reconstruct_with(self, scratch)
+    }
+}
+
+impl<T: EpochSource + ?Sized> EpochSource for &T {
+    fn span(&self) -> (u64, usize) {
+        (**self).span()
+    }
+    fn reconstruct_with<'s>(
+        &self,
+        scratch: &'s mut crate::reconstruct::ReconstructScratch,
+    ) -> &'s [f64] {
+        (**self).reconstruct_with(scratch)
+    }
+}
+
+/// Terminator bits of a little-endian word of varint bytes: the top bit of
+/// each byte that ends a varint.
+const fn varint_ends(w: u64) -> u64 {
+    !w & 0x8080_8080_8080_8080
+}
+
+/// The varint whose bytes are the low `bits / 8` bytes of `w`.
+#[inline]
+fn varint_in_word(w: u64, bits: u32) -> u64 {
+    let x = if bits >= 64 { w } else { w & ((1 << bits) - 1) };
+    // Pack the 7-bit groups: pairs, then quads, then the word.
+    let x = x & 0x7f7f_7f7f_7f7f_7f7f;
+    let x = (x & 0x007f_007f_007f_007f) | ((x & 0x7f00_7f00_7f00_7f00) >> 1);
+    let x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x3fff_0000_3fff_0000) >> 2);
+    (x & 0x0000_0000_0fff_ffff) | ((x & 0x0fff_ffff_0000_0000) >> 4)
+}
+
+const fn unzigzag(z: u64) -> i64 {
+    ((z >> 1) as i64) ^ -((z & 1) as i64)
+}
+
+/// The little-endian word at `pos`, if eight bytes are left.
+#[inline]
+fn word_at(buf: &[u8], pos: usize) -> Option<u64> {
+    let word = buf.get(pos..pos + 8)?;
+    Some(u64::from_le_bytes(word.try_into().expect("eight bytes")))
+}
+
+/// Reads one varint of an encoding [`ReportTable::build`] accepted: one
+/// little-endian word when eight bytes are left and the varint ends inside
+/// it, [`get_varint`] otherwise. Never panics on other bytes, but only a
+/// validated encoding gives the value `get_varint` would.
+#[inline]
+fn read_varint(buf: &[u8], pos: &mut usize) -> u64 {
+    if let Some(w) = word_at(buf, *pos) {
+        let ends = varint_ends(w);
+        if ends != 0 {
+            // `bits` is eight times the varint's length in bytes.
+            let bits = ends.trailing_zeros() + 1;
+            *pos += (bits / 8) as usize;
+            return varint_in_word(w, bits);
+        }
+    }
+    get_varint(buf, pos).unwrap_or(0)
+}
+
+/// Reads one detail — level, index, zigzag value — as [`read_varint`]
+/// would. The common shape takes one word and no branch on lengths: a
+/// one-byte level and index (every detail of an epoch up to 256 windows)
+/// and a value that ends within the next six bytes.
+#[inline]
+fn read_detail(buf: &[u8], pos: &mut usize) -> (u32, u32, i64) {
+    if let Some(w) = word_at(buf, *pos) {
+        let v = w >> 16;
+        let ends = varint_ends(v) & 0x0000_ffff_ffff_ffff;
+        if w & 0x8080 == 0 && ends != 0 {
+            let bits = ends.trailing_zeros() + 1;
+            *pos += 2 + (bits / 8) as usize;
+            let (level, idx) = ((w & 0x7f) as u32, ((w >> 8) & 0x7f) as u32);
+            return (level, idx, unzigzag(varint_in_word(v, bits)));
+        }
+    }
+    let level = read_varint(buf, pos) as u32;
+    let idx = read_varint(buf, pos) as u32;
+    (level, idx, unzigzag(read_varint(buf, pos)))
+}
+
+/// Skips `n` varints from `pos` if every one of them is at most four bytes
+/// long, so that each is a valid `u32` and a valid coefficient: the position
+/// after the last. `None` when the bytes run out or a run of four
+/// continuation bytes shows up (possibly a longer varint, possibly past the
+/// `n`th): the caller settles those with the exact byte loop. Eight bytes a
+/// step: a byte whose top bit is clear ends a varint.
+fn skip_short_varints(buf: &[u8], mut pos: usize, mut n: usize) -> Option<usize> {
+    // Continuation bytes since the last terminator.
+    let mut run = 0u32;
+    while n > 0 {
+        let Some(w) = word_at(buf, pos) else {
+            break;
+        };
+        let ends = varint_ends(w);
+        let more = w & 0x8080_8080_8080_8080;
+        // Four continuation bytes in a row inside the word, or a run carried
+        // in from the last word that reaches four before this one ends it.
+        if more & (more >> 8) & (more >> 16) & (more >> 24) != 0
+            || run + ends.trailing_zeros() / 8 > 3
+        {
+            return None;
+        }
+        let count = ends.count_ones() as usize;
+        if count >= n {
+            let mut e = ends;
+            for _ in 1..n {
+                e &= e - 1;
+            }
+            return Some(pos + (e.trailing_zeros() / 8) as usize + 1);
+        }
+        n -= count;
+        run = ends.leading_zeros() / 8;
+        pos += 8;
+    }
+    while n > 0 {
+        let &b = buf.get(pos)?;
+        pos += 1;
+        if b & 0x80 == 0 {
+            n -= 1;
+            run = 0;
+        } else if run == 3 {
+            return None;
+        } else {
+            run += 1;
+        }
+    }
+    Some(pos)
+}
+
+/// Validates one [`BucketReport`] encoding at `pos` without decoding it:
+/// the position after it, or `None` exactly when
+/// [`BucketReport::decode_from`] fails there.
+fn skip_epoch(buf: &[u8], mut pos: usize) -> Option<usize> {
+    get_varint(buf, &mut pos)?;
+    u32::try_from(get_varint(buf, &mut pos)?).ok()?;
+    checked_len(get_varint(buf, &mut pos)?)?;
+    let n = get_list_len(buf, &mut pos)?;
+    pos = match skip_short_varints(buf, pos, n) {
+        Some(end) => end,
+        None => {
+            for _ in 0..n {
+                get_varint(buf, &mut pos)?;
+            }
+            pos
+        }
+    };
+    let n = get_list_len(buf, &mut pos)?;
+    Some(match skip_short_varints(buf, pos, 3 * n) {
+        Some(end) => end,
+        None => {
+            for _ in 0..n {
+                u32::try_from(get_varint(buf, &mut pos)?).ok()?;
+                u32::try_from(get_varint(buf, &mut pos)?).ok()?;
+                get_varint(buf, &mut pos)?;
+            }
+            pos
+        }
+    })
+}
+
+/// One entry of a [`ReportTable`]: a heavy key's `(offset, length)` in the
+/// encoding or a light bucket's `(row, col)`, and the index of its first
+/// epoch in the table's epoch list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TableEntry {
+    tag: [u32; 2],
+    first_epoch: u32,
+}
+
+/// Where each entry and epoch of one [`SketchReport`] encoding starts, so a
+/// reader can pick entries by key or tag and parse only the epochs it
+/// needs ([`EncodedEpoch`]). Holds offsets, not the bytes: pass the same
+/// encoding to every accessor.
+#[derive(Debug, PartialEq, Eq)]
+pub struct ReportTable {
+    /// Heavy entries, then light entries, in encoding order.
+    entries: Box<[TableEntry]>,
+    /// How many of `entries` are heavy.
+    heavy: usize,
+    /// Byte offset of every epoch, in encoding order.
+    epochs: Box<[u32]>,
+}
+
+impl ReportTable {
+    /// One validating pass over `buf`: `Some` exactly when
+    /// [`SketchReport::decode`] accepts `buf` (encodings longer than
+    /// `u32::MAX` bytes are refused outright). Never panics, and allocates
+    /// at most a small multiple of `buf.len()`: every count it reserves for
+    /// is checked against the bytes left, as the decoder's are.
+    pub fn build(buf: &[u8]) -> Option<Self> {
+        u32::try_from(buf.len()).ok()?;
+        let mut pos = 0;
+        let mut epochs = Vec::new();
+        let read_epochs = |pos: &mut usize, epochs: &mut Vec<u32>| -> Option<()> {
+            for _ in 0..get_list_len(buf, pos)? {
+                epochs.push(*pos as u32);
+                *pos = skip_epoch(buf, *pos)?;
+            }
+            Some(())
+        };
+        let heavy = get_list_len(buf, &mut pos)?;
+        let mut entries = Vec::with_capacity(heavy);
+        for _ in 0..heavy {
+            let key_len = get_list_len(buf, &mut pos)?;
+            let tag = [pos as u32, key_len as u32];
+            pos += key_len;
+            entries.push(TableEntry {
+                tag,
+                first_epoch: epochs.len() as u32,
+            });
+            read_epochs(&mut pos, &mut epochs)?;
+        }
+        let light = get_list_len(buf, &mut pos)?;
+        entries.reserve_exact(light);
+        for _ in 0..light {
+            let row = u32::try_from(get_varint(buf, &mut pos)?).ok()?;
+            let col = u32::try_from(get_varint(buf, &mut pos)?).ok()?;
+            entries.push(TableEntry {
+                tag: [row, col],
+                first_epoch: epochs.len() as u32,
+            });
+            read_epochs(&mut pos, &mut epochs)?;
+        }
+        (pos == buf.len()).then(|| Self {
+            entries: entries.into_boxed_slice(),
+            heavy,
+            epochs: epochs.into_boxed_slice(),
+        })
+    }
+
+    /// Heap bytes the table holds.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.entries) + std::mem::size_of_val(&*self.epochs)
+    }
+
+    /// Number of heavy entries.
+    pub fn heavy_len(&self) -> usize {
+        self.heavy
+    }
+
+    /// Number of light entries.
+    pub fn light_len(&self) -> usize {
+        self.entries.len() - self.heavy
+    }
+
+    /// Heavy entry `i`'s flow key bytes in `buf`.
+    pub fn heavy_key<'b>(&self, buf: &'b [u8], i: usize) -> &'b [u8] {
+        let [at, len] = self.entries[i].tag;
+        &buf[at as usize..(at + len) as usize]
+    }
+
+    /// Light entry `i`'s `(row, col)`.
+    pub fn light_tag(&self, i: usize) -> (u32, u32) {
+        let [row, col] = self.entries[self.heavy + i].tag;
+        (row, col)
+    }
+
+    /// Heavy entry `i`'s epochs in `buf`, in encoding order.
+    pub fn heavy_epochs<'b>(
+        &'b self,
+        buf: &'b [u8],
+        i: usize,
+    ) -> impl Iterator<Item = EncodedEpoch<'b>> + Clone + 'b {
+        self.entry_epochs(buf, i)
+    }
+
+    /// Light entry `i`'s epochs in `buf`, in encoding order.
+    pub fn light_epochs<'b>(
+        &'b self,
+        buf: &'b [u8],
+        i: usize,
+    ) -> impl Iterator<Item = EncodedEpoch<'b>> + Clone + 'b {
+        self.entry_epochs(buf, self.heavy + i)
+    }
+
+    fn entry_epochs<'b>(
+        &'b self,
+        buf: &'b [u8],
+        e: usize,
+    ) -> impl Iterator<Item = EncodedEpoch<'b>> + Clone + 'b {
+        let first = self.entries[e].first_epoch as usize;
+        let end = (self.entries.get(e + 1)).map_or(self.epochs.len(), |n| n.first_epoch as usize);
+        (self.epochs[first..end].iter()).map(move |&at| EncodedEpoch(&buf[at as usize..]))
+    }
+}
+
+/// One epoch inside an encoding a [`ReportTable`] accepted: the bytes from
+/// the epoch's start to the end of the encoding, parsed on demand.
+#[derive(Debug, Clone, Copy)]
+pub struct EncodedEpoch<'b>(&'b [u8]);
+
+impl EncodedEpoch<'_> {
+    /// The fields ahead of the coefficients — `w0`, levels, padded length —
+    /// and the position after them.
+    fn header(&self) -> (u64, u32, usize, usize) {
+        let mut pos = 0;
+        let w0 = read_varint(self.0, &mut pos);
+        let levels = read_varint(self.0, &mut pos) as u32;
+        let padded_len = read_varint(self.0, &mut pos) as usize;
+        (w0, levels, padded_len, pos)
+    }
+
+    /// The epoch as [`BucketReport::decode_from`] reads it.
+    pub fn decode(&self) -> Option<BucketReport> {
+        BucketReport::decode_from(self.0, &mut 0)
+    }
+}
+
+impl EpochSource for EncodedEpoch<'_> {
+    fn span(&self) -> (u64, usize) {
+        let (w0, _, padded_len, _) = self.header();
+        (w0, padded_len)
+    }
+
+    /// Parses the approximation list into the scratch and streams the
+    /// details straight into the kernel: no per-epoch allocation once the
+    /// scratch is warm, and the kernel's operands are the decoded report's.
+    fn reconstruct_with<'s>(
+        &self,
+        scratch: &'s mut crate::reconstruct::ReconstructScratch,
+    ) -> &'s [f64] {
+        let buf = self.0;
+        let (_, levels, padded_len, mut pos) = self.header();
+        let mut approx = std::mem::take(&mut scratch.approx);
+        approx.clear();
+        let n = read_varint(buf, &mut pos) as usize;
+        approx.extend((0..n).map(|_| unzigzag(read_varint(buf, &mut pos))));
+        let n = read_varint(buf, &mut pos) as usize;
+        let details = (0..n).map(|_| read_detail(buf, &mut pos));
+        crate::reconstruct::reconstruct_sparse_non_negative_into(
+            levels, padded_len, &approx, details, scratch,
+        );
+        scratch.approx = approx;
+        &scratch.out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,6 +965,172 @@ mod tests {
         // (tests/alloc_gate.rs checks that nothing is allocated for it).
         let lying = [0, 8, 0, 0x80, 0x80, 0x80, 0x08, 1, 2, 3, 4, 5];
         assert_eq!(BucketReport::decode_from(&lying, &mut 0), None);
+    }
+
+    /// A report whose varints span every length from 1 to 10 bytes: small
+    /// and huge coefficients, levels and indices at the `u32` edge, a key
+    /// that is not 13 bytes, entries without epochs.
+    fn ragged_sketch_report() -> SketchReport {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut epoch = |w0: u64| {
+            let n = (next() % 5) as usize;
+            let approx = (0..n).map(|_| next() as i64 >> (next() % 64)).collect();
+            let details = (0..(next() % 9))
+                .map(|_| DetailRecord {
+                    level: (next() >> (next() % 64)) as u32,
+                    idx: (next() % 3000) as u32,
+                    val: next() as i64 >> (next() % 64),
+                })
+                .collect();
+            BucketReport {
+                w0,
+                levels: 8,
+                padded_len: 256,
+                approx,
+                details,
+            }
+        };
+        let mut sr = SketchReport::default();
+        sr.heavy.push((vec![3u8; 13], vec![epoch(7), epoch(300)]));
+        sr.heavy.push((vec![9u8; 4], vec![]));
+        sr.heavy.push((vec![1u8; 13], vec![epoch(u64::MAX)]));
+        for col in 0..6 {
+            sr.light.push((
+                col % 3,
+                col * 1000,
+                (0..col).map(|i| epoch(i as u64)).collect(),
+            ));
+        }
+        sr.light.push((u32::MAX, u32::MAX, vec![epoch(1 << 40)]));
+        sr
+    }
+
+    #[test]
+    fn read_varint_matches_the_byte_loop_at_every_length_and_offset() {
+        let mut values = vec![0u64, 1, u64::MAX];
+        for bits in 1..64 {
+            values.extend([(1u64 << bits) - 1, 1 << bits, (1 << bits) + 1]);
+        }
+        for &v in &values {
+            let mut enc = Vec::new();
+            put_varint(&mut enc, v);
+            for pad in 0..10 {
+                let mut buf = vec![0x80u8; pad];
+                buf.extend_from_slice(&enc);
+                let tail = buf.len();
+                buf.extend_from_slice(&[0xFF; 3]);
+                for end in [tail, buf.len()] {
+                    let (mut a, mut b) = (pad, pad);
+                    assert_eq!(read_varint(&buf[..end], &mut a), v, "{v} at {pad}");
+                    assert_eq!(get_varint(&buf[..end], &mut b), Some(v));
+                    assert_eq!(a, b, "{v} at {pad}: position");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn read_detail_matches_three_byte_loops() {
+        let values = [
+            0u64,
+            1,
+            127,
+            128,
+            300,
+            1 << 20,
+            1 << 27,
+            1 << 28,
+            u32::MAX as u64,
+        ];
+        let vals = [0i64, -1, 5, -300, 1 << 40, i64::MIN, i64::MAX];
+        for &level in &values {
+            for &idx in &values {
+                for &val in &vals {
+                    let mut buf = Vec::new();
+                    put_varint(&mut buf, level);
+                    put_varint(&mut buf, idx);
+                    put_varint_i64(&mut buf, val);
+                    let end = buf.len();
+                    buf.extend_from_slice(&[0x80; 9]);
+                    for b in [&buf[..end], &buf[..]] {
+                        let mut pos = 0;
+                        let got = read_detail(b, &mut pos);
+                        assert_eq!(got, (level as u32, idx as u32, val), "{level} {idx} {val}");
+                        assert_eq!(pos, end);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `ReportTable::build` accepts exactly what `SketchReport::decode`
+    /// accepts — the whole encoding, every truncation, every single-bit
+    /// flip — and an accepted table reads back the decoded report: keys,
+    /// tags and every epoch, whose reconstruction has the same bits.
+    #[test]
+    fn table_accepts_exactly_what_decode_accepts() {
+        let mut scratch = crate::reconstruct::ReconstructScratch::new();
+        for sr in [sample_sketch_report(), ragged_sketch_report()] {
+            let bytes = sr.encode();
+            let mut cases: Vec<Vec<u8>> = vec![bytes.clone()];
+            cases.extend((0..bytes.len()).map(|cut| bytes[..cut].to_vec()));
+            for bit in 0..bytes.len() * 8 {
+                let mut b = bytes.clone();
+                b[bit / 8] ^= 1 << (bit % 8);
+                cases.push(b);
+            }
+            let mut accepted = 0;
+            for b in &cases {
+                let (table, decoded) = (ReportTable::build(b), SketchReport::decode(b));
+                assert_eq!(table.is_some(), decoded.is_some(), "{b:?}");
+                let (Some(t), Some(d)) = (table, decoded) else {
+                    continue;
+                };
+                accepted += 1;
+                assert!(
+                    t.heap_bytes() <= 16 * b.len(),
+                    "{} for {}",
+                    t.heap_bytes(),
+                    b.len()
+                );
+                assert_eq!(
+                    (t.heavy_len(), t.light_len()),
+                    (d.heavy.len(), d.light.len())
+                );
+                let heavy = (0..t.heavy_len()).map(|i| {
+                    let epochs = t.heavy_epochs(b, i).map(|e| e.decode().expect("accepted"));
+                    (t.heavy_key(b, i).to_vec(), epochs.collect::<Vec<_>>())
+                });
+                assert_eq!(heavy.collect::<Vec<_>>(), d.heavy);
+                let light = (0..t.light_len()).map(|i| {
+                    let (row, col) = t.light_tag(i);
+                    let epochs = t.light_epochs(b, i).map(|e| e.decode().expect("accepted"));
+                    (row, col, epochs.collect::<Vec<_>>())
+                });
+                assert_eq!(light.collect::<Vec<_>>(), d.light);
+                let encoded = (0..t.heavy_len()).flat_map(|i| t.heavy_epochs(b, i));
+                let encoded = encoded.chain((0..t.light_len()).flat_map(|i| t.light_epochs(b, i)));
+                let decoded = d.heavy.iter().flat_map(|e| &e.1);
+                let decoded = decoded.chain(d.light.iter().flat_map(|e| &e.2));
+                for (e, r) in encoded.zip(decoded) {
+                    assert_eq!(e.span(), (r.w0, r.padded_len));
+                    let got: Vec<u64> = (e.reconstruct_with(&mut scratch).iter())
+                        .map(|v| v.to_bits())
+                        .collect();
+                    let want: Vec<u64> = r.reconstruct().iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want);
+                }
+            }
+            assert!(accepted > 1, "some flips must still decode");
+        }
+        // A lying list length fails before anything is reserved for it.
+        assert_eq!(ReportTable::build(&[0xFF, 0xFF, 0xFF, 0x07, 0]), None);
     }
 
     #[test]

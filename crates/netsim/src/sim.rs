@@ -319,11 +319,10 @@ pub struct Simulator {
     /// pushes in partition mode).
     cur_prio: u64,
     events_processed: u64,
-    /// One lane per (node, port) ingress: the `Arrival`s and `Pause`s its
-    /// link delivers.
+    /// One lane per (node, port) ingress, numbered by
+    /// `Topology::port_index`: the `Arrival`s and `Pause`s its link
+    /// delivers.
     events: EventQueue<Event>,
-    /// `lane_base[node] + port` = the lane of (node, port).
-    lane_base: Vec<usize>,
     /// `ports[node][port]`.
     ports: Vec<Vec<OutPort>>,
     flows: Vec<FlowRt>,
@@ -441,12 +440,6 @@ impl Simulator {
         if let Err(msg) = config.failures.validate(&topo) {
             panic!("invalid failure schedule: {msg}");
         }
-        let mut lane_base = Vec::with_capacity(ports.len());
-        let mut lanes = 0;
-        for node_ports in &ports {
-            lane_base.push(lanes);
-            lanes += node_ports.len();
-        }
         Self {
             config,
             clocks,
@@ -456,8 +449,7 @@ impl Simulator {
             cur_node: 0,
             cur_prio: 0,
             events_processed: 0,
-            events: EventQueue::new(lanes),
-            lane_base,
+            events: EventQueue::new(topo.total_ports()),
             pfc_asserting: ports.iter().map(|ps| vec![false; ps.len()]).collect(),
             link_down: ports.iter().map(|ps| vec![false; ps.len()]).collect(),
             ports,
@@ -529,7 +521,7 @@ impl Simulator {
     fn queue(&mut self, time: u64, prio: u64, event: Event) {
         match event {
             Event::Arrival { node, port, .. } | Event::Pause { node, port, .. } => {
-                let lane = self.lane_base[node] + port;
+                let lane = self.topo.port_index(node, port);
                 self.events.push_lane(lane, time, prio, event);
             }
             _ => self.events.push(time, prio, event),

@@ -38,7 +38,8 @@ impl Link {
     }
 }
 
-/// A network graph with per-switch routing tables.
+/// A network graph with per-switch routing tables, in flat arrays: one
+/// lookup (plus its offsets) per route or link query, no nested vectors.
 #[derive(Debug, Clone)]
 pub struct Topology {
     /// Number of hosts (nodes `0..num_hosts`).
@@ -47,10 +48,17 @@ pub struct Topology {
     pub num_switches: usize,
     /// All links.
     pub links: Vec<Link>,
-    /// `port_link[node][port]` = index into `links`.
-    port_link: Vec<Vec<usize>>,
-    /// `routes[switch][dst_host]` = candidate egress ports (ECMP set).
-    routes: Vec<Vec<Vec<PortId>>>,
+    /// `port_base[node]` = the flat index of `(node, 0)`
+    /// ([`Self::port_index`]); one entry per node plus the total port count.
+    port_base: Vec<usize>,
+    /// `port_link[port_index(node, port)]` = index into `links`.
+    port_link: Vec<usize>,
+    /// `route_base[(switch - num_hosts) * num_hosts + dst_host]` = where that
+    /// pair's ECMP set starts in `route_ports`; one entry per pair plus the
+    /// total.
+    route_base: Vec<usize>,
+    /// Every ECMP set's candidate egress ports, pair after pair.
+    route_ports: Vec<u32>,
     /// `zones[node]` = partition zone: a builder-assigned locality group
     /// (fat-tree: one zone per pod plus one for the core layer; dumbbell:
     /// left/right halves). The parallel simulator maps zones onto logical
@@ -72,30 +80,46 @@ impl Topology {
 
     /// Ports on `node`.
     pub fn ports(&self, node: NodeId) -> usize {
-        self.port_link[node].len()
+        self.port_base[node + 1] - self.port_base[node]
+    }
+
+    /// Ports across all nodes.
+    pub fn total_ports(&self) -> usize {
+        self.port_link.len()
+    }
+
+    /// The flat index of `(node, port)`, dense in `0..total_ports()`: nodes
+    /// in order, a node's ports in order.
+    pub fn port_index(&self, node: NodeId, port: PortId) -> usize {
+        self.port_base[node] + port
     }
 
     /// The link attached to `(node, port)`.
     pub fn link_at(&self, node: NodeId, port: PortId) -> &Link {
-        &self.links[self.port_link[node][port]]
+        &self.links[self.port_link[self.port_index(node, port)]]
+    }
+
+    /// The ECMP set at `switch` toward `dst_host`.
+    fn candidates(&self, switch: NodeId, dst_host: NodeId) -> &[u32] {
+        let pair = (switch - self.num_hosts) * self.num_hosts + dst_host;
+        &self.route_ports[self.route_base[pair]..self.route_base[pair + 1]]
     }
 
     /// Picks the egress port at `switch` toward `dst_host` for a flow with
     /// ECMP hash `flow_hash` (per-flow, not per-packet, so flows never
     /// reorder).
     pub fn route(&self, switch: NodeId, dst_host: NodeId, flow_hash: u64) -> PortId {
-        let sw = switch - self.num_hosts;
-        let candidates = &self.routes[sw][dst_host];
+        let candidates = self.candidates(switch, dst_host);
         assert!(
             !candidates.is_empty(),
             "no route from switch {switch} to host {dst_host}"
         );
-        candidates[(flow_hash % candidates.len() as u64) as usize]
+        candidates[(flow_hash % candidates.len() as u64) as usize] as PortId
     }
 
     /// ECMP candidate count (for tests).
     pub fn route_candidates(&self, switch: NodeId, dst_host: NodeId) -> usize {
-        self.routes[switch - self.num_hosts][dst_host].len()
+        self.candidates(switch, dst_host).len()
     }
 
     /// The partition zone of `node` (see the `zones` field).
@@ -120,64 +144,90 @@ impl Topology {
         edges: &[(NodeId, NodeId, f64, u64)],
     ) -> Self {
         let num_nodes = num_hosts + num_switches;
-        let mut links = Vec::with_capacity(edges.len());
-        let mut port_link: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
-        for &(a, b, bw, lat) in edges {
+        // Ports: count each node's, then number them in edge order.
+        let mut port_base = vec![0; num_nodes + 1];
+        for &(a, b, _, _) in edges {
             assert!(a < num_nodes && b < num_nodes, "edge endpoint out of range");
-            let pa = port_link[a].len();
-            let pb = port_link[b].len();
-            let idx = links.len();
-            links.push(Link {
-                a: (a, pa),
-                b: (b, pb),
+            port_base[a + 1] += 1;
+            port_base[b + 1] += 1;
+        }
+        for n in 0..num_nodes {
+            port_base[n + 1] += port_base[n];
+        }
+        let mut next_port = vec![0; num_nodes];
+        let mut port_link = vec![0; port_base[num_nodes]];
+        let mut take_port = |node: NodeId, link: usize| {
+            let port = next_port[node];
+            next_port[node] += 1;
+            port_link[port_base[node] + port] = link;
+            port
+        };
+        let links: Vec<Link> = (edges.iter().enumerate())
+            .map(|(idx, &(a, b, bw, lat))| Link {
+                a: (a, take_port(a, idx)),
+                b: (b, take_port(b, idx)),
                 bandwidth_gbps: bw,
                 latency_ns: lat,
-            });
-            port_link[a].push(idx);
-            port_link[b].push(idx);
-        }
+            })
+            .collect();
+        let (base, port_links, all_links) = (&port_base, &port_link, &links);
+        let peers = move |node: NodeId| {
+            (base[node]..base[node + 1])
+                .map(move |i| (all_links[port_links[i]].peer(node).0, i - base[node]))
+        };
 
         // BFS from every host to get hop distances, then each switch keeps
-        // all neighbors one hop closer to the destination host.
-        let neighbors = |node: NodeId| -> Vec<(NodeId, PortId)> {
-            port_link[node]
-                .iter()
-                .enumerate()
-                .map(|(port, &l)| (links[l].peer(node).0, port))
-                .collect()
-        };
-        let mut routes = vec![vec![Vec::new(); num_hosts]; num_switches];
+        // all neighbors one hop closer to the destination host. The sets
+        // come out destination-major; a counting sort files them
+        // switch-major, each set's ports in scan order.
+        let mut found: Vec<(usize, u32)> = Vec::new();
+        let mut route_base = vec![0; num_switches * num_hosts + 1];
+        let mut dist = vec![usize::MAX; num_nodes];
+        let mut frontier = std::collections::VecDeque::new();
         for dst in 0..num_hosts {
-            let mut dist = vec![usize::MAX; num_nodes];
+            dist.fill(usize::MAX);
             dist[dst] = 0;
-            let mut frontier = std::collections::VecDeque::from([dst]);
+            frontier.push_back(dst);
             while let Some(n) = frontier.pop_front() {
-                for (peer, _) in neighbors(n) {
+                for (peer, _) in peers(n) {
                     if dist[peer] == usize::MAX {
                         dist[peer] = dist[n] + 1;
                         frontier.push_back(peer);
                     }
                 }
             }
-            for (sw, route) in routes.iter_mut().enumerate() {
+            for sw in 0..num_switches {
                 let node = num_hosts + sw;
                 if dist[node] == usize::MAX {
                     continue;
                 }
-                for (peer, port) in neighbors(node) {
+                let pair = sw * num_hosts + dst;
+                for (peer, port) in peers(node) {
                     if dist[peer] + 1 == dist[node] {
-                        route[dst].push(port);
+                        found.push((pair, port as u32));
+                        route_base[pair + 1] += 1;
                     }
                 }
             }
+        }
+        for pair in 0..num_switches * num_hosts {
+            route_base[pair + 1] += route_base[pair];
+        }
+        let mut route_ports = vec![0; found.len()];
+        let mut fill = route_base.clone();
+        for (pair, port) in found {
+            route_ports[fill[pair]] = port;
+            fill[pair] += 1;
         }
 
         Self {
             num_hosts,
             num_switches,
             links,
+            port_base,
             port_link,
-            routes,
+            route_base,
+            route_ports,
             zones: vec![0; num_nodes],
         }
     }

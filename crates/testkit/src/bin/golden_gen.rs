@@ -8,9 +8,11 @@
 //! the current implementation's outputs against the checked-in fixtures
 //! instead of overwriting them and exits nonzero on any mismatch — the same
 //! assertions the drain-fixture and query-equivalence test suites make,
-//! usable standalone. `--check` answers every query fixture twice: from
-//! the all-hot analyzer that wrote it, and from an archive-backed
-//! `bounded(1, 2)` one whose curves cross the hot, compacted and cold tiers.
+//! usable standalone. `--check` answers every query fixture three times:
+//! from the all-hot analyzer that wrote it, from an archive-backed
+//! `bounded(1, 2)` one whose curves cross the hot, compacted and cold tiers,
+//! and from the same with a one-byte cold cache, whose every cold read is a
+//! miss (read, verify, build the entry table, parse the selected epochs).
 //!
 //! Drain fixtures pin *content*: which coefficients every epoch retains,
 //! with every other field exact. Both sides of the comparison go through
@@ -27,7 +29,8 @@
 use std::path::PathBuf;
 use umon_testkit::golden::{canonical, golden_drain, golden_fixture_name, GOLDEN_SEEDS};
 use umon_testkit::golden_query::{
-    query_fixture, query_fixture_name, query_fixture_tiered, QueryFixture, QUERY_SEEDS,
+    query_fixture, query_fixture_name, query_fixture_tiered, tiered_policies, QueryFixture,
+    QUERY_SEEDS,
 };
 use wavesketch::SketchReport;
 
@@ -85,10 +88,13 @@ fn main() {
             let raw = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
             let frozen: QueryFixture = serde_json::from_str(&raw).expect("parse query fixture");
-            let dir = std::env::temp_dir()
-                .join(format!("umon_golden_tiered_{seed}_{}", std::process::id()));
-            let tiered = query_fixture_tiered(seed, &dir);
-            for (what, got) in [("all-hot", &fixture), ("tiered", &tiered)] {
+            let twins = tiered_policies().map(|(what, policy)| {
+                let dir = std::env::temp_dir()
+                    .join(format!("umon_golden_{what}_{seed}_{}", std::process::id()));
+                (what, query_fixture_tiered(seed, &dir, policy))
+            });
+            let answers = std::iter::once(("all-hot", &fixture));
+            for (what, got) in answers.chain(twins.iter().map(|(w, f)| (*w, f))) {
                 if *got == frozen {
                     println!("query seed {seed:2}: OK ({curves} curves, {what})");
                 } else {

@@ -165,16 +165,26 @@ pub fn query_fixture(seed: u64) -> QueryFixture {
     freeze(seed, &query_analyzer(seed))
 }
 
+/// The archive-backed policies `golden_gen --check` answers every query
+/// fixture under, by name: `bounded(1, 2)` (each host's newest period hot,
+/// the next compacted, the two oldest cold), and the same with a one-byte
+/// cold cache, under which every cold read of every query is a miss.
+pub fn tiered_policies() -> [(&'static str, RetentionPolicy); 2] {
+    let tiered = RetentionPolicy::bounded(1, 2);
+    [
+        ("tiered", tiered),
+        ("cold-miss", tiered.with_cold_cache_bytes(1)),
+    ]
+}
+
 /// [`query_fixture`] answered by an analyzer with an archive in `dir`
-/// (emptied first, removed after) and `RetentionPolicy::bounded(1, 2)`,
-/// fed the same hostile ingest: each host's newest period stays hot, the
-/// next is compacted and the two oldest are answered from the archive, so
-/// its curves cross every tier — and must still be the fixture's bits.
-pub fn query_fixture_tiered(seed: u64, dir: &Path) -> QueryFixture {
+/// (emptied first, removed after) and `policy`, one of
+/// [`tiered_policies`], fed the same hostile ingest: its curves cross every
+/// tier — and must still be the fixture's bits.
+pub fn query_fixture_tiered(seed: u64, dir: &Path, policy: RetentionPolicy) -> QueryFixture {
     let (cfg, reports) = query_reports(seed);
     let _ = std::fs::remove_dir_all(dir);
-    let analyzer = Analyzer::with_archive(cfg.sketch, RetentionPolicy::bounded(1, 2), dir)
-        .expect("open fixture archive");
+    let analyzer = Analyzer::with_archive(cfg.sketch, policy, dir).expect("open fixture archive");
     let analyzer = ingest_hostile(analyzer, reports);
     let s = analyzer.retention_stats();
     assert!(
@@ -182,6 +192,11 @@ pub fn query_fixture_tiered(seed: u64, dir: &Path) -> QueryFixture {
         "every tier must hold periods: {s:?}"
     );
     let fixture = freeze(seed, &analyzer);
+    let s = analyzer.retention_stats();
+    assert!(s.cold_misses > 0 && s.cold_read_errors == 0, "{s:?}");
+    if policy.cold_cache_bytes == 1 {
+        assert_eq!(s.cold_hits, 0, "a one-byte cache holds nothing");
+    }
     drop(analyzer);
     let _ = std::fs::remove_dir_all(dir);
     fixture
@@ -236,8 +251,15 @@ mod tests {
     #[test]
     fn tiered_analyzer_answers_the_fixture_bits() {
         let seed = QUERY_SEEDS[0];
-        let dir = std::env::temp_dir().join(format!("umon_golden_tiered_{}", std::process::id()));
-        assert_eq!(query_fixture_tiered(seed, &dir), query_fixture(seed));
+        for (name, policy) in tiered_policies() {
+            let dir =
+                std::env::temp_dir().join(format!("umon_golden_{name}_{}", std::process::id()));
+            assert_eq!(
+                query_fixture_tiered(seed, &dir, policy),
+                query_fixture(seed),
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -432,7 +432,7 @@ impl Analyzer {
 
 /// Fixtures the per-file test modules share.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::host_agent::{HostAgent, HostAgentConfig};
 
@@ -453,7 +453,7 @@ mod tests {
 
     /// A deterministic multi-period, heavy-contested workload for the
     /// equivalence tests (xorshift, no rng crate needed in-tree here).
-    pub(super) fn contested_reports(
+    pub(crate) fn contested_reports(
         hosts: usize,
         windows: u64,
     ) -> (HostAgentConfig, Vec<PeriodReport>) {

@@ -15,25 +15,31 @@
 //! records each entry one of the query's picks reads ([`Selected`]); the
 //! query's walks filter that record.
 //!
+//! A cold period is its archive record's bytes plus an entry table
+//! ([`ColdPeriod`]): the selection reads keys and tags from the table, and
+//! the walk parses only the epochs it yields, straight into the kernel.
+//!
 //! The host rate sums every row-0 bucket of every period, so its memo is
 //! one series per period: the period's row-0 epochs summed in list order,
 //! built on the first host-rate read and kept beside the report for as long
-//! as the report stays decoded in memory (in the resident store, or in the
-//! cold tier's cache entry). [`Analyzer::host_rate_curve_with`] sizes the
-//! union span and adds one series per period. This regroups the additions
-//! — per period first, then across periods — and still changes no bit:
-//! reconstructions of integer byte counts are dyadic rationals, and summing
-//! them is exact in any order, even where a padded epoch spills into the
-//! next period's windows. The rescan reference, which sums every row-0
+//! as the report stays in memory (in the resident store, or beside the
+//! record in the cold tier's cache entry). [`Analyzer::host_rate_curve_with`]
+//! sizes the union span and adds one series per period. This regroups the
+//! additions — per period first, then across periods — and still changes no
+//! bit: reconstructions of integer byte counts are dyadic rationals, and
+//! summing them is exact in any order, even where a padded epoch spills into
+//! the next period's windows. The rescan reference, which sums every row-0
 //! epoch into one series, pins that.
 
 use super::{Analyzer, AnnotatedCurve};
+use crate::cold::ColdPeriod;
 use crate::query_index::{HostIndex, Memo, QueryScratch, StoredPeriod};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use wavesketch::basic::WindowSeries;
 use wavesketch::reconstruct::ReconstructScratch;
+use wavesketch::report::{EncodedEpoch, EpochSource};
 use wavesketch::{BucketReport, FlowKey, Placement, SketchConfig};
 
 /// Which stored entries a flow curve sums.
@@ -57,28 +63,92 @@ pub(crate) enum Pick {
 /// periods ascending and in list order within a period.
 pub(crate) type Selected = (u32, u32, Pick);
 
-/// One epoch the walk yields, from either storage tier: a hot epoch, whose
-/// curve is memoised on first read, or a raw wire report whose curve is
-/// reconstructed on every read (compacted and cold).
+/// One epoch the walk yields: a hot epoch, whose curve is memoised on first
+/// read, a compacted period's decoded report, or a cold record's encoded
+/// epoch; the last two are reconstructed on every read.
 /// `WindowSeries::accumulate_curve` over a reconstruction and
-/// `accumulate_report` are bit-identical for the same epoch, so a series
-/// built from any mix of tiers equals the all-hot (and the pre-index rescan)
-/// result exactly.
+/// `accumulate_report` over either form are bit-identical for the same
+/// epoch, so a series built from any mix of tiers equals the all-hot (and
+/// the pre-index rescan) result exactly.
 enum Epoch<'a> {
     /// A hot-tier epoch: accumulate its memo, filling it first if empty.
     Hot {
         report: &'a BucketReport,
         memo: &'a Memo,
     },
-    /// A compacted- or cold-tier epoch: reconstruct from the wire report.
+    /// A compacted-tier epoch: reconstruct from the decoded report.
     Raw(&'a BucketReport),
+    /// A cold-tier epoch: parse and reconstruct from the record bytes.
+    Encoded(EncodedEpoch<'a>),
 }
 
-impl<'a> Epoch<'a> {
-    /// The stored epoch, whichever tier it came from.
-    fn report(&self) -> &'a BucketReport {
-        match *self {
-            Epoch::Hot { report, .. } | Epoch::Raw(report) => report,
+impl Epoch<'_> {
+    /// The epoch as a decoded report, for tests that compare walks.
+    #[cfg(test)]
+    fn decode(&self) -> BucketReport {
+        match self {
+            Epoch::Hot { report, .. } | Epoch::Raw(report) => (*report).clone(),
+            Epoch::Encoded(e) => e.decode().expect("the table accepted the record"),
+        }
+    }
+
+    /// `(w0, padded_len)`, whichever tier the epoch came from.
+    fn span(&self) -> (u64, usize) {
+        match self {
+            Epoch::Hot { report, .. } | Epoch::Raw(report) => report.span(),
+            Epoch::Encoded(e) => e.span(),
+        }
+    }
+}
+
+/// One unindexed period as a selection reads it: a cold record, or a
+/// compacted period's decoded report.
+#[derive(Clone, Copy)]
+enum Unindexed<'a> {
+    Cold(&'a ColdPeriod),
+    Compacted(&'a StoredPeriod),
+}
+
+impl<'a> Unindexed<'a> {
+    fn heavy_len(self) -> usize {
+        match self {
+            Unindexed::Cold(c) => c.heavy_len(),
+            Unindexed::Compacted(sp) => sp.report.report.heavy.len(),
+        }
+    }
+
+    fn heavy_key(self, i: usize) -> &'a [u8] {
+        match self {
+            Unindexed::Cold(c) => c.heavy_key(i),
+            Unindexed::Compacted(sp) => &sp.report.report.heavy[i].0,
+        }
+    }
+
+    fn light_len(self) -> usize {
+        match self {
+            Unindexed::Cold(c) => c.light_len(),
+            Unindexed::Compacted(sp) => sp.report.report.light.len(),
+        }
+    }
+
+    fn light_tag(self, i: usize) -> (u32, u32) {
+        match self {
+            Unindexed::Cold(c) => c.light_tag(i),
+            Unindexed::Compacted(sp) => {
+                let (row, col, _) = sp.report.report.light[i];
+                (row, col)
+            }
+        }
+    }
+
+    /// The epochs of entry `i` that `pick` reads: a light bucket's for
+    /// `Light`, a heavy key's for `Heavy` and `Colliding`.
+    fn epochs(self, pick: Pick, i: usize, f: &mut dyn FnMut(Epoch<'a>)) {
+        let light = matches!(pick, Pick::Light(..));
+        match self {
+            Unindexed::Cold(c) if light => c.light_epochs(i).for_each(|e| f(Epoch::Encoded(e))),
+            Unindexed::Cold(c) => c.heavy_epochs(i).for_each(|e| f(Epoch::Encoded(e))),
+            Unindexed::Compacted(sp) => entry(sp, pick, i).iter().for_each(|b| f(Epoch::Raw(b))),
         }
     }
 }
@@ -92,13 +162,13 @@ fn entry(sp: &StoredPeriod, pick: Pick, i: usize) -> &[BucketReport] {
     }
 }
 
-/// One host's stored periods as one query sees them: the cold reports
+/// One host's stored periods as one query sees them: the cold records
 /// fetched for it, the resident store (compacted below `hot_floor`, hot
 /// from it on), the index over the hot part and a flow query's selection
 /// over the rest.
 struct HostView<'a> {
     cfg: &'a SketchConfig,
-    cold: &'a [Rc<StoredPeriod>],
+    cold: &'a [Rc<ColdPeriod>],
     store: Option<&'a BTreeMap<u64, StoredPeriod>>,
     hot_floor: u64,
     hidx: Option<&'a HostIndex>,
@@ -110,17 +180,12 @@ struct HostView<'a> {
 
 impl<'a> HostView<'a> {
     /// The unindexed periods in visit order: cold, then compacted.
-    fn unindexed(&self) -> impl Iterator<Item = &'a StoredPeriod> + 'a {
+    fn unindexed(&self) -> impl Iterator<Item = Unindexed<'a>> + 'a {
         let hot_floor = self.hot_floor;
         let compacted =
             (self.store.into_iter()).flat_map(move |s| s.range(..hot_floor).map(|(_, sp)| sp));
-        self.cold.iter().map(|rc| &**rc).chain(compacted)
-    }
-
-    /// Every period in visit order: cold, then compacted, then hot.
-    fn periods(&self) -> impl Iterator<Item = &'a StoredPeriod> + 'a {
-        let resident = self.store.into_iter().flat_map(BTreeMap::values);
-        self.cold.iter().map(|rc| &**rc).chain(resident)
+        let cold = self.cold.iter().map(|rc| Unindexed::Cold(rc));
+        cold.chain(compacted.map(Unindexed::Compacted))
     }
 
     /// The selection pass for the flow placed at `at`: records into `out`,
@@ -129,16 +194,17 @@ impl<'a> HostView<'a> {
     /// period's heavy list is scanned once — the flow's own key is `Heavy`,
     /// any other key is placed once and is `Colliding` at every row whose
     /// column it shares with the flow — and so is its light list, where the
-    /// flow's column of each row is `Light`.
+    /// flow's column of each row is `Light`. A cold period is scanned in its
+    /// entry table: keys compare and place in place in the record bytes.
     fn select(&mut self, at: &Placement, out: &'a mut Vec<Selected>) {
         out.clear();
         let cfg = self.cfg;
         let packed = *at.packed();
-        for (period, sp) in (0u32..).zip(self.unindexed()) {
-            let report = &sp.report.report;
-            for (i, (key, _)) in (0u32..).zip(&report.heavy) {
+        for (period, p) in (0u32..).zip(self.unindexed()) {
+            for i in 0..p.heavy_len() {
                 let key: &[u8; 13] =
-                    (key.as_slice().try_into()).expect("ingest admits 13-byte keys");
+                    (p.heavy_key(i).try_into()).expect("ingest admits 13-byte keys");
+                let i = i as u32;
                 if *key == packed {
                     out.push((period, i, Pick::Heavy(packed)));
                     continue;
@@ -151,9 +217,10 @@ impl<'a> HostView<'a> {
                     }
                 }
             }
-            for (i, &(row, col, _)) in (0u32..).zip(&report.light) {
+            for i in 0..p.light_len() {
+                let (row, col) = p.light_tag(i);
                 if cfg.light_col_placed(at, row as usize) as u32 == col {
-                    out.push((period, i, Pick::Light(row, col)));
+                    out.push((period, i as u32, Pick::Light(row, col)));
                 }
             }
         }
@@ -166,15 +233,13 @@ impl<'a> HostView<'a> {
     /// for; any other finds nothing in the unindexed tiers.
     fn walk(&self, pick: Pick, f: &mut dyn FnMut(Epoch<'a>)) {
         let mut selected = self.selected;
-        for (period, sp) in (0u32..).zip(self.unindexed()) {
+        for (period, p) in (0u32..).zip(self.unindexed()) {
             if selected.is_empty() {
                 break;
             }
             let here = selected.partition_point(|s| s.0 <= period);
             for &(_, i, _) in selected[..here].iter().filter(|s| s.2 == pick) {
-                entry(sp, pick, i as usize)
-                    .iter()
-                    .for_each(|b| f(Epoch::Raw(b)));
+                p.epochs(pick, i as usize, f);
             }
             selected = &selected[here..];
         }
@@ -213,10 +278,10 @@ impl<'a> HostView<'a> {
     fn series(&self, pick: Pick, out: &mut WindowSeries, recon: &mut ReconstructScratch) -> bool {
         let (mut start, mut end, mut any) = (u64::MAX, 0u64, false);
         self.walk(pick, &mut |e| {
-            let r = e.report();
+            let (w0, len) = e.span();
             any = true;
-            start = start.min(r.w0);
-            end = end.max(r.w0 + r.padded_len as u64);
+            start = start.min(w0);
+            end = end.max(w0 + len as u64);
         });
         if !any {
             out.reset(0, 0);
@@ -232,6 +297,7 @@ impl<'a> HostView<'a> {
                 out.accumulate_curve(report.w0, curve);
             }
             Epoch::Raw(r) => out.accumulate_report(r, recon),
+            Epoch::Encoded(e) => out.accumulate_report(e, recon),
         });
         true
     }
@@ -239,13 +305,13 @@ impl<'a> HostView<'a> {
 
 impl Analyzer {
     /// `host`'s periods for one query, or `None` if the analyzer holds
-    /// nothing for the host. Fetches the host's cold reports into `cold`
+    /// nothing for the host. Fetches the host's cold records into `cold`
     /// once, so every walk of the query sees identical epochs. A flow query
     /// then makes its selection ([`HostView::select`]).
     fn host_view<'a>(
         &'a self,
         host: usize,
-        cold: &'a mut Vec<Rc<StoredPeriod>>,
+        cold: &'a mut Vec<Rc<ColdPeriod>>,
     ) -> Option<HostView<'a>> {
         let floors = self.floors.get(&host).copied().unwrap_or_default();
         match &self.cold {
@@ -340,7 +406,7 @@ impl Analyzer {
         // nothing.
         starts.clear();
         view.walk(Pick::Heavy(packed), &mut |e| {
-            let w = e.report().w0;
+            let w = e.span().0;
             starts.push((w, light_best.at(w)));
         });
         light_best.overlay(heavy);
@@ -391,10 +457,9 @@ impl Analyzer {
         let view = self.host_view(host, cold)?;
         // First pass: every period's series, built if this is its first
         // read, and their union span. A cold period's new series is charged
-        // to the cold cache that holds its report.
+        // to the cold cache that holds its record.
         let (mut start, mut end, mut any) = (u64::MAX, 0u64, false);
-        let mut read = |sp: &StoredPeriod| {
-            let (series, built) = sp.row0(recon);
+        let mut read = |(series, built): (Option<&WindowSeries>, bool)| {
             if let Some(s) = series {
                 any = true;
                 start = start.min(s.start_window);
@@ -408,14 +473,15 @@ impl Analyzer {
         };
         let cold_store = self.cold.as_ref();
         for rc in view.cold {
-            if read(rc) {
+            if read(rc.row0(recon)) {
                 cold_store
                     .expect("cold periods come from the cold store")
                     .charge_row0(host, rc);
             }
         }
-        for sp in view.store.into_iter().flat_map(BTreeMap::values) {
-            read(sp);
+        let resident = || view.store.into_iter().flat_map(BTreeMap::values);
+        for sp in resident() {
+            read(sp.row0(recon));
         }
         if !any {
             rate.reset(0, 0);
@@ -425,7 +491,8 @@ impl Analyzer {
         // sums overlapping series — exactly what aggregating different
         // buckets over the same timeline needs.
         rate.reset(start, (end - start) as usize);
-        for s in view.periods().filter_map(StoredPeriod::row0_built) {
+        let cold = view.cold.iter().filter_map(|rc| rc.row0_built());
+        for s in cold.chain(resident().filter_map(StoredPeriod::row0_built)) {
             rate.accumulate_curve(s.start_window, &s.values);
         }
         Some(rate)
@@ -686,7 +753,7 @@ mod tests {
     ///   reversed, then redelivers everything. Between waves the twin's
     ///   floors advance, so a row-0 series built while its period was hot is
     ///   read next while the period is compacted, then from the cold tier,
-    ///   which decodes the period afresh and must rebuild its series, never
+    ///   which reads the record afresh and must rebuild its series, never
     ///   reuse the one eviction dropped.
     #[test]
     fn indexed_queries_match_rescan_reference_under_hostile_ingest() {
@@ -804,29 +871,29 @@ mod tests {
         // Whether entry `i` of a light or heavy list repeats its list's
         // first tag (only a doubled entry does: a drain lists each bucket
         // and key once).
-        let repeats_first = |r: &wavesketch::SketchReport, light: bool, i: usize| {
+        let repeats_first = |p: Unindexed, light: bool, i: usize| {
             i > 0
                 && if light {
-                    (r.light[i].0, r.light[i].1) == (r.light[0].0, r.light[0].1)
+                    p.light_tag(i) == p.light_tag(0)
                 } else {
-                    r.heavy[i].0 == r.heavy[0].0
+                    p.heavy_key(i) == p.heavy_key(0)
                 }
         };
         // Each pick's walk against the reference; returns how many of the
         // unindexed entries it read repeat their list's first tag.
         let check = |view: &HostView, host: usize, pick: Pick| -> usize {
             let mut got = Vec::new();
-            view.walk(pick, &mut |e| got.push(e.report().clone()));
+            view.walk(pick, &mut |e| got.push(e.decode()));
             assert_eq!(
                 got,
                 rescan_reference::select(&unbounded, host, pick),
                 "host {host} {pick:?}"
             );
-            let periods: Vec<&StoredPeriod> = view.unindexed().collect();
+            let periods: Vec<Unindexed> = view.unindexed().collect();
             (view.selected.iter().filter(|s| s.2 == pick))
                 .filter(|&&(p, i, _)| {
-                    let r = &periods[p as usize].report.report;
-                    repeats_first(r, matches!(pick, Pick::Light(..)), i as usize)
+                    let light = matches!(pick, Pick::Light(..));
+                    repeats_first(periods[p as usize], light, i as usize)
                 })
                 .count()
         };
@@ -842,13 +909,24 @@ mod tests {
             );
             assert!(store.range(view.hot_floor..).next().is_some(), "and hot");
             let mut doubled = 0;
-            for sp in view.periods() {
-                let r = &sp.report;
+            let cold_series = view
+                .cold
+                .iter()
+                .map(|c| (c.decode(), c.row0(&mut recon).0.cloned()));
+            let cold_series: Vec<_> = cold_series.collect();
+            let resident = store
+                .values()
+                .map(|sp| (sp.report.clone(), sp.row0(&mut recon).0.cloned()));
+            let resident: Vec<_> = resident.collect();
+            for (r, got) in cold_series.iter().chain(&resident) {
                 let want = WindowSeries::from_reports(&rescan_reference::row0(r));
                 let what = format!("host {host} period {} row-0 series", r.period);
-                assert_bits_eq(sp.row0(&mut recon).0, want.as_ref(), &what);
-                doubled += (0..r.report.light.len())
-                    .filter(|&i| r.report.light[i].0 == 0 && repeats_first(&r.report, true, i))
+                assert_bits_eq(got.as_ref(), want.as_ref(), &what);
+                let light = &r.report.light;
+                doubled += (1..light.len())
+                    .filter(|&i| {
+                        light[i].0 == 0 && (light[i].0, light[i].1) == (light[0].0, light[0].1)
+                    })
                     .count();
             }
             for flow in 0..24u64 {
@@ -1082,7 +1160,7 @@ mod tests {
         thrashing.add_reports(reports.clone());
         assert!(thrashing.retention_stats().evicted_periods > 0);
 
-        // Every host-rate call decodes each cold period afresh, so it builds
+        // Every host-rate call reads each cold record afresh, so it builds
         // each cold period's series again; resident periods keep theirs.
         let (cold, resident) = {
             let cov = thrashing.host_coverage(0);
@@ -1108,6 +1186,56 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The cold cache charges exactly what it holds — each cached record's
+    /// payload, entry table and built row-0 series — through misses, hits,
+    /// series builds and evictions, under a budget of a few records.
+    #[test]
+    fn cold_cache_charges_the_bytes_it_holds() {
+        let (cfg, reports) = contested_reports(2, 400);
+        let dir = std::env::temp_dir().join(format!("umon_cold_charge_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Room for host 0's cold records (its periods but the newest two)
+        // and half as much again: each host's sweep hits, the other host's
+        // evicts.
+        let newest = reports.iter().map(|r| r.period).max().expect("reports");
+        let host0_cold = (reports.iter()).filter(|r| r.host == 0 && r.period + 2 <= newest);
+        let held = host0_cold.map(|r| ColdPeriod::new(r.encode().into()).expect("decodes"));
+        let budget = 3 * held.map(|c| c.held_bytes()).sum::<usize>() / 2;
+        let policy = RetentionPolicy::bounded(1, 2).with_cold_cache_bytes(budget);
+        let mut tiered = Analyzer::with_archive(cfg.sketch.clone(), policy, &dir).expect("archive");
+        tiered.add_reports(reports.clone());
+        let mut unbounded = Analyzer::new(cfg.sketch.clone());
+        unbounded.add_reports(reports);
+        let cold_periods: usize = (0..2).map(|h| tiered.host_coverage(h).archived.len()).sum();
+        assert!(cold_periods > 6, "more cold periods than the cache holds");
+        let mut scratch = QueryScratch::new();
+        for sweep in 0..2 {
+            for host in 0..2 {
+                for flow in 0..24u64 {
+                    let got = tiered.flow_curve_with(host, flow, &mut scratch).cloned();
+                    assert_eq!(
+                        got,
+                        unbounded.flow_curve(host, flow),
+                        "{sweep} {host} {flow}"
+                    );
+                }
+                let got = tiered.host_rate_curve_with(host, &mut scratch).cloned();
+                let want = unbounded.host_rate_curve(host);
+                assert_bits_eq(got.as_ref(), want.as_ref(), &format!("{sweep} {host} rate"));
+                let cold = tiered.cold.as_ref().expect("archive-backed");
+                let (held, entries) = cold.held_bytes();
+                assert!(entries > 0, "the cache keeps what fits");
+                assert_eq!(cold.cached_bytes(), held, "sweep {sweep} host {host}");
+                assert!(held <= budget, "{held} over budget");
+            }
+        }
+        let s = tiered.retention_stats();
+        assert!(s.cold_misses > cold_periods as u64, "entries were evicted");
+        assert!(s.cold_hits > 0);
+        assert_eq!(s.cold_read_errors, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Heap bytes of the row-0 series of `r`, from the reference.
     fn row0_bytes(r: &PeriodReport) -> usize {
         let series = WindowSeries::from_reports(&rescan_reference::row0(r));
@@ -1116,9 +1244,9 @@ mod tests {
 
     /// A host-rate query builds one row-0 series per stored period and
     /// fills no per-bucket memo. A series lives exactly as long as its
-    /// period's decoded report: compaction keeps it, eviction drops it, the
-    /// cold tier rebuilds it beside the record it decodes and charges it to
-    /// the cache budget, and resident series are counted in their own
+    /// period's report in memory: compaction keeps it, eviction drops it,
+    /// the cold tier rebuilds it from the record bytes it caches and charges
+    /// it to the cache budget, and resident series are counted in their own
     /// residency figure.
     #[test]
     fn host_rate_builds_one_series_per_period_that_lives_with_its_report() {
@@ -1175,8 +1303,8 @@ mod tests {
                 };
                 assert_eq!(built, want, "host {host} after period {p}");
 
-                // A flow query decodes the newly cold period without its
-                // series; the host rate builds it and charges it to the
+                // A flow query reads the newly cold period without building
+                // its series; the host rate builds it and charges it to the
                 // cache that holds the record.
                 tiered.flow_curve_with(host, 0, &mut scratch);
                 let cold = tiered.cold.as_ref().expect("archive-backed");

@@ -40,12 +40,13 @@
 //! appends — including backfilled re-uploads of the lost records — land on
 //! a clean segment instead of behind unreachable garbage.
 //!
-//! Since PR 8 the archive is also the analyzer's *cold tier*: [`append`]
-//! returns the record's [`SegLoc`] and [`read_record_at`] reads one record
-//! back by location, so evicted periods stay queryable from disk.
+//! The archive is also the analyzer's *cold tier*: [`append`] returns the
+//! record's [`SegLoc`] and [`read_payload_at`] reads one record's verified
+//! payload back by location, so evicted periods stay queryable from disk
+//! (`crate::cold` reads them without decoding).
 //!
 //! [`append`]: PeriodArchive::append
-//! [`read_record_at`]: PeriodArchive::read_record_at
+//! [`read_payload_at`]: PeriodArchive::read_payload_at
 
 use crate::host_agent::PeriodReport;
 use std::collections::hash_map::Entry;
@@ -258,36 +259,32 @@ impl PeriodArchive {
         Ok(loc)
     }
 
-    /// Reads one record back by location from `dir` (no open archive
-    /// needed — the cold read path runs behind `&Analyzer`). Returns
-    /// `Ok(None)` if the record no longer verifies (truncated, checksum or
-    /// decode failure) — possible only if the segment was damaged after the
-    /// location was indexed.
-    pub fn read_record_at(
+    /// Reads one record's payload back by location from `dir` (no open
+    /// archive needed — the cold read path runs behind `&Analyzer`): the
+    /// [`PeriodReport::encode`] bytes the record's digest verifies, in one
+    /// exact-size buffer. `Ok(None)` if the record no longer verifies
+    /// (truncated, or a length or checksum mismatch) — possible only if the
+    /// segment was damaged after the location was indexed.
+    pub fn read_payload_at(
         dir: impl AsRef<Path>,
         host: usize,
         loc: SegLoc,
-    ) -> std::io::Result<Option<PeriodReport>> {
+    ) -> std::io::Result<Option<Box<[u8]>>> {
         let path = Self::segment_path(dir.as_ref(), host);
         let mut file = File::open(path)?;
         file.seek(SeekFrom::Start(loc.offset))?;
-        let mut record = vec![0u8; loc.len as usize];
-        if file.read_exact(&mut record).is_err() {
+        let Some(len) = (loc.len as usize).checked_sub(HEADER) else {
+            return Ok(None);
+        };
+        let mut header = [0u8; HEADER];
+        let mut payload = vec![0u8; len].into_boxed_slice();
+        if file.read_exact(&mut header).is_err() || file.read_exact(&mut payload).is_err() {
             return Ok(None);
         }
-        if record.len() < HEADER {
-            return Ok(None);
+        match Self::read_header(&header, 0) {
+            Some((n, want)) if n == len && digest(&payload) == want => Ok(Some(payload)),
+            _ => Ok(None),
         }
-        let len = u32::from_le_bytes(record[0..4].try_into().expect("4 bytes"));
-        if len as usize != record.len() - HEADER {
-            return Ok(None);
-        }
-        let want = u64::from_le_bytes(record[4..HEADER].try_into().expect("8 bytes"));
-        let payload = &record[HEADER..];
-        if digest(payload) != want {
-            return Ok(None);
-        }
-        Ok(PeriodReport::decode(payload))
     }
 
     /// Truncates every torn segment in `scan` back to its intact prefix, so
@@ -591,11 +588,10 @@ mod tests {
         drop(archive);
 
         for (r, loc) in reports.iter().zip(&locs) {
-            let got = PeriodArchive::read_record_at(&dir, 2, *loc)
+            let got = PeriodArchive::read_payload_at(&dir, 2, *loc)
                 .unwrap()
                 .expect("record verifies");
-            assert_eq!(got.period, r.period);
-            assert_eq!(got.report, r.report);
+            assert_eq!(*got, *r.encode(), "the payload is the report's encoding");
         }
         // The scan reports the same locations append returned.
         let scan = PeriodArchive::scan(&dir).unwrap();

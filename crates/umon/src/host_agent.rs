@@ -54,6 +54,10 @@ impl PeriodReport {
     /// the collector sequence number (8, see `umon::collector::Envelope`).
     pub const ENVELOPE_WIRE_BYTES: usize = 28;
 
+    /// Bytes of [`Self::encode`] ahead of the sketch: period, host and
+    /// config fingerprint.
+    pub(crate) const ENCODED_HEADER: usize = 24;
+
     /// Upload size in bytes, envelope included. Earlier accounting forwarded
     /// to the payload alone and undercounted the bandwidth-vs-accuracy
     /// experiments by the per-period envelope overhead.
@@ -84,13 +88,13 @@ impl PeriodReport {
     /// Decodes [`Self::encode`]'s bytes; `None` on truncation or trailing
     /// garbage.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 24 {
+        if bytes.len() < Self::ENCODED_HEADER {
             return None;
         }
         let period = u64::from_le_bytes(bytes[0..8].try_into().ok()?);
         let host = usize::try_from(u64::from_le_bytes(bytes[8..16].try_into().ok()?)).ok()?;
         let config_fingerprint = u64::from_le_bytes(bytes[16..24].try_into().ok()?);
-        let report = SketchReport::decode(&bytes[24..])?;
+        let report = SketchReport::decode(&bytes[Self::ENCODED_HEADER..])?;
         Some(Self {
             period,
             host,

@@ -43,15 +43,15 @@
 //! hot refs periods ascending, drain order within a period.
 //!
 //! The host rate needs no ref map: it reads every row-0 bucket of every
-//! period, so its memo is one series per period ([`StoredPeriod`]), kept
-//! beside the report in whichever tier holds it.
+//! period, so its memo is one series per period ([`Row0`]), kept beside the
+//! report in whichever tier holds it.
 
 use crate::host_agent::PeriodReport;
 use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 use wavesketch::basic::WindowSeries;
 use wavesketch::reconstruct::ReconstructScratch;
-use wavesketch::{BucketReport, SketchConfig};
+use wavesketch::{BucketReport, EpochSource, SketchConfig};
 
 /// A reference to one entry of a stored period report: `(period, position)`
 /// in either the period's `light` or `heavy` list (which one is fixed by the
@@ -73,59 +73,88 @@ pub(crate) struct CachedCurves {
     bytes: usize,
 }
 
-/// One period report held in memory — resident (hot or compacted) in the
-/// analyzer's store, or decoded into the cold tier's cache — with its row-0
-/// series, which lives exactly as long as the report does: compaction keeps
-/// it, eviction (or a cold-cache eviction) drops it, and the next host-rate
+/// A period's row-0 series: its row-0 light epochs summed in list order,
+/// built by the first host-rate query that reads the period (`None` inside
+/// when the period has no row-0 epoch). It lives exactly as long as the
+/// period's report in whichever tier holds it: compaction keeps it,
+/// eviction (or a cold-cache eviction) drops it, and the next host-rate
 /// query that reads the period builds it again.
-#[derive(Debug)]
-pub(crate) struct StoredPeriod {
-    pub(crate) report: PeriodReport,
-    /// The period's row-0 light epochs summed in list order, built by the
-    /// first host-rate query that reads the period; `None` inside when the
-    /// period has no row-0 epoch.
-    row0: OnceCell<Option<WindowSeries>>,
-}
+#[derive(Debug, Default)]
+pub(crate) struct Row0(OnceCell<Option<WindowSeries>>);
 
-impl StoredPeriod {
-    pub(crate) fn new(report: PeriodReport) -> Self {
-        Self {
-            report,
-            row0: OnceCell::new(),
-        }
-    }
-
-    /// The row-0 series, building it through `recon` on first read, and
-    /// whether this call built it: `WindowSeries::assign_from_reports` over
-    /// the period's row-0 epochs in list order.
-    pub(crate) fn row0(&self, recon: &mut ReconstructScratch) -> (Option<&WindowSeries>, bool) {
+impl Row0 {
+    /// The series, building it from `epochs` through `recon` on first read,
+    /// and whether this call built it: `WindowSeries::assign_from_reports`
+    /// over the period's row-0 epochs in list order, decoded or encoded.
+    pub(crate) fn get_or_build<I>(
+        &self,
+        epochs: I,
+        recon: &mut ReconstructScratch,
+    ) -> (Option<&WindowSeries>, bool)
+    where
+        I: IntoIterator,
+        I::Item: EpochSource,
+        I::IntoIter: Clone,
+    {
         let mut built = false;
-        let series = self.row0.get_or_init(|| {
+        let series = self.0.get_or_init(|| {
             built = true;
-            let epochs = (self.report.report.light.iter())
-                .filter(|(row, _, _)| *row == 0)
-                .flat_map(|(_, _, brs)| brs);
             let mut s = WindowSeries::new();
             s.assign_from_reports(epochs, recon).then_some(s)
         });
         (series.as_ref(), built)
     }
 
+    /// The series if a query has built it.
+    pub(crate) fn built(&self) -> Option<&WindowSeries> {
+        self.0.get().and_then(Option::as_ref)
+    }
+
+    /// Heap bytes the built series holds (0 until built).
+    pub(crate) fn bytes(&self) -> usize {
+        (self.built()).map_or(0, |s| s.values.len() * std::mem::size_of::<f64>())
+    }
+}
+
+/// One period report held decoded in the analyzer's resident store (hot or
+/// compacted), with its row-0 series.
+#[derive(Debug)]
+pub(crate) struct StoredPeriod {
+    pub(crate) report: PeriodReport,
+    row0: Row0,
+}
+
+impl StoredPeriod {
+    pub(crate) fn new(report: PeriodReport) -> Self {
+        Self {
+            report,
+            row0: Row0::default(),
+        }
+    }
+
+    /// The row-0 series, building it through `recon` on first read, and
+    /// whether this call built it.
+    pub(crate) fn row0(&self, recon: &mut ReconstructScratch) -> (Option<&WindowSeries>, bool) {
+        let epochs = (self.report.report.light.iter())
+            .filter(|(row, _, _)| *row == 0)
+            .flat_map(|(_, _, brs)| brs);
+        self.row0.get_or_build(epochs, recon)
+    }
+
     /// The row-0 series if a query has built it.
     pub(crate) fn row0_built(&self) -> Option<&WindowSeries> {
-        self.row0.get().and_then(Option::as_ref)
+        self.row0.built()
     }
 
     /// Heap bytes the built row-0 series holds (0 until built).
     pub(crate) fn row0_bytes(&self) -> usize {
-        self.row0_built()
-            .map_or(0, |s| s.values.len() * std::mem::size_of::<f64>())
+        self.row0.bytes()
     }
 
     /// Drops the row-0 series: the report's epochs changed (a lossy trim),
     /// so the next read rebuilds it from what the report now holds.
     pub(crate) fn forget_row0(&mut self) {
-        self.row0.take();
+        self.row0 = Row0::default();
     }
 }
 
@@ -386,8 +415,8 @@ pub(crate) fn unpack_key(bytes: &[u8]) -> wavesketch::FlowKey {
 /// after one warm-up query per curve shape, subsequent queries perform zero
 /// heap allocations (enforced by `tests/alloc_gate.rs`, for an all-hot
 /// analyzer and for one with compacted and cold periods). The promise is
-/// for a warm scratch plus cold-cache *hits*: a cold *miss* still allocates,
-/// since it decodes the period's archive record into a fresh report.
+/// for a warm scratch plus cold-cache *hits*: a cold *miss* still allocates
+/// the record's payload buffer and its entry table.
 ///
 /// The returned `&WindowSeries` borrows the scratch and is valid until the
 /// next query through it; clone it (or copy what you need) to keep a curve.
@@ -409,14 +438,14 @@ pub struct QueryScratch {
     pub(crate) starts: Vec<(u64, f64)>,
     /// Reconstruction scratch: fills a hot epoch's memo or a period's row-0
     /// series on its first read, and reconstructs compacted and cold epochs
-    /// on every read.
+    /// on every read (a cold epoch parsed straight from its record bytes).
     pub(crate) recon: ReconstructScratch,
-    /// Cold-tier reports fetched for the current query (evicted periods
+    /// Cold-tier periods fetched for the current query (evicted periods
     /// read back from the archive), period-ascending. Filled once per query
     /// *before* any epoch walk so every walk of the query sees identical
-    /// epochs; the `Rc`s keep the reports alive for the whole query even if
+    /// epochs; the `Rc`s keep the records alive for the whole query even if
     /// the cold cache's byte budget evicts them mid-fetch.
-    pub(crate) cold: Vec<std::rc::Rc<StoredPeriod>>,
+    pub(crate) cold: Vec<std::rc::Rc<crate::cold::ColdPeriod>>,
     /// The unindexed (cold and compacted) entries the current flow query
     /// reads, recorded by one selection pass after the cold fetch; every
     /// walk of the query filters this instead of rescanning the periods.

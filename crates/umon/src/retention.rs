@@ -70,11 +70,13 @@ pub struct RetentionPolicy {
     /// the globally oldest hot period is compacted early, even inside the
     /// hot horizon.
     pub max_cached_bytes: Option<usize>,
-    /// Byte budget for the cold tier's in-memory segment cache (decoded
-    /// archive records retained across queries, each charged its record
-    /// size plus its row-0 series once a host-rate query builds it). Only consulted when the
-    /// analyzer has an archive. A budget smaller than one record still
-    /// yields correct answers — every cold query simply re-reads from disk.
+    /// Byte budget for the cold tier's in-memory segment cache (archive
+    /// records retained across queries as their verified bytes plus an
+    /// entry table, each charged exactly what it holds: payload, table and
+    /// its row-0 series once a host-rate query builds it). Only consulted
+    /// when the analyzer has an archive. A budget smaller than one record
+    /// still yields correct answers — every cold query simply re-reads from
+    /// disk.
     pub cold_cache_bytes: usize,
     /// Optional first lossy compaction level, off by default. When
     /// `Some(k)`, a period leaving the hot tier keeps only the `k`
@@ -94,8 +96,8 @@ impl Default for RetentionPolicy {
 }
 
 impl RetentionPolicy {
-    /// Default cold segment-cache budget: enough for a handful of decoded
-    /// period records without rivaling the resident tiers.
+    /// Default cold segment-cache budget: enough for a handful of period
+    /// records without rivaling the resident tiers.
     pub const DEFAULT_COLD_CACHE_BYTES: usize = 4 << 20;
 
     /// Keep everything forever (the pre-retention behavior).

@@ -151,8 +151,12 @@ fn uplink_tick_moves_the_report() {
 
 /// Not a hot path, but the same counter answers it: a report decoder handed
 /// a length prefix the buffer cannot back (2^24 approximation entries, five
-/// bytes left) must refuse before allocating for it.
+/// bytes left) must refuse before allocating for it. So must the cold
+/// tier's entry-table builder, for a report claiming 2^24 heavy entries; for
+/// a light entry whose one epoch lies, it allocates only for the entry and
+/// the epoch it read (two vectors, made and freed).
 fn lying_length_prefix_allocates_nothing() {
+    use wavesketch::ReportTable;
     let lying = [0u8, 8, 0, 0x80, 0x80, 0x80, 0x08, 1, 2, 3, 4, 5];
     let before = heap_ops();
     let decoded = wavesketch::BucketReport::decode_from(&lying, &mut 0);
@@ -161,6 +165,27 @@ fn lying_length_prefix_allocates_nothing() {
     assert_eq!(
         measured, 0,
         "decoding a lying length prefix performed {measured} heap operations"
+    );
+    let mut report = vec![0x80, 0x80, 0x80, 0x08];
+    report.extend_from_slice(&lying);
+    let before = heap_ops();
+    let table = ReportTable::build(&report);
+    let measured = heap_ops() - before;
+    assert_eq!(table, None);
+    assert_eq!(
+        measured, 0,
+        "table over a lying entry count: {measured} heap operations"
+    );
+    // No heavy entries; one light entry (row 0, col 0) with one epoch.
+    let mut report = vec![0, 1, 0, 0, 1];
+    report.extend_from_slice(&lying);
+    let before = heap_ops();
+    let table = ReportTable::build(&report);
+    let measured = heap_ops() - before;
+    assert_eq!(table, None);
+    assert!(
+        measured <= 4,
+        "table over a lying epoch: {measured} heap operations"
     );
 }
 

@@ -2,6 +2,7 @@
 //! run as ordinary tests so a regression in any component that would change
 //! the *shape* of a figure fails CI, not just a rerun of the figures.
 
+use std::collections::BTreeMap;
 use umon_repro::umon_baselines::budget::SweepLayout;
 use umon_repro::umon_baselines::CurveSketch;
 use umon_repro::umon_metrics::{all_metrics, WorkloadAccuracy};
@@ -27,14 +28,15 @@ fn small_run(kind: WorkloadKind) -> umon_repro::umon_netsim::SimResult {
     Simulator::new(topo, flows, config).run()
 }
 
-/// Feeds all hosts into per-host instances and averages flow metrics.
+/// Feeds all hosts into per-host instances and averages flow metrics, flows
+/// in `(host, flow)` order: the mean of the same input is the same bits in
+/// every process.
 fn score(
     result: &umon_repro::umon_netsim::SimResult,
     mut make: impl FnMut() -> Box<dyn CurveSketch>,
 ) -> umon_repro::umon_metrics::MetricSummary {
     let records = &result.telemetry.tx_records;
-    let mut truth: std::collections::HashMap<(usize, u64), std::collections::HashMap<u64, f64>> =
-        Default::default();
+    let mut truth: BTreeMap<(usize, u64), BTreeMap<u64, f64>> = BTreeMap::new();
     for r in records {
         *truth
             .entry((r.host, r.flow.0))
@@ -52,16 +54,13 @@ fn score(
                 r.bytes as i64,
             );
         }
-        for ((h, flow), windows) in &truth {
-            if *h != host {
-                continue;
-            }
-            let start = windows.keys().min().unwrap().saturating_sub(4);
-            let end = windows.keys().max().unwrap() + 5;
+        for (&(_, flow), windows) in truth.range((host, 0)..(host + 1, 0)) {
+            let start = windows.keys().next().unwrap().saturating_sub(4);
+            let end = windows.keys().next_back().unwrap() + 5;
             let t: Vec<f64> = (start..end)
                 .map(|w| windows.get(&w).copied().unwrap_or(0.0))
                 .collect();
-            let est: Vec<f64> = match sketch.query(&FlowKey::from_id(*flow)) {
+            let est: Vec<f64> = match sketch.query(&FlowKey::from_id(flow)) {
                 Some(c) => (start..end).map(|w| c.at(w)).collect(),
                 None => vec![0.0; t.len()],
             };
@@ -69,6 +68,22 @@ fn score(
         }
     }
     acc.mean()
+}
+
+/// `score` is a pure function of its input: two calls in one process agree
+/// on every metric's bits (it once averaged flows in `HashMap` order, whose
+/// per-process random keys moved the last bits between runs).
+#[test]
+fn score_is_bit_identical_across_calls() {
+    let result = small_run(WorkloadKind::Hadoop);
+    let windows = (7_000_000u64 >> WINDOW_SHIFT) as usize + 1;
+    let make = || -> Box<dyn CurveSketch> {
+        Box::new(SweepLayout::paper(0, windows).wavesketch(200 * 1024, SelectorKind::Ideal))
+    };
+    let bits = |m: umon_repro::umon_metrics::MetricSummary| {
+        [m.euclidean, m.are, m.cosine, m.energy].map(f64::to_bits)
+    };
+    assert_eq!(bits(score(&result, make)), bits(score(&result, make)));
 }
 
 #[test]
