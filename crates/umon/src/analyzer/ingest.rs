@@ -170,9 +170,8 @@ impl Analyzer {
         // keeps full fidelity even when the lossy floor trims the
         // resident copy below.
         self.archive_report(&r, encoded);
-        if r.period >= floors.hot_floor {
-            self.index.index_report(host, &r, &self.sketch_config);
-        } else {
+        let hot = r.period >= floors.hot_floor;
+        if !hot {
             // Arrived already past the hot horizon: store it compacted
             // (resident, never indexed).
             self.index.ensure_host(host);
@@ -181,8 +180,14 @@ impl Analyzer {
                 self.retention_stats.lossy_trimmed_details += trim_details(&mut r.report, keep);
             }
         }
+        // The stored period places its heavy keys once; the index reads
+        // those columns.
+        let sp = StoredPeriod::new(r, &self.sketch_config);
+        if hot {
+            self.index.index_report(host, &sp);
+        }
         let store = self.reports.entry(host).or_default();
-        store.insert(r.period, StoredPeriod::new(r));
+        store.insert(sp.report.period, sp);
         batch.accepted += 1;
         self.enforce_retention(host);
     }
@@ -241,8 +246,7 @@ impl Analyzer {
                 // The period may still be hot (small resident horizons);
                 // deindexing is a no-op if it was already compacted. Its
                 // row-0 series, if built, goes with it.
-                self.index
-                    .deindex_period(host, &sp.report, &self.sketch_config);
+                self.index.deindex_period(host, &sp);
                 self.retention_stats.evicted_periods += 1;
             }
         }
@@ -262,11 +266,9 @@ impl Analyzer {
                 // record, so this trades resident memory for compacted-tier
                 // accuracy, never data. A trim changes the epochs the row-0
                 // series was summed from, so it drops the series; otherwise
-                // the series stays with the compacted period.
-                if self
-                    .index
-                    .deindex_period(host, &sp.report, &self.sketch_config)
-                {
+                // the series stays with the compacted period. It drops no
+                // key, so the heavy-key columns stay either way.
+                if self.index.deindex_period(host, sp) {
                     compacted += 1;
                 }
                 if let Some(keep) = self.retention.lossy_floor {
@@ -297,8 +299,7 @@ impl Analyzer {
                 .get(&h)
                 .and_then(|m| m.get(&p))
                 .expect("indexed periods are resident");
-            self.index
-                .deindex_period(h, &sp.report, &self.sketch_config);
+            self.index.deindex_period(h, sp);
             let floors = self.floors.entry(h).or_default();
             floors.hot_floor = floors.hot_floor.max(p + 1);
             self.retention_stats.compacted_periods += 1;

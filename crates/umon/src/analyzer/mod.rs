@@ -33,7 +33,7 @@ use crate::query_index::{QueryIndex, StoredPeriod};
 use crate::retention::{ResidencySnapshot, RetentionPolicy, RetentionStats, TierFloors};
 use crate::seqwin::SeqWindow;
 use crate::switch_agent::MirroredPacket;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::Path;
 use wavesketch::basic::WindowSeries;
 use wavesketch::SketchConfig;
@@ -190,7 +190,7 @@ pub struct Analyzer {
     /// [`RetentionPolicy`] this is the resident set only (hot + compacted);
     /// evicted periods live in the archive, if any. Each report carries its
     /// row-0 series once a host-rate query has built it.
-    reports: HashMap<usize, BTreeMap<u64, StoredPeriod>>,
+    reports: BTreeMap<usize, BTreeMap<u64, StoredPeriod>>,
     /// Ingest-time query index over `reports`; updated exactly when a report
     /// is accepted, so it stays coherent under dedup, quarantine and
     /// out-of-order delivery. Only hot-tier periods are indexed; compacted
@@ -199,7 +199,7 @@ pub struct Analyzer {
     /// The memory budget driving compaction and eviction.
     retention: RetentionPolicy,
     /// Per-host tier floors (monotone; see [`TierFloors`]).
-    floors: HashMap<usize, TierFloors>,
+    floors: BTreeMap<usize, TierFloors>,
     /// Cumulative retention accounting.
     retention_stats: RetentionStats,
     /// Crash-safe on-disk period archive. Every accepted report is appended
@@ -230,7 +230,7 @@ pub struct Analyzer {
     mirror_index: BTreeMap<(usize, u16), Vec<usize>>,
     /// Mirror batch numbers already accepted, per switch: a contiguous-ack
     /// watermark plus a bounded out-of-order tail, not an ever-growing set.
-    mirror_batches_seen: HashMap<usize, SeqWindow>,
+    mirror_batches_seen: BTreeMap<usize, SeqWindow>,
     /// Redelivered mirror batches dropped.
     mirror_duplicates: u64,
     /// Cumulative report-ingestion accounting.
@@ -240,7 +240,7 @@ pub struct Analyzer {
     quarantine: VecDeque<PeriodReport>,
     /// Collector-reported lost uploads per host. Bounded by the number of
     /// hosts, not by time.
-    known_lost: HashMap<usize, u64>,
+    known_lost: BTreeMap<usize, u64>,
 }
 
 /// What [`Analyzer::recover_from_archive`] found and replayed.
@@ -284,21 +284,21 @@ impl Analyzer {
     pub fn with_retention(sketch_config: SketchConfig, retention: RetentionPolicy) -> Self {
         Self {
             sketch_config,
-            reports: HashMap::new(),
+            reports: BTreeMap::new(),
             index: QueryIndex::default(),
             retention,
-            floors: HashMap::new(),
+            floors: BTreeMap::new(),
             retention_stats: RetentionStats::default(),
             archive: None,
             cold: None,
             recovering: false,
             mirrors: Vec::new(),
             mirror_index: BTreeMap::new(),
-            mirror_batches_seen: HashMap::new(),
+            mirror_batches_seen: BTreeMap::new(),
             mirror_duplicates: 0,
             stats: IngestStats::default(),
             quarantine: VecDeque::new(),
-            known_lost: HashMap::new(),
+            known_lost: BTreeMap::new(),
         }
     }
 
@@ -316,6 +316,7 @@ impl Analyzer {
         a.cold = Some(ColdStore::new(
             dir.as_ref().to_path_buf(),
             retention.cold_cache_bytes,
+            a.sketch_config.clone(),
         ));
         Ok(a)
     }
@@ -457,9 +458,18 @@ pub(crate) mod tests {
         hosts: usize,
         windows: u64,
     ) -> (HostAgentConfig, Vec<PeriodReport>) {
+        contested_reports_rows(3, hosts, windows)
+    }
+
+    /// [`contested_reports`] over a sketch of `rows` light rows.
+    pub(crate) fn contested_reports_rows(
+        rows: usize,
+        hosts: usize,
+        windows: u64,
+    ) -> (HostAgentConfig, Vec<PeriodReport>) {
         let cfg = HostAgentConfig {
             sketch: SketchConfig::builder()
-                .rows(3)
+                .rows(rows)
                 .width(16)
                 .levels(4)
                 .topk(12)
@@ -490,6 +500,88 @@ pub(crate) mod tests {
             out.extend(agent.finish());
         }
         (cfg, out)
+    }
+
+    /// No answer depends on per-process random state. Two analyzers built
+    /// in one process get different std `HashMap` keys, so any map whose
+    /// iteration order fed an output would show here: fed the same reports
+    /// (reversed, in two batches, queried between them), they must answer
+    /// bit-identical flow and host-rate curves and equal `retention_stats()`
+    /// and `residency()`. Three setups: all hot; bounded by a cached-bytes
+    /// budget (which picks its victims across hosts); and archive-backed,
+    /// reading cold periods (its `cold_read_ns` is wall-clock time and is
+    /// left out).
+    #[test]
+    fn two_analyzers_in_one_process_answer_identically() {
+        use crate::query_index::QueryScratch;
+
+        let (cfg, reports) = contested_reports(3, 250);
+        let mut reversed: Vec<PeriodReport> = reports.iter().rev().cloned().collect();
+        let late = reversed.split_off(reversed.len() / 2);
+        let mut probe = Analyzer::new(cfg.sketch.clone());
+        probe.add_reports(reports.clone());
+        let budget = probe.residency().cached_bytes / 3;
+        let dirs: Vec<_> = (0..2)
+            .map(|i| std::env::temp_dir().join(format!("umon_twins_{i}_{}", std::process::id())))
+            .collect();
+        let setups: [(&str, &dyn Fn(usize) -> Analyzer); 3] = [
+            ("hot", &|_| Analyzer::new(cfg.sketch.clone())),
+            ("budget", &|_| {
+                let policy = RetentionPolicy::bounded(3, u64::MAX).with_cached_bytes(budget);
+                Analyzer::with_retention(cfg.sketch.clone(), policy)
+            }),
+            ("archive", &|i| {
+                let _ = std::fs::remove_dir_all(&dirs[i]);
+                let policy = RetentionPolicy::bounded(1, 2);
+                Analyzer::with_archive(cfg.sketch.clone(), policy, &dirs[i]).expect("archive")
+            }),
+        ];
+        // A curve as its start window and the bits of its values.
+        type Bits = (u64, Vec<u64>);
+        let bits = |s: Option<&WindowSeries>| -> Option<Bits> {
+            s.map(|s| {
+                (
+                    s.start_window,
+                    s.values.iter().map(|v| v.to_bits()).collect(),
+                )
+            })
+        };
+        for (what, make) in setups {
+            let mut twins = [make(0), make(1)];
+            let mut answers: [Vec<Option<Bits>>; 2] = Default::default();
+            for (a, out) in twins.iter_mut().zip(&mut answers) {
+                let mut scratch = QueryScratch::new();
+                for batch in [&reversed, &late] {
+                    a.add_reports(batch.clone());
+                    for host in 0..3 {
+                        for flow in 0..24u64 {
+                            out.push(bits(a.flow_curve_with(host, flow, &mut scratch)));
+                        }
+                        out.push(bits(a.host_rate_curve_with(host, &mut scratch)));
+                    }
+                }
+            }
+            assert!(answers[0].iter().any(Option::is_some), "{what}");
+            assert_eq!(answers[0], answers[1], "{what}: curves");
+            let [s0, s1] = [0, 1].map(|i| RetentionStats {
+                cold_read_ns: 0,
+                ..twins[i].retention_stats()
+            });
+            assert_eq!(s0, s1, "{what}: retention stats");
+            assert_eq!(
+                twins[0].residency(),
+                twins[1].residency(),
+                "{what}: residency"
+            );
+            match what {
+                "budget" => assert!(s0.compacted_periods > 0, "the budget compacts"),
+                "archive" => assert!(s0.cold_hits + s0.cold_misses > 0, "cold reads"),
+                _ => {}
+            }
+        }
+        for dir in &dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

@@ -13,11 +13,14 @@
 //! compacted tiers have no index, so each flow query makes its own, once:
 //! [`HostView::select`] scans every unindexed period a single time and
 //! records each entry one of the query's picks reads ([`Selected`]); the
-//! query's walks filter that record.
+//! query's walks filter that record. Every stored period carries its heavy
+//! keys' light columns, placed when it entered its tier, so the selection
+//! compares columns and hashes only the queried flow.
 //!
-//! A cold period is its archive record's bytes plus an entry table
-//! ([`ColdPeriod`]): the selection reads keys and tags from the table, and
-//! the walk parses only the epochs it yields, straight into the kernel.
+//! A cold period is its archive record's bytes plus an entry table and
+//! those columns ([`ColdPeriod`]): the selection reads keys, tags and
+//! columns, and the walk parses only the epochs it yields, straight into
+//! the kernel.
 //!
 //! The host rate sums every row-0 bucket of every period, so its memo is
 //! one series per period: the period's row-0 epochs summed in list order,
@@ -33,14 +36,14 @@
 
 use super::{Analyzer, AnnotatedCurve};
 use crate::cold::ColdPeriod;
-use crate::query_index::{HostIndex, Memo, QueryScratch, StoredPeriod};
+use crate::query_index::{HeavyCols, HostIndex, Memo, QueryScratch, StoredPeriod};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use wavesketch::basic::WindowSeries;
 use wavesketch::reconstruct::ReconstructScratch;
 use wavesketch::report::{EncodedEpoch, EpochSource};
-use wavesketch::{BucketReport, FlowKey, Placement, SketchConfig};
+use wavesketch::{BucketReport, FlowKey};
 
 /// Which stored entries a flow curve sums.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,6 +113,7 @@ enum Unindexed<'a> {
 }
 
 impl<'a> Unindexed<'a> {
+    #[cfg(test)]
     fn heavy_len(self) -> usize {
         match self {
             Unindexed::Cold(c) => c.heavy_len(),
@@ -121,6 +125,14 @@ impl<'a> Unindexed<'a> {
         match self {
             Unindexed::Cold(c) => c.heavy_key(i),
             Unindexed::Compacted(sp) => &sp.report.report.heavy[i].0,
+        }
+    }
+
+    /// The light columns of the period's heavy keys.
+    fn heavy_cols(self) -> &'a HeavyCols {
+        match self {
+            Unindexed::Cold(c) => &c.cols,
+            Unindexed::Compacted(sp) => &sp.cols,
         }
     }
 
@@ -167,7 +179,6 @@ fn entry(sp: &StoredPeriod, pick: Pick, i: usize) -> &[BucketReport] {
 /// from it on), the index over the hot part and a flow query's selection
 /// over the rest.
 struct HostView<'a> {
-    cfg: &'a SketchConfig,
     cold: &'a [Rc<ColdPeriod>],
     store: Option<&'a BTreeMap<u64, StoredPeriod>>,
     hot_floor: u64,
@@ -188,38 +199,49 @@ impl<'a> HostView<'a> {
         cold.chain(compacted.map(Unindexed::Compacted))
     }
 
-    /// The selection pass for the flow placed at `at`: records into `out`,
-    /// in walk order, every unindexed entry one of its picks reads, and
-    /// makes that record the one [`Self::walk`] filters. Each
-    /// period's heavy list is scanned once — the flow's own key is `Heavy`,
-    /// any other key is placed once and is `Colliding` at every row whose
-    /// column it shares with the flow — and so is its light list, where the
-    /// flow's column of each row is `Light`. A cold period is scanned in its
-    /// entry table: keys compare and place in place in the record bytes.
-    fn select(&mut self, at: &Placement, out: &'a mut Vec<Selected>) {
+    /// The selection pass for the flow `packed`, whose light column at row
+    /// `r` is `cols[r]`: records into `out`, in walk order, every unindexed
+    /// entry one of its picks reads, and makes that record the one
+    /// [`Self::walk`] filters. Each period's heavy list is scanned once —
+    /// the flow's own key is `Heavy`, any other key is `Colliding` at every
+    /// row where its stored column equals the flow's — and so is its light
+    /// list, where the flow's column of each row is `Light`. Nothing is
+    /// hashed: the period placed its keys when it entered its tier, and one
+    /// pass per row over that row's stored columns marks in `hits` the keys
+    /// that share the flow's column somewhere. A key that shares none can be
+    /// neither the flow's own key nor collide with it, so only the marked
+    /// few are compared, in place in the record bytes for a cold period.
+    fn select(
+        &mut self,
+        packed: &[u8; 13],
+        cols: &[u32],
+        hits: &mut Vec<u8>,
+        out: &'a mut Vec<Selected>,
+    ) {
         out.clear();
-        let cfg = self.cfg;
-        let packed = *at.packed();
         for (period, p) in (0u32..).zip(self.unindexed()) {
-            for i in 0..p.heavy_len() {
-                let key: &[u8; 13] =
-                    (p.heavy_key(i).try_into()).expect("ingest admits 13-byte keys");
-                let i = i as u32;
-                if *key == packed {
-                    out.push((period, i, Pick::Heavy(packed)));
+            let heavy = p.heavy_cols();
+            hits.clear();
+            hits.resize(heavy.keys(), 0);
+            for (row, &own) in cols.iter().enumerate() {
+                for (hit, &col) in hits.iter_mut().zip(heavy.row(row)) {
+                    *hit |= u8::from(col == own);
+                }
+            }
+            for (i, _) in (0u32..).zip(hits.iter()).filter(|&(_, &hit)| hit != 0) {
+                if p.heavy_key(i as usize) == packed {
+                    out.push((period, i, Pick::Heavy(*packed)));
                     continue;
                 }
-                let other = cfg.place_packed(key);
-                for row in 0..cfg.rows {
-                    let col = cfg.light_col_placed(at, row);
-                    if cfg.light_col_placed(&other, row) == col {
-                        out.push((period, i, Pick::Colliding(row as u32, col as u32, packed)));
+                for (row, (col, &own)) in (0u32..).zip(heavy.of(i as usize).zip(cols)) {
+                    if col == own {
+                        out.push((period, i, Pick::Colliding(row, col, *packed)));
                     }
                 }
             }
             for i in 0..p.light_len() {
                 let (row, col) = p.light_tag(i);
-                if cfg.light_col_placed(at, row as usize) as u32 == col {
+                if cols[row as usize] == col {
                     out.push((period, i as u32, Pick::Light(row, col)));
                 }
             }
@@ -324,7 +346,6 @@ impl Analyzer {
             return None;
         }
         Some(HostView {
-            cfg: &self.sketch_config,
             cold,
             store,
             hot_floor: floors.hot_floor,
@@ -366,12 +387,17 @@ impl Analyzer {
             recon,
             cold,
             selected,
+            cols,
+            hits,
             ..
         } = scratch;
-        let at = self.sketch_config.place(&FlowKey::from_id(flow_id));
-        let mut view = self.host_view(host, cold)?;
-        view.select(&at, selected);
+        let cfg = &self.sketch_config;
+        let at = cfg.place(&FlowKey::from_id(flow_id));
         let packed = *at.packed();
+        cols.clear();
+        cols.extend((0..cfg.rows).map(|row| cfg.light_col_placed(&at, row) as u32));
+        let mut view = self.host_view(host, cold)?;
+        view.select(&packed, cols, hits, selected);
         // The heavy part is exact within its epochs but misses any history
         // from before the flow's election, so it is overlaid onto the
         // light-part estimate rather than used alone.
@@ -379,9 +405,7 @@ impl Analyzer {
         // The light part: per row, the flow's bucket minus the heavy flows
         // that share it, keeping the minimum-total row.
         let mut has_light = false;
-        for row in 0..self.sketch_config.rows {
-            let col = self.sketch_config.light_col_placed(&at, row) as u32;
-            let row = row as u32;
+        for (row, &col) in (0u32..).zip(cols.iter()) {
             if !view.series(Pick::Light(row, col), light_cand, recon) {
                 continue;
             }
@@ -501,11 +525,64 @@ impl Analyzer {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{agent_config, contested_reports};
+    use super::super::tests::{agent_config, contested_reports, contested_reports_rows};
     use super::*;
     use crate::host_agent::{HostAgent, PeriodReport};
     use crate::query_index::unpack_key;
     use crate::retention::RetentionPolicy;
+    use wavesketch::{Placement, SketchConfig};
+
+    /// The selection as it was before stored periods carried their heavy
+    /// keys' columns: every other heavy key is placed afresh
+    /// (`place_packed`) on every query. [`HostView::select`] must record
+    /// exactly this list.
+    fn select_by_placing(view: &HostView, cfg: &SketchConfig, at: &Placement) -> Vec<Selected> {
+        let mut out = Vec::new();
+        let packed = *at.packed();
+        for (period, p) in (0u32..).zip(view.unindexed()) {
+            for i in 0..p.heavy_len() {
+                let key: &[u8; 13] =
+                    (p.heavy_key(i).try_into()).expect("ingest admits 13-byte keys");
+                let i = i as u32;
+                if *key == packed {
+                    out.push((period, i, Pick::Heavy(packed)));
+                    continue;
+                }
+                let other = cfg.place_packed(key);
+                for row in 0..cfg.rows {
+                    let col = cfg.light_col_placed(at, row);
+                    if cfg.light_col_placed(&other, row) == col {
+                        out.push((period, i, Pick::Colliding(row as u32, col as u32, packed)));
+                    }
+                }
+            }
+            for i in 0..p.light_len() {
+                let (row, col) = p.light_tag(i);
+                if cfg.light_col_placed(at, row as usize) as u32 == col {
+                    out.push((period, i as u32, Pick::Light(row, col)));
+                }
+            }
+        }
+        out
+    }
+
+    /// Runs `view`'s selection for `flow` and checks it against
+    /// [`select_by_placing`].
+    fn select_checked<'a>(
+        view: &mut HostView<'a>,
+        cfg: &SketchConfig,
+        flow: u64,
+        selected: &'a mut Vec<Selected>,
+    ) -> Placement {
+        let at = cfg.place(&FlowKey::from_id(flow));
+        let cols: Vec<u32> = (0..cfg.rows)
+            .map(|row| cfg.light_col_placed(&at, row) as u32)
+            .collect();
+        view.select(at.packed(), &cols, &mut Vec::new(), selected);
+        let want = select_by_placing(view, cfg, &at);
+        assert_eq!(view.selected, &want[..], "flow {flow}");
+        at
+    }
 
     /// Reference implementation of the pre-index query paths: linear rescans
     /// of every stored period, exactly as `flow_curve` worked before the
@@ -833,6 +910,67 @@ mod tests {
         }
     }
 
+    /// Every stored period carries each heavy key's light column per row,
+    /// equal to the column placed afresh from the unpacked key, in every
+    /// tier: hot, compacted, lossy-trimmed (a trim drops coefficients, not
+    /// keys) and cold (placed at the cache miss). `rows` runs to 5, past the
+    /// four rows a placement pre-hashes, so the fallback that hashes a row on
+    /// demand is covered too. At each row count the selection also matches
+    /// the one that places every key afresh, and the tiered curves match an
+    /// unbounded analyzer's.
+    #[test]
+    fn stored_heavy_columns_match_a_fresh_placement_in_every_tier() {
+        fn check(cfg: &SketchConfig, r: &PeriodReport, cols: &HeavyCols, what: &str) {
+            for (i, (k, _)) in r.report.heavy.iter().enumerate() {
+                let want = (0..cfg.rows).map(|row| cfg.light_col(&unpack_key(k), row) as u32);
+                assert!(cols.of(i).eq(want), "{what} period {} key {i}", r.period);
+            }
+        }
+        let mut selected = Vec::new();
+        for rows in 1..=5 {
+            let (cfg, reports) = contested_reports_rows(rows, 2, 250);
+            let cfg = cfg.sketch;
+            assert!(reports.iter().any(|r| !r.report.heavy.is_empty()));
+            let mut hot = Analyzer::new(cfg.clone());
+            hot.add_reports(reports.clone());
+            let policy = RetentionPolicy::bounded(1, u64::MAX).with_lossy_floor(1);
+            let mut trimmed = Analyzer::with_retention(cfg.clone(), policy);
+            trimmed.add_reports(reports.clone());
+            assert!(trimmed.retention_stats().lossy_trimmed_details > 0);
+            let dir =
+                std::env::temp_dir().join(format!("umon_heavy_cols_{rows}_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut tiered =
+                Analyzer::with_archive(cfg.clone(), RetentionPolicy::bounded(1, 3), &dir)
+                    .expect("open archive");
+            tiered.add_reports(reports.clone());
+            for (what, a) in [("hot", &hot), ("trimmed", &trimmed), ("tiered", &tiered)] {
+                for sp in a.reports.values().flat_map(BTreeMap::values) {
+                    check(&cfg, &sp.report, &sp.cols, &format!("rows {rows} {what}"));
+                }
+            }
+            let mut cold = Vec::new();
+            for host in 0..2 {
+                let view = tiered.host_view(host, &mut cold).expect("host measured");
+                assert!(
+                    !view.cold.is_empty(),
+                    "rows {rows} host {host} has cold periods"
+                );
+                for c in view.cold {
+                    check(&cfg, &c.decode(), &c.cols, &format!("rows {rows} cold"));
+                }
+                for flow in 0..24u64 {
+                    let mut view = tiered.host_view(host, &mut cold).expect("host measured");
+                    select_checked(&mut view, &cfg, flow, &mut selected);
+                    let got = tiered.flow_curve(host, flow);
+                    assert_eq!(got, hot.flow_curve(host, flow), "rows {rows} flow {flow}");
+                }
+            }
+            assert_eq!(tiered.retention_stats().cold_read_errors, 0);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     /// The visit order, across all three tiers. Comparing curves by `f64`
     /// bits cannot see an ordering bug: reconstructions of integer byte
     /// counts are dyadic rationals, and summing them is exact in any order.
@@ -840,7 +978,9 @@ mod tests {
     /// yields, through the selection each real flow query builds, with the
     /// rescan reference's selection over an unbounded twin; and for the host
     /// rate it compares every cold, compacted and hot period's row-0 series
-    /// with one built from that period's row-0 entries in list order. Every
+    /// with one built from that period's row-0 entries in list order. Each
+    /// selection is also checked against the one that placed every heavy
+    /// key afresh ([`select_by_placing`]). Every
     /// period of host 0 also holds two shapes `fits_config` admits but no
     /// drain produces: a row-0 light bucket listed twice and a heavy key
     /// listed twice.
@@ -930,9 +1070,8 @@ mod tests {
                     .count();
             }
             for flow in 0..24u64 {
-                let at = cfg.sketch.place(&FlowKey::from_id(flow));
                 let mut view = tiered.host_view(host, &mut cold).expect("host measured");
-                view.select(&at, &mut selected);
+                let at = select_checked(&mut view, &cfg.sketch, flow, &mut selected);
                 let packed = *at.packed();
                 doubled += check(&view, host, Pick::Heavy(packed));
                 for row in 0..cfg.sketch.rows {
@@ -1187,8 +1326,9 @@ mod tests {
     }
 
     /// The cold cache charges exactly what it holds — each cached record's
-    /// payload, entry table and built row-0 series — through misses, hits,
-    /// series builds and evictions, under a budget of a few records.
+    /// payload, entry table, heavy-key columns (one `u32` per key and row)
+    /// and built row-0 series — through misses, hits, series builds and
+    /// evictions, under a budget of a few records.
     #[test]
     fn cold_cache_charges_the_bytes_it_holds() {
         let (cfg, reports) = contested_reports(2, 400);
@@ -1199,7 +1339,7 @@ mod tests {
         // evicts.
         let newest = reports.iter().map(|r| r.period).max().expect("reports");
         let host0_cold = (reports.iter()).filter(|r| r.host == 0 && r.period + 2 <= newest);
-        let held = host0_cold.map(|r| ColdPeriod::new(r.encode().into()).expect("decodes"));
+        let held = host0_cold.map(|r| ColdPeriod::new(r.encode().into(), &cfg.sketch).unwrap());
         let budget = 3 * held.map(|c| c.held_bytes()).sum::<usize>() / 2;
         let policy = RetentionPolicy::bounded(1, 2).with_cold_cache_bytes(budget);
         let mut tiered = Analyzer::with_archive(cfg.sketch.clone(), policy, &dir).expect("archive");
@@ -1223,8 +1363,9 @@ mod tests {
                 let want = unbounded.host_rate_curve(host);
                 assert_bits_eq(got.as_ref(), want.as_ref(), &format!("{sweep} {host} rate"));
                 let cold = tiered.cold.as_ref().expect("archive-backed");
-                let (held, entries) = cold.held_bytes();
+                let (held, entries, cols) = cold.held_bytes();
                 assert!(entries > 0, "the cache keeps what fits");
+                assert!(cols > 0, "the cached records' heavy keys are placed");
                 assert_eq!(cold.cached_bytes(), held, "sweep {sweep} host {host}");
                 assert!(held <= budget, "{held} over budget");
             }

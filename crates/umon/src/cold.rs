@@ -15,27 +15,31 @@
 //! * **Correctness is unconditional.** A cache smaller than one record
 //!   still answers every query correctly — it just re-reads from disk each
 //!   time. The table accepts exactly the records `PeriodReport::decode`
-//!   accepts, an epoch parsed from the bytes hands the kernel the decoded
-//!   report's operands, and the analyzer accumulates cold epochs in the
-//!   same period-ascending order the resident tiers use, so cold answers
-//!   are bit-identical to an unbounded analyzer's.
+//!   accepts (and the columns refuse a heavy key the analyzer never admits,
+//!   one not 13 bytes long), an epoch parsed from the bytes hands the kernel
+//!   the decoded report's operands, and the analyzer accumulates cold epochs
+//!   in the same period-ascending order the resident tiers use, so cold
+//!   answers are bit-identical to an unbounded analyzer's.
 //! * **The contract is latency, not staleness of data.** Archive records
 //!   are immutable once written, so a cold read never returns stale
 //!   *values*; what the cold tier costs is disk time, surfaced as
 //!   `cold_hits` / `cold_misses` / `cold_bytes_read` / `cold_read_ns` in
 //!   [`RetentionStats`](crate::RetentionStats) (`cold_read_ns` times the
-//!   whole miss: read, digest and table). A read that fails (I/O error, or
-//!   a record damaged after indexing) is counted in `cold_read_errors` and
-//!   that period is omitted from the answer — the same visible degradation
-//!   as an eviction without an archive, but now counted instead of silent.
+//!   whole miss: read, digest, table and columns). A read that fails (I/O
+//!   error, or a record damaged after indexing) is counted in
+//!   `cold_read_errors` and that period is omitted from the answer — the
+//!   same visible degradation as an eviction without an archive, but now
+//!   counted instead of silent.
 //! * **The cache charges what it holds.** An entry costs its payload, its
-//!   table and, once a host-rate query builds it beside the record, its
-//!   row-0 series; evicting the entry drops all three, and the next read of
-//!   that period builds the series again.
+//!   table, its heavy keys' light columns (placed once at the miss, so a
+//!   flow query over a cached record compares columns and hashes nothing)
+//!   and, once a host-rate query builds it beside the record, its row-0
+//!   series; evicting the entry drops all four, and the next read of that
+//!   period places the keys and builds the series again.
 
 use crate::archive::{PeriodArchive, SegLoc};
 use crate::host_agent::PeriodReport;
-use crate::query_index::Row0;
+use crate::query_index::{HeavyCols, Row0};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -44,29 +48,36 @@ use std::time::Instant;
 use wavesketch::basic::WindowSeries;
 use wavesketch::reconstruct::ReconstructScratch;
 use wavesketch::report::{EncodedEpoch, ReportTable};
+use wavesketch::SketchConfig;
 
 /// One cold period as the cache holds it: the record's verified payload
-/// ([`PeriodReport::encode`]'s bytes), the entry table over its sketch part
-/// and, once built, its row-0 series.
+/// ([`PeriodReport::encode`]'s bytes), the entry table over its sketch part,
+/// its heavy keys' light columns and, once built, its row-0 series.
 #[derive(Debug)]
 pub(crate) struct ColdPeriod {
     pub(crate) period: u64,
     payload: Box<[u8]>,
     table: ReportTable,
+    pub(crate) cols: HeavyCols,
     row0: Row0,
 }
 
 impl ColdPeriod {
-    /// Builds the entry table over `payload`: `None` exactly when
-    /// `PeriodReport::decode` refuses the bytes.
-    pub(crate) fn new(payload: Box<[u8]>) -> Option<Self> {
+    /// Builds the entry table over `payload` and places its heavy keys under
+    /// `cfg`: `None` exactly when `PeriodReport::decode` refuses the bytes or
+    /// a heavy key is not 13 bytes (a shape the analyzer never admits).
+    pub(crate) fn new(payload: Box<[u8]>, cfg: &SketchConfig) -> Option<Self> {
         let head = payload.get(..PeriodReport::ENCODED_HEADER)?;
         let period = u64::from_le_bytes(head[..8].try_into().expect("8 bytes"));
-        let table = ReportTable::build(&payload[PeriodReport::ENCODED_HEADER..])?;
+        let sketch = &payload[PeriodReport::ENCODED_HEADER..];
+        let table = ReportTable::build(sketch)?;
+        let keys = (0..table.heavy_len()).map(|i| table.heavy_key(sketch, i));
+        let cols = HeavyCols::place(keys, cfg)?;
         Some(Self {
             period,
             payload,
             table,
+            cols,
             row0: Row0::default(),
         })
     }
@@ -77,6 +88,7 @@ impl ColdPeriod {
     }
 
     /// Heavy entries in the record.
+    #[cfg(test)]
     pub(crate) fn heavy_len(&self) -> usize {
         self.table.heavy_len()
     }
@@ -120,9 +132,9 @@ impl ColdPeriod {
         self.row0.built()
     }
 
-    /// Heap bytes held: payload, table and row-0 series.
+    /// Heap bytes held: payload, table, heavy-key columns and row-0 series.
     pub(crate) fn held_bytes(&self) -> usize {
-        self.payload.len() + self.table.heap_bytes() + self.row0.bytes()
+        self.payload.len() + self.table.heap_bytes() + self.cols.bytes() + self.row0.bytes()
     }
 
     /// The record decoded, for tests that compare against decoded reports.
@@ -189,16 +201,19 @@ impl ColdCache {
 pub(crate) struct ColdStore {
     dir: PathBuf,
     budget: usize,
+    /// The analyzer's sketch config, which places a missed record's keys.
+    cfg: SketchConfig,
     /// Byte location of every archived record: host → period → location.
     index: BTreeMap<usize, BTreeMap<u64, SegLoc>>,
     cache: RefCell<ColdCache>,
 }
 
 impl ColdStore {
-    pub(crate) fn new(dir: PathBuf, budget: usize) -> Self {
+    pub(crate) fn new(dir: PathBuf, budget: usize, cfg: SketchConfig) -> Self {
         Self {
             dir,
             budget,
+            cfg,
             index: BTreeMap::new(),
             cache: RefCell::new(ColdCache::default()),
         }
@@ -244,8 +259,8 @@ impl ColdStore {
     /// `out`, period-ascending — the periods a query must visit *before*
     /// the resident tiers. Called once per query, before the two-pass
     /// epoch walk, so both passes see identical epochs. A miss reads and
-    /// verifies the record and builds its entry table; unreadable records
-    /// are counted and skipped.
+    /// verifies the record, builds its entry table and places its heavy
+    /// keys; unreadable records are counted and skipped.
     pub(crate) fn fetch_below(&self, host: usize, floor: u64, out: &mut Vec<Rc<ColdPeriod>>) {
         out.clear();
         let Some(periods) = self.index.get(&host) else {
@@ -264,7 +279,7 @@ impl ColdStore {
             }
             let t0 = Instant::now();
             let read = PeriodArchive::read_payload_at(&self.dir, host, loc);
-            let cold = read.map(|payload| payload.and_then(ColdPeriod::new));
+            let cold = read.map(|payload| payload.and_then(|b| ColdPeriod::new(b, &self.cfg)));
             cache.stats.read_ns += t0.elapsed().as_nanos() as u64;
             cache.stats.misses += 1;
             match cold {
@@ -314,12 +329,19 @@ impl ColdStore {
         self.cache.borrow().bytes
     }
 
-    /// Bytes the cached periods hold, recounted, and how many there are.
+    /// Bytes the cached periods hold, recounted from their parts (payload,
+    /// table, one `u32` column per heavy key and row, built row-0 series),
+    /// how many periods there are, and the columns' share of the bytes.
     #[cfg(test)]
-    pub(crate) fn held_bytes(&self) -> (usize, usize) {
+    pub(crate) fn held_bytes(&self) -> (usize, usize, usize) {
         let cache = self.cache.borrow();
-        let held = cache.entries.values().map(|e| e.period.held_bytes()).sum();
-        (held, cache.entries.len())
+        let (mut held, mut cols) = (0, 0);
+        for c in cache.entries.values().map(|e| &e.period) {
+            let c_cols = c.heavy_len() * self.cfg.rows * std::mem::size_of::<u32>();
+            held += c.payload.len() + c.table.heap_bytes() + c_cols + c.row0.bytes();
+            cols += c_cols;
+        }
+        (held, cache.entries.len(), cols)
     }
 }
 
@@ -327,15 +349,16 @@ impl ColdStore {
 mod tests {
     use super::*;
     use crate::analyzer::tests::contested_reports;
+    use crate::query_index::unpack_key;
     use crate::{Analyzer, RetentionPolicy};
 
-    /// The verified payloads of real archived records: an archive-backed
-    /// analyzer's segments, read back record by record.
-    fn archived_payloads(tag: &str) -> Vec<Box<[u8]>> {
+    /// The verified payloads of real archived records (an archive-backed
+    /// analyzer's segments, read back record by record) and their config.
+    fn archived_payloads(tag: &str) -> (SketchConfig, Vec<Box<[u8]>>) {
         let (cfg, reports) = contested_reports(2, 250);
         let dir = std::env::temp_dir().join(format!("umon_cold_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut a = Analyzer::with_archive(cfg.sketch, RetentionPolicy::default(), &dir)
+        let mut a = Analyzer::with_archive(cfg.sketch.clone(), RetentionPolicy::default(), &dir)
             .expect("open archive");
         a.add_reports(reports);
         let scan = PeriodArchive::scan(&dir).expect("scan");
@@ -346,17 +369,18 @@ mod tests {
             })
             .collect();
         let _ = std::fs::remove_dir_all(&dir);
-        payloads
+        (cfg.sketch, payloads)
     }
 
     /// Hostile bytes for the table builder: every truncation of every real
-    /// archived record plus seeded single-bit flips. The table accepts
-    /// exactly what `PeriodReport::decode` accepts, never panics, holds at
-    /// most a small multiple of the payload, and an accepted table reads
-    /// back every key, tag and epoch of the decoded report.
+    /// archived record plus seeded single-bit flips. A cold period accepts
+    /// exactly what `PeriodReport::decode` accepts with 13-byte heavy keys,
+    /// never panics, holds at most a small multiple of the payload, and an
+    /// accepted table reads back every key, tag and epoch of the decoded
+    /// report.
     #[test]
     fn table_accepts_exactly_what_decode_accepts_on_damaged_records() {
-        let payloads = archived_payloads("hostile");
+        let (cfg, payloads) = archived_payloads("hostile");
         assert!(payloads.len() >= 8, "{} records", payloads.len());
         let mut x = 0x5EED_u64;
         let (mut cases, mut accepted) = (0, 0);
@@ -375,9 +399,10 @@ mod tests {
             }
             for b in damaged {
                 cases += 1;
-                let decoded = PeriodReport::decode(&b);
+                let decoded = PeriodReport::decode(&b)
+                    .filter(|d| d.report.heavy.iter().all(|(k, _)| k.len() == 13));
                 let len = b.len();
-                let cold = ColdPeriod::new(b.into_boxed_slice());
+                let cold = ColdPeriod::new(b.into_boxed_slice(), &cfg);
                 assert_eq!(cold.is_some(), decoded.is_some(), "case {cases}");
                 let (Some(cold), Some(want)) = (cold, decoded) else {
                     continue;
@@ -390,6 +415,9 @@ mod tests {
                 assert_eq!(cold.light_len(), report.light.len());
                 for (i, (key, epochs)) in report.heavy.iter().enumerate() {
                     assert_eq!(cold.heavy_key(i), &key[..]);
+                    let cols = (0..cfg.rows).map(|row| cfg.light_col(&unpack_key(key), row));
+                    let cols = cols.map(|c| c as u32);
+                    assert!(cold.cols.of(i).eq(cols), "case {cases}");
                     let got: Vec<_> = cold.heavy_epochs(i).map(|e| e.decode()).collect();
                     assert_eq!(got, epochs.iter().cloned().map(Some).collect::<Vec<_>>());
                 }

@@ -15,11 +15,13 @@
 //!   hit, and
 //! * `(row, col) → ordered heavy report refs` — the heavy flows whose light
 //!   column collides with a bucket, i.e. exactly the subtraction set of the
-//!   §4.2 full-version query,
+//!   §4.2 full-version query.
 //!
-//! plus one config-wide `packed key → light columns per row` table so each
-//! distinct heavy key is placed (one batch of hash chains) exactly once
-//! ever.
+//! The last map needs each heavy key's light column per row. A key never
+//! changes once stored, so every stored period places its heavy keys once,
+//! when it enters a tier ([`HeavyCols`]: at ingest for a resident period, at
+//! the cache miss for a cold one), and the index and the query's selection
+//! over the unindexed tiers both read those columns.
 //!
 //! Indexing alone only removes the scan; the remaining query time was
 //! dominated by re-running the inverse wavelet transform on the same stored
@@ -48,7 +50,7 @@
 
 use crate::host_agent::PeriodReport;
 use std::cell::{Cell, OnceCell};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use wavesketch::basic::WindowSeries;
 use wavesketch::reconstruct::ReconstructScratch;
 use wavesketch::{BucketReport, EpochSource, SketchConfig};
@@ -116,18 +118,82 @@ impl Row0 {
     }
 }
 
+/// The light column, per row, of every heavy key of one stored period:
+/// `rows × heavy_len` columns, row-major (row 0's column of every key in
+/// list order, then row 1's, ...), so a query scans one row of a period as
+/// one contiguous slice. Placed once when the period enters a tier. Derived
+/// from the keys and the sketch config alone, so it holds for as long as the
+/// period's keys do — through compaction and a lossy trim (which drop
+/// coefficients, never keys) — and is never encoded.
+#[derive(Debug)]
+pub(crate) struct HeavyCols {
+    cols: Box<[u32]>,
+    keys: usize,
+    rows: usize,
+}
+
+impl HeavyCols {
+    /// Places each of `keys` (one batch of hash chains per key) and keeps
+    /// its column per row, in one exact-size allocation. `None` when a key
+    /// is not the 13-byte packed form, which no query can place.
+    pub(crate) fn place<'k, I>(keys: I, cfg: &SketchConfig) -> Option<Self>
+    where
+        I: ExactSizeIterator<Item = &'k [u8]>,
+    {
+        let n = keys.len();
+        let mut cols = vec![0u32; n * cfg.rows].into_boxed_slice();
+        for (i, key) in keys.enumerate() {
+            let at = cfg.place_packed(key.try_into().ok()?);
+            for row in 0..cfg.rows {
+                cols[row * n + i] = cfg.light_col_placed(&at, row) as u32;
+            }
+        }
+        Some(Self {
+            cols,
+            keys: n,
+            rows: cfg.rows,
+        })
+    }
+
+    /// Heavy keys placed.
+    pub(crate) fn keys(&self) -> usize {
+        self.keys
+    }
+
+    /// Row `row`'s column of every heavy key, in list order.
+    pub(crate) fn row(&self, row: usize) -> &[u32] {
+        &self.cols[row * self.keys..(row + 1) * self.keys]
+    }
+
+    /// Heavy entry `i`'s light column per row.
+    pub(crate) fn of(&self, i: usize) -> impl Iterator<Item = u32> + '_ {
+        (0..self.rows).map(move |row| self.cols[row * self.keys + i])
+    }
+
+    /// Heap bytes held.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.cols)
+    }
+}
+
 /// One period report held decoded in the analyzer's resident store (hot or
-/// compacted), with its row-0 series.
+/// compacted), with its heavy keys' columns and its row-0 series.
 #[derive(Debug)]
 pub(crate) struct StoredPeriod {
     pub(crate) report: PeriodReport,
+    pub(crate) cols: HeavyCols,
     row0: Row0,
 }
 
 impl StoredPeriod {
-    pub(crate) fn new(report: PeriodReport) -> Self {
+    /// Stores `report`, placing its heavy keys under `cfg`. The report must
+    /// fit `cfg` (the analyzer's `fits_config`: every heavy key 13 bytes).
+    pub(crate) fn new(report: PeriodReport, cfg: &SketchConfig) -> Self {
+        let keys = report.report.heavy.iter().map(|(k, _)| k.as_slice());
+        let cols = HeavyCols::place(keys, cfg).expect("stored heavy keys are 13 bytes");
         Self {
             report,
+            cols,
             row0: Row0::default(),
         }
     }
@@ -169,20 +235,13 @@ pub(crate) struct HostIndex {
     /// column at `row` is `col`, ordered. The subtraction set.
     pub(crate) heavy_by_col: HashMap<(u32, u32), Vec<EntryRef>>,
     /// Period → that period's memo cells.
-    pub(crate) curves: HashMap<u64, CachedCurves>,
+    pub(crate) curves: BTreeMap<u64, CachedCurves>,
 }
 
-/// The analyzer-wide query index: one [`HostIndex`] per host plus the
-/// config-global key-placement cache.
+/// The analyzer-wide query index: one [`HostIndex`] per host.
 #[derive(Debug, Default)]
 pub(crate) struct QueryIndex {
-    hosts: HashMap<usize, HostIndex>,
-    /// Packed heavy key → its light column per row. Columns depend only on
-    /// the key and the sketch config, so the cache is shared across hosts
-    /// and each key is placed exactly once at first sight.
-    /// Bounded at [`KEY_COLS_CAP`]: it is a pure cache, so overflowing it
-    /// (a very long run meeting ever-fresh flows) just clears and refills.
-    key_cols: HashMap<[u8; 13], Vec<u32>>,
+    hosts: BTreeMap<usize, HostIndex>,
     /// Bytes reserved for hot epoch curves across all hosts: charged for
     /// every indexed epoch whether or not its memo is filled, so an upper
     /// bound on what the memos hold (maintained by [`Self::index_report`]
@@ -196,10 +255,6 @@ pub(crate) struct QueryIndex {
     /// Row-0 series built by host-rate queries, in any tier, cumulative.
     row0_series_built: Cell<u64>,
 }
-
-/// Cap on distinct heavy keys in the column-resolution cache (~4 MB at 3
-/// rows). Without it the cache would be the analyzer's last unbounded map.
-const KEY_COLS_CAP: usize = 1 << 17;
 
 /// Bytes charged for one indexed epoch: its full curve plus a window id
 /// and the curve's fat pointer. Charged at ingest whether or not a query
@@ -215,24 +270,6 @@ impl CachedCurves {
         self.bytes += brs.iter().map(epoch_bytes).sum::<usize>();
         brs.iter().map(|_| Memo::new()).collect()
     }
-}
-
-/// The light column per row of a packed heavy key, placed once (one batch
-/// of hash chains for all rows) and then served from `key_cols`.
-fn cols_of<'c>(
-    key_cols: &'c mut HashMap<[u8; 13], Vec<u32>>,
-    packed: [u8; 13],
-    cfg: &SketchConfig,
-) -> &'c [u32] {
-    if key_cols.len() >= KEY_COLS_CAP && !key_cols.contains_key(&packed) {
-        key_cols.clear();
-    }
-    key_cols.entry(packed).or_insert_with(|| {
-        let at = cfg.place_packed(&packed);
-        (0..cfg.rows)
-            .map(|row| cfg.light_col_placed(&at, row) as u32)
-            .collect()
-    })
 }
 
 /// Inserts `entry` into an ordered ref list at its sorted position.
@@ -288,9 +325,8 @@ impl QueryIndex {
     /// The oldest `(period, host)` still indexed, if any —
     /// the next victim of a cached-bytes budget.
     pub(crate) fn oldest_indexed(&self) -> Option<(u64, usize)> {
-        self.hosts
-            .iter()
-            .flat_map(|(&h, hidx)| hidx.curves.keys().map(move |&p| (p, h)))
+        (self.hosts.iter())
+            .filter_map(|(&h, hidx)| hidx.curves.first_key_value().map(|(&p, _)| (p, h)))
             .min()
     }
 
@@ -301,21 +337,16 @@ impl QueryIndex {
 
     /// Removes one period of one host from the index entirely: every ref in
     /// every map and the period's memo cells, filled or not. The stored
-    /// report (still resident in the analyzer's compacted tier, or about to
+    /// period (still resident in the analyzer's compacted tier, or about to
     /// be evicted) tells us exactly which map entries to touch, so this is
     /// `O(period entries · log)` — no full-index sweep.
-    pub(crate) fn deindex_period(
-        &mut self,
-        host: usize,
-        r: &PeriodReport,
-        cfg: &SketchConfig,
-    ) -> bool {
+    pub(crate) fn deindex_period(&mut self, host: usize, sp: &StoredPeriod) -> bool {
         let QueryIndex {
             hosts,
-            key_cols,
             cached_bytes,
             ..
         } = self;
+        let r = &sp.report;
         let period = r.period;
         let Some(hidx) = hosts.get_mut(&host) else {
             return false;
@@ -332,7 +363,7 @@ impl QueryIndex {
                 }
             }
         }
-        for (k, _) in &r.report.heavy {
+        for (i, (k, _)) in r.report.heavy.iter().enumerate() {
             let packed: [u8; 13] = k.as_slice().try_into().expect("packed keys are 13 bytes");
             if let Some(refs) = hidx.heavy.get_mut(&packed) {
                 remove_period(refs, period);
@@ -340,7 +371,7 @@ impl QueryIndex {
                     hidx.heavy.remove(&packed);
                 }
             }
-            for (row, &col) in cols_of(key_cols, packed, cfg).iter().enumerate() {
+            for (row, col) in sp.cols.of(i).enumerate() {
                 if let Some(refs) = hidx.heavy_by_col.get_mut(&(row as u32, col)) {
                     remove_period(refs, period);
                     if refs.is_empty() {
@@ -352,18 +383,18 @@ impl QueryIndex {
         true
     }
 
-    /// Indexes one accepted report: refs and one empty memo cell per epoch,
-    /// no reconstruction. Must be called exactly once per report that enters
-    /// the store (and never for duplicates or quarantined reports), with the
-    /// same `(host, period)` the store files it under.
-    pub(crate) fn index_report(&mut self, host: usize, r: &PeriodReport, cfg: &SketchConfig) {
+    /// Indexes one accepted period: refs and one empty memo cell per epoch,
+    /// no reconstruction. Must be called exactly once per period that enters
+    /// the store hot (and never for duplicates or quarantined reports), with
+    /// the same `(host, period)` the store files it under.
+    pub(crate) fn index_report(&mut self, host: usize, sp: &StoredPeriod) {
         let QueryIndex {
             hosts,
-            key_cols,
             cached_bytes,
             epochs_indexed,
             ..
         } = self;
+        let r = &sp.report;
         let period = r.period;
         // Filing the cells also marks the host as present even for a report
         // with no light and no heavy entries (matching the report store).
@@ -381,7 +412,7 @@ impl QueryIndex {
             let memos = cached.empty_memos(brs);
             cached.heavy.push(memos);
             insert_ordered(hidx.heavy.entry(packed).or_default(), entry);
-            for (row, &col) in cols_of(key_cols, packed, cfg).iter().enumerate() {
+            for (row, col) in sp.cols.of(i).enumerate() {
                 insert_ordered(
                     hidx.heavy_by_col.entry((row as u32, col)).or_default(),
                     entry,
@@ -450,6 +481,11 @@ pub struct QueryScratch {
     /// reads, recorded by one selection pass after the cold fetch; every
     /// walk of the query filters this instead of rescanning the periods.
     pub(crate) selected: Vec<crate::analyzer::Selected>,
+    /// The queried flow's light column per row, placed once per query.
+    pub(crate) cols: Vec<u32>,
+    /// Per heavy key of the period being selected: whether it shares the
+    /// flow's column at some row.
+    pub(crate) hits: Vec<u8>,
 }
 
 impl QueryScratch {

@@ -5,7 +5,9 @@
 //! nor the netsim event queue's push/pop cycle, nor the analyzer's query
 //! path (`flow_curve_with` / `host_rate_curve_with` through a warm
 //! `QueryScratch`, over hot periods and over compacted and cache-hit cold
-//! ones) touches the heap — and, off the hot path, that a report
+//! ones) touches the heap — and, off the hot path, that a cold-cache miss
+//! costs a fixed count of heap operations whatever its record's heavy-key
+//! count, that a report
 //! decoder allocates nothing for a length prefix its input cannot back and
 //! that an uplink's first send moves a report instead of copying it, and
 //! that the collector's envelope verify reuses its encode buffer.  A
@@ -75,6 +77,7 @@ fn steady_state_hot_paths_do_not_allocate() {
     batch_ingest_path_is_allocation_free();
     event_queue_cycle_is_allocation_free();
     analyzer_query_path_is_allocation_free();
+    cold_miss_allocates_a_fixed_count();
     lying_length_prefix_allocates_nothing();
     uplink_tick_moves_the_report();
     envelope_verify_with_a_warm_buffer_allocates_nothing();
@@ -398,6 +401,88 @@ fn analyzer_query_path_is_allocation_free() {
             assert_eq!(s.cold_read_errors, 0);
         }
     }
+    drop(tiered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Off the hot path: a cold miss reads one record and builds what the
+/// cache keeps for it — the payload, the entry table and the heavy keys'
+/// light columns. The table builder's vectors grow with the record's epoch
+/// count, so they are counted apart, by building the same table alone; the
+/// rest of the miss is a fixed count of heap operations whatever the
+/// record's heavy-key count. The columns are one exact-size allocation, not
+/// one per key, and nothing else in the query allocates.
+fn cold_miss_allocates_a_fixed_count() {
+    use umon::{Analyzer, HostAgent, HostAgentConfig, QueryScratch, RetentionPolicy};
+    use wavesketch::ReportTable;
+
+    let cfg = HostAgentConfig {
+        period_ns: 64 << 13,
+        ..HostAgentConfig::default()
+    };
+    // One record per host goes cold: host 0's holds one heavy key, host
+    // 1's a few hundred. A one-byte cache makes every cold read a miss.
+    let dir = std::env::temp_dir().join(format!("umon_alloc_miss_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let policy = RetentionPolicy::bounded(1, 1).with_cold_cache_bytes(1);
+    let mut tiered =
+        Analyzer::with_archive(cfg.sketch.clone(), policy, &dir).expect("open archive");
+    let mut cold_records = Vec::new();
+    for (host, flows) in [(0usize, 1u64), (1, 400)] {
+        let mut agent = HostAgent::new(host, cfg.clone());
+        for w in 0..128u64 {
+            for flow in 0..flows {
+                agent.observe(flow, (w << 13) + flow, 1000);
+            }
+        }
+        let reports = agent.finish();
+        assert_eq!(reports.len(), 2, "periods 0 and 1");
+        cold_records.push(reports[0].clone());
+        tiered.add_reports(reports);
+        assert_eq!(tiered.host_coverage(host).archived.len(), 1);
+    }
+    let heavy: Vec<usize> = (cold_records.iter())
+        .map(|r| r.report.heavy.len())
+        .collect();
+    assert!(
+        heavy[0] >= 1 && heavy[1] >= 100 * heavy[0],
+        "heavy keys {heavy:?}"
+    );
+
+    let mut scratch = QueryScratch::new();
+    let mut fixed = Vec::new();
+    for (host, record) in cold_records.iter().enumerate() {
+        // Warm the scratch and the hot period's memos on the same query.
+        for _ in 0..3 {
+            tiered.flow_curve_with(host, 0, &mut scratch);
+        }
+        let misses = tiered.retention_stats().cold_misses;
+        let before = heap_ops();
+        let curve = tiered.flow_curve_with(host, 0, &mut scratch).is_some();
+        let miss = heap_ops() - before;
+        assert!(curve, "host {host} flow 0 measured");
+        assert_eq!(tiered.retention_stats().cold_misses, misses + 1);
+        assert_eq!(tiered.retention_stats().cold_read_errors, 0);
+
+        let sketch = record.report.encode();
+        let before = heap_ops();
+        let table = ReportTable::build(&sketch);
+        let table_ops = heap_ops() - before;
+        assert!(table.is_some());
+        drop(table);
+        fixed.push(miss - table_ops);
+    }
+    assert_eq!(
+        fixed[0], fixed[1],
+        "a cold miss beside its table cost {} heap operations for {} heavy keys \
+         and {} for {}",
+        fixed[0], heavy[0], fixed[1], heavy[1]
+    );
+    assert!(
+        fixed[0] <= 6,
+        "a cold miss beside its table: {} heap operations",
+        fixed[0]
+    );
     drop(tiered);
     let _ = std::fs::remove_dir_all(&dir);
 }
